@@ -38,8 +38,6 @@ from .simulator import (
     extract_gt_vectors,
     haar_unitary,
     mc_estimates,
-    mc_expected_fidelity,
-    mc_total_probability,
     verify_cg_embedding,
     weight_operator,
     weight_sector,

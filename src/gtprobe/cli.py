@@ -428,7 +428,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     report["sector_dims"] = list(vectors.sector_dims)
     report["pass"] = passed
     _print_json(report)
-    return 0
+    return 0 if passed else 1
 
 
 def _print_table(header: list[str], body: list[list[str]]) -> None:

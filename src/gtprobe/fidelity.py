@@ -88,8 +88,8 @@ def bound_ratio(d: int, n: int) -> float:
 def protocol_probe(d: int, L: int) -> np.ndarray:
     """The protocol's probe coefficients f_0..f_L, normalized to unit norm."""
     tab = CoeffTable.build(d, L)
-    f_sq = np.array([float(v) for v in tab.f_sq])
-    return np.sqrt(f_sq / f_sq.sum())
+    total = sum(tab.f_sq)
+    return np.sqrt([float(v / total) for v in tab.f_sq])
 
 
 def rayleigh_quotient(f: np.ndarray, d: int, L: int) -> float:
@@ -147,6 +147,7 @@ def plan_queries(d: int, eps: float) -> int:
     def ok(L: int) -> bool:
         return closed_form_infidelity(d, L) <= target
 
+    # The denominator L + N + d + 2L^2 strictly grows in L, so hi is minimal.
     hi = 1
     while not ok(hi):
         hi *= 2
@@ -157,13 +158,7 @@ def plan_queries(d: int, eps: float) -> int:
             hi = mid
         else:
             lo = mid + 1
-    L = hi
-    if not ok(L) or (L > 1 and ok(L - 1)):
-        # Monotonicity of the closed form failed; fall back to a linear scan.
-        L = 1
-        while not ok(L):
-            L += 1
-    return 2 * d * L
+    return 2 * d * hi
 
 
 def trace_distance_from_overlap(overlap_sq: float) -> float:

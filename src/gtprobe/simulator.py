@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
-from .coeffs import alpha_beta, f_squared
+from .coeffs import alpha_beta
+from .fidelity import protocol_probe
 from .young import (
     Diagram,
     GammaParams,
@@ -307,31 +308,24 @@ def verify_cg_embedding(
     onto the covariant buckets of the (n+1)-site system, and compares the
     squared projection norms with the exact (alpha_i, beta_i).
     """
-    L = n // (2 * d) if n % (2 * d) == 0 else 0
-    if d < 2 or L < 1:
-        raise ValueError(f"n must be a positive multiple of 2d, got d={d} n={n}")
-    _check_capacity(d, n)
     _check_capacity(d, n + 1)
-    shapes = [gamma_shape(GammaParams(d, L, i)) for i in range(L + 1)]
-    shapes_plus = [gamma_plus_shape(GammaParams(d, L, i)) for i in range(L + 1)]
+    vs = extract_gt_vectors(d, n, pick, null_tol, casimir_tol)
+    L = vs.L
     content = gamma_content(d, L)
-    content_plus = content[:-1] + (content[-1] + 1,)
-    strings, buckets = _covariant_buckets(d, n, content, shapes, null_tol, casimir_tol)
+    shapes_plus = [gamma_plus_shape(GammaParams(d, L, i)) for i in range(L + 1)]
     strings_plus, buckets_plus = _covariant_buckets(
-        d, n + 1, content_plus, shapes_plus, null_tol, casimir_tol
+        d, n + 1, content[:-1] + (content[-1] + 1,), shapes_plus, null_tol, casimir_tol
     )
-    index_plus = {s: k for k, s in enumerate(strings_plus)}
-    positions = np.array([index_plus[s + (d - 1,)] for s in strings])
-    column = 0 if pick == "first" else -1
+    # v_i tensor |d> has entry v_i[k] at index k*d + d-1 and zeros elsewhere.
+    plus = np.array([_string_index(s, d) for s in strings_plus])
+    grown = np.where(plus % d == d - 1, vs.vectors.real[:, plus // d], 0.0)
 
     out: list[CGResidual] = []
     for i in range(L + 1):
         alpha, beta = alpha_beta(GammaParams(d, L, i))
-        grown = np.zeros(len(strings_plus))
-        grown[positions] = buckets[i][:, column]
-        alpha_proj = float(np.sum((buckets_plus[i].T @ grown) ** 2))
+        alpha_proj = float(np.sum((buckets_plus[i].T @ grown[i]) ** 2))
         if i + 1 <= L:
-            beta_proj = float(np.sum((buckets_plus[i + 1].T @ grown) ** 2))
+            beta_proj = float(np.sum((buckets_plus[i + 1].T @ grown[i]) ** 2))
         else:
             beta_proj = 0.0
         out.append(
@@ -364,29 +358,24 @@ def _haar_batch(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
 
 
 def apply_tensor_power(mat: np.ndarray, vec: np.ndarray, n: int) -> np.ndarray:
-    """Apply mat to every tensor factor of vec via n single-site contractions."""
+    """Apply mat to every tensor factor of vec via n single-site contractions.
+
+    mat may also be a batch of matrices of shape (..., d, d); the result
+    then carries the same leading axes, one transformed vector per matrix.
+    """
     mat = np.asarray(mat, dtype=complex)
-    d = mat.shape[0]
+    d = mat.shape[-1]
     vec = np.asarray(vec, dtype=complex).reshape(-1)
-    if mat.shape != (d, d) or vec.size != d**n:
+    if mat.ndim < 2 or mat.shape[-2] != d or vec.size != d**n:
         raise ValueError(
             f"shape mismatch: matrix {mat.shape} on a length-{vec.size} vector"
         )
-    out = vec
+    batch = mat.shape[:-2]
+    out = np.broadcast_to(vec, batch + vec.shape)
     for site in range(n):
-        out = out.reshape(d**site, d, d ** (n - 1 - site))
-        out = mat[None, :, :] @ out
-    return out.reshape(-1)
-
-
-def _batched_overlaps(mats: np.ndarray, vec: np.ndarray, d: int, n: int) -> np.ndarray:
-    """<vec| M^{otimes n} |vec> for every matrix M in the batch."""
-    count = mats.shape[0]
-    out = np.repeat(vec[None, :], count, axis=0)
-    for site in range(n):
-        out = out.reshape(count, d**site, d, d ** (n - 1 - site))
-        out = mats[:, None, :, :] @ out
-    return out.reshape(count, -1) @ vec.conj()
+        out = out.reshape(batch + (d**site, d, d ** (n - 1 - site)))
+        out = mat[..., None, :, :] @ out
+    return out.reshape(batch + vec.shape)
 
 
 @dataclass(frozen=True)
@@ -408,11 +397,15 @@ def mc_estimates(
     randomize_target: bool = False,
     probe: np.ndarray | None = None,
 ) -> tuple[MCEstimate, MCEstimate]:
-    """One sampling pass; returns (fidelity estimate, total-probability
-    estimate) over a single seeded stream of Haar outcomes.
+    """Monte Carlo estimates of the expected fidelity and of the total
+    outcome probability, from one pass over a seeded stream of Haar outcomes.
 
-    probe overrides the protocol's coefficient vector f_0..f_L (it is
-    normalized internally); the default is the protocol's choice.
+    With A = sum_i f_i sqrt(dim_i) <v_i|W^{otimes n}|v_i> (W the outcome's
+    inverse action, the target fixed to the identity by Haar invariance
+    unless randomize_target is set), the fidelity integrand is
+    |A|^2 |<d|W|d>|^2 and the total-probability integrand |A|^2, whose
+    exact mean is one.  probe overrides the protocol's coefficient vector
+    f_0..f_L (it is normalized internally).  Returns (fidelity, total).
     """
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
@@ -421,8 +414,7 @@ def mc_estimates(
         raise ValueError("vector set does not match the requested system")
     L = vs.L
     if probe is None:
-        f_sq = np.array([float(f_squared(i, d, L)) for i in range(L + 1)])
-        f = np.sqrt(f_sq / f_sq.sum())
+        f = protocol_probe(d, L)
     else:
         f = np.asarray(probe, dtype=float)
         if f.shape != (L + 1,) or not np.any(f):
@@ -431,7 +423,10 @@ def mc_estimates(
     dims = np.array(
         [float(weyl_dimension(gamma_shape(GammaParams(d, L, i)), d)) for i in range(L + 1)]
     )
-    weights = f * np.sqrt(dims)
+    # The v_i lie in distinct irreps, so <v_i|W^n|v_j> = 0 for i != j and
+    # sum_i w_i <v_i|W^n|v_i> = <sum_i v_i|W^n|sum_i w_i v_i>, signed w_i too.
+    ket = (f * np.sqrt(dims)) @ vs.vectors
+    bra = vs.vectors.sum(axis=0).conj()
 
     rng = np.random.default_rng(seed)
     chunk = max(1, min(2048, _MC_CHUNK_BUDGET // d**n))
@@ -444,10 +439,7 @@ def mc_estimates(
         w = np.conj(np.swapaxes(outcome, -1, -2))
         if randomize_target:
             w = w @ _haar_batch(rng, b, d)
-        amps = np.zeros(b, dtype=complex)
-        for i in range(L + 1):
-            amps += weights[i] * _batched_overlaps(w, vs.vectors[i], d, n)
-        total = np.abs(amps) ** 2
+        total = np.abs(apply_tensor_power(w, ket, n) @ bra) ** 2
         fid = total * np.abs(w[:, d - 1, d - 1]) ** 2
         sums += (fid.sum(), total.sum())
         sq_sums += ((fid**2).sum(), (total**2).sum())
@@ -459,35 +451,3 @@ def mc_estimates(
         MCEstimate(float(means[0]), float(stderrs[0]), samples, seed),
         MCEstimate(float(means[1]), float(stderrs[1]), samples, seed),
     )
-
-
-def mc_expected_fidelity(
-    d: int,
-    n: int,
-    samples: int,
-    seed: int,
-    vectors: GTVectorSet | None = None,
-    randomize_target: bool = False,
-    probe: np.ndarray | None = None,
-) -> MCEstimate:
-    """Monte Carlo estimate of the protocol's expected fidelity.
-
-    Averages |sum_i f_i sqrt(dim_i) <v_i|W^{otimes n}|v_i>|^2 |<d|W|d>|^2
-    over Haar-random measurement outcomes (W the outcome's inverse action,
-    target fixed to the identity by Haar invariance unless
-    randomize_target is set).
-    """
-    return mc_estimates(d, n, samples, seed, vectors, randomize_target, probe)[0]
-
-
-def mc_total_probability(
-    d: int,
-    n: int,
-    samples: int,
-    seed: int,
-    vectors: GTVectorSet | None = None,
-    randomize_target: bool = False,
-    probe: np.ndarray | None = None,
-) -> MCEstimate:
-    """Monte Carlo check that the outcome density integrates to one."""
-    return mc_estimates(d, n, samples, seed, vectors, randomize_target, probe)[1]

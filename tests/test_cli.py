@@ -176,6 +176,14 @@ class TestSimulateCommand:
         _, out, _ = run(capsys, ["simulate", "--d", "2", "--n", "4", "--samples", "1000"])
         assert "cg_residuals" not in json.loads(out)
 
+    def test_failed_check_exits_one(self, capsys):
+        # 100 samples at seed 1 miss 7/8 by more than three standard errors.
+        code, out, _ = run(capsys, ["simulate", "--d", "2", "--n", "4", "--samples", "100", "--seed", "1"])
+        assert code == 1
+        data = json.loads(out)
+        assert data["pass"] is False
+        assert json.dumps(data, indent=2) + "\n" == out
+
     def test_capacity_exit_code(self, capsys):
         code, _, err = run(capsys, ["simulate", "--d", "5", "--n", "10", "--samples", "500"])
         assert code == 3

@@ -4,8 +4,9 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gtprobe.coeffs import ConsistencyError
+from gtprobe.coeffs import CoeffTable, ConsistencyError
 from gtprobe.fidelity import (
     amplitude_reduction_check,
     bound_ratio,
@@ -99,6 +100,20 @@ class TestRayleighQuotient:
             rayleigh_quotient(np.ones(3), 2, 1)
 
 
+class TestProtocolProbe:
+    def test_large_d_stays_finite(self):
+        # f_sq at d=100 exceeds the float range; normalizing first avoids it.
+        f = protocol_probe(100, 2)
+        assert np.all(np.isfinite(f)) and np.all(f >= 0)
+        assert np.linalg.norm(f) == pytest.approx(1.0, abs=1e-15)
+
+    def test_small_cases_match_float_normalization(self):
+        for d, L in product(range(2, 6), range(1, 8)):
+            f_sq = np.array([float(v) for v in CoeffTable.build(d, L).f_sq])
+            old = np.sqrt(f_sq / f_sq.sum())
+            assert np.max(np.abs(protocol_probe(d, L) - old)) <= 1e-15
+
+
 class TestOptimalProbe:
     def test_dominates_protocol_choice(self):
         for d, L in product(range(2, 6), range(1, 8)):
@@ -147,6 +162,12 @@ class TestPlanner:
                 assert closed_form_infidelity(d, n // (2 * d)) <= target
                 if n > 2 * d:
                     assert closed_form_infidelity(d, n // (2 * d) - 1) > target
+
+    @given(st.integers(2, 60), st.integers(1, 10**6))
+    @settings(max_examples=200)
+    def test_closed_form_strictly_decreases_in_L(self, d, L):
+        # The planner's bisection relies on this to return the minimal L.
+        assert closed_form_infidelity(d, L + 1) < closed_form_infidelity(d, L)
 
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):

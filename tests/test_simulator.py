@@ -1,25 +1,93 @@
 import math
+from itertools import product
 from math import comb, factorial
 
 import numpy as np
 import pytest
 
+from gtprobe.coeffs import f_squared
 from gtprobe.fidelity import expected_fidelity
 from gtprobe.simulator import (
     CapacityError,
     ExtractionError,
+    _covariant_buckets,
+    _haar_batch,
     apply_tensor_power,
     casimir_eigenvalue,
     extract_gt_vectors,
     haar_unitary,
     mc_estimates,
-    mc_expected_fidelity,
-    mc_total_probability,
     verify_cg_embedding,
     weight_operator,
     weight_sector,
 )
-from gtprobe.young import GammaParams, gamma_content, gamma_shape, hook_length_dimension
+from gtprobe.young import (
+    GammaParams,
+    gamma_content,
+    gamma_plus_shape,
+    gamma_shape,
+    hook_length_dimension,
+    weyl_dimension,
+)
+
+
+def reference_mc(d, n, samples, seed, vs, randomize_target=False, probe=None):
+    """Per-irrep Monte Carlo loop: one tensor-power overlap per v_i."""
+    L = vs.L
+    if probe is None:
+        f_sq = np.array([float(f_squared(i, d, L)) for i in range(L + 1)])
+        f = np.sqrt(f_sq / f_sq.sum())
+    else:
+        f = np.asarray(probe, dtype=float) / np.linalg.norm(probe)
+    dims = np.array(
+        [float(weyl_dimension(gamma_shape(GammaParams(d, L, i)), d)) for i in range(L + 1)]
+    )
+    weights = f * np.sqrt(dims)
+    rng = np.random.default_rng(seed)
+    chunk = max(1, min(2048, 4_000_000 // d**n))
+    fids, totals = [], []
+    done = 0
+    while done < samples:
+        b = min(chunk, samples - done)
+        w = np.conj(np.swapaxes(_haar_batch(rng, b, d), -1, -2))
+        if randomize_target:
+            w = w @ _haar_batch(rng, b, d)
+        amps = np.zeros(b, dtype=complex)
+        for i in range(L + 1):
+            out = np.repeat(vs.vectors[i][None, :], b, axis=0)
+            for site in range(n):
+                out = w[:, None, :, :] @ out.reshape(b, d**site, d, d ** (n - 1 - site))
+            amps += weights[i] * (out.reshape(b, -1) @ vs.vectors[i].conj())
+        totals.append(np.abs(amps) ** 2)
+        fids.append(totals[-1] * np.abs(w[:, d - 1, d - 1]) ** 2)
+        done += b
+    return [
+        (float(x.mean()), float(x.std(ddof=1) / math.sqrt(samples)))
+        for x in (np.concatenate(fids), np.concatenate(totals))
+    ]
+
+
+def reference_cg_projections(d, n, pick):
+    """(alpha_proj, beta_proj) per i, from the n-site buckets grown by |d>."""
+    L = n // (2 * d)
+    content = gamma_content(d, L)
+    shapes = [gamma_shape(GammaParams(d, L, i)) for i in range(L + 1)]
+    shapes_plus = [gamma_plus_shape(GammaParams(d, L, i)) for i in range(L + 1)]
+    strings, buckets = _covariant_buckets(d, n, content, shapes)
+    strings_plus, buckets_plus = _covariant_buckets(
+        d, n + 1, content[:-1] + (content[-1] + 1,), shapes_plus
+    )
+    index_plus = {s: k for k, s in enumerate(strings_plus)}
+    positions = [index_plus[s + (d - 1,)] for s in strings]
+    column = 0 if pick == "first" else -1
+    out = []
+    for i in range(L + 1):
+        grown = np.zeros(len(strings_plus))
+        grown[positions] = buckets[i][:, column]
+        alpha = float(np.sum((buckets_plus[i].T @ grown) ** 2))
+        beta = float(np.sum((buckets_plus[i + 1].T @ grown) ** 2)) if i < L else 0.0
+        out.append((alpha, beta))
+    return out
 
 
 class TestWeightSector:
@@ -170,6 +238,16 @@ class TestTensorPower:
         with pytest.raises(ValueError):
             apply_tensor_power(np.eye(2), np.zeros(5), 2)
 
+    def test_batch_matches_single_calls(self):
+        rng = np.random.default_rng(8)
+        for d, n in ((2, 4), (3, 3)):
+            v = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
+            mats = np.stack([haar_unitary(d, seed) for seed in range(6)]).reshape(2, 3, d, d)
+            got = apply_tensor_power(mats, v, n)
+            assert got.shape == (2, 3, d**n)
+            for j, k in np.ndindex(2, 3):
+                assert np.array_equal(got[j, k], apply_tensor_power(mats[j, k], v, n))
+
 
 class TestCGEmbedding:
     def test_qubit_projections(self):
@@ -194,6 +272,13 @@ class TestCGEmbedding:
                 r.alpha_residual < 1e-8 and r.beta_residual < 1e-8 for r in recs
             )
 
+    def test_matches_reference_projections(self):
+        for (d, n), pick in product(((2, 4), (2, 8), (3, 6)), ("first", "last")):
+            recs = verify_cg_embedding(d, n, pick=pick)
+            for rec, (alpha, beta) in zip(recs, reference_cg_projections(d, n, pick)):
+                assert rec.alpha_proj == pytest.approx(alpha, rel=1e-12, abs=1e-12)
+                assert rec.beta_proj == pytest.approx(beta, rel=1e-12, abs=1e-12)
+
     def test_capacity_covers_grown_system(self):
         with pytest.raises(CapacityError):
             verify_cg_embedding(4, 8)  # 4^9 exceeds the dense cap
@@ -201,22 +286,22 @@ class TestCGEmbedding:
 
 class TestMonteCarlo:
     def test_qubit_agreement(self):
-        est = mc_expected_fidelity(2, 4, 20_000, seed=42)
+        est = mc_estimates(2, 4, 20_000, seed=42)[0]
         assert abs(est.mean - 0.875) <= 3 * est.stderr
         assert est.samples == 20_000
 
     def test_total_probability(self):
-        est = mc_total_probability(2, 4, 20_000, seed=42)
+        est = mc_estimates(2, 4, 20_000, seed=42)[1]
         assert abs(est.mean - 1.0) <= 3 * est.stderr
 
     def test_single_term_probe_total_probability(self):
         probe = np.array([1.0, 0.0])
-        est = mc_total_probability(2, 4, 20_000, seed=1, probe=probe)
+        est = mc_estimates(2, 4, 20_000, seed=1, probe=probe)[1]
         assert abs(est.mean - 1.0) <= 3 * est.stderr
 
     def test_seed_consistency(self):
-        a = mc_expected_fidelity(2, 4, 10_000, seed=1)
-        b = mc_expected_fidelity(2, 4, 10_000, seed=2)
+        a = mc_estimates(2, 4, 10_000, seed=1)[0]
+        b = mc_estimates(2, 4, 10_000, seed=2)[0]
         joint = math.hypot(a.stderr, b.stderr)
         assert abs(a.mean - b.mean) <= 5 * joint
 
@@ -226,26 +311,41 @@ class TestMonteCarlo:
         assert a == b
 
     def test_randomized_target_agrees(self):
-        direct = mc_expected_fidelity(2, 4, 20_000, seed=5)
-        twisted = mc_expected_fidelity(2, 4, 20_000, seed=6, randomize_target=True)
+        direct = mc_estimates(2, 4, 20_000, seed=5)[0]
+        twisted = mc_estimates(2, 4, 20_000, seed=6, randomize_target=True)[0]
         joint = math.hypot(direct.stderr, twisted.stderr)
         assert abs(direct.mean - twisted.mean) <= 5 * joint
 
     def test_basis_choice_independence(self):
         first = extract_gt_vectors(2, 4, pick="first")
         last = extract_gt_vectors(2, 4, pick="last")
-        a = mc_expected_fidelity(2, 4, 20_000, seed=3, vectors=first)
-        b = mc_expected_fidelity(2, 4, 20_000, seed=3, vectors=last)
+        a = mc_estimates(2, 4, 20_000, seed=3, vectors=first)[0]
+        b = mc_estimates(2, 4, 20_000, seed=3, vectors=last)[0]
         joint = math.hypot(a.stderr, b.stderr)
         assert abs(a.mean - b.mean) <= 3 * joint
 
     def test_rejects_few_samples(self):
         with pytest.raises(ValueError):
-            mc_expected_fidelity(2, 4, 99, seed=0)
+            mc_estimates(2, 4, 99, seed=0)
 
     def test_matches_analytic_value_qutrit(self):
-        est = mc_expected_fidelity(3, 6, 20_000, seed=42)
+        est = mc_estimates(3, 6, 20_000, seed=42)[0]
         assert abs(est.mean - float(expected_fidelity(3, 6))) <= 3 * est.stderr
+
+    @pytest.mark.parametrize("d,n", [(2, 4), (3, 6), (2, 8)])
+    @pytest.mark.parametrize("pick", ["first", "last"])
+    def test_fused_contraction_matches_per_irrep_loop(self, d, n, pick):
+        vs = extract_gt_vectors(d, n, pick=pick)
+        runs = [dict(), dict(randomize_target=True)]
+        if vs.L == 1:
+            runs.append(dict(probe=np.array([0.3, -0.7])))
+        samples = 2_500 if d**n <= 16 else 300  # (2, 4) spans two chunks
+        for kwargs in runs:
+            got = mc_estimates(d, n, samples, 11, vs, **kwargs)
+            want = reference_mc(d, n, samples, 11, vs, **kwargs)
+            for est, (mean, stderr) in zip(got, want):
+                assert est.mean == pytest.approx(mean, rel=1e-12)
+                assert est.stderr == pytest.approx(stderr, rel=1e-12)
 
 
 class TestIsotypicStructure:
