@@ -8,6 +8,7 @@ error.  All output is deterministic given the flags (seeds included).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import random
 import sys
@@ -32,12 +33,28 @@ SWEEP_COLUMNS = [
 CG_RESIDUAL_LIMIT = 1e-8
 
 
-def _frac_json(q: Fraction) -> dict[str, str]:
-    return {"num": str(q.numerator), "den": str(q.denominator)}
+def _head_line(head: dict) -> str:
+    return " ".join(f"{key}={value}" for key, value in head.items())
 
 
-def _fmt_frac(q: Fraction) -> str:
-    return f"{q} ({float(q):.10g})"
+def _text(value, column: str, head: dict | None) -> str:
+    """Table cell: Fraction as "p/q (float)", float as repr, anything else as str."""
+    if isinstance(value, Fraction):
+        try:
+            return f"{value} ({float(value):.10g})"
+        except OverflowError:
+            raise ValueError(
+                f"{column} at {_head_line(head)} exceeds the float range of the "
+                "table format; use --format csv|json"
+            ) from None
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _json(value):
+    """JSON value: Fraction as {"num", "den"} decimal strings, anything else as is."""
+    if isinstance(value, Fraction):
+        return {"num": str(value.numerator), "den": str(value.denominator)}
+    return value
 
 
 def _shape_str(shape: tuple[int, ...]) -> str:
@@ -46,6 +63,44 @@ def _shape_str(shape: tuple[int, ...]) -> str:
 
 def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
+
+
+def _render(
+    fmt: str,
+    head: dict | None,
+    columns: list[str],
+    rows: list[list],
+    json_rows: list[dict] | None = None,
+) -> None:
+    """Print rows of typed values under columns.
+
+    table: the head line (if any), then aligned cells from _text.
+    csv: a header line, then str of each value.
+    json: each row as a dict over columns (or json_rows in their place), with
+    _json values; wrapped as {**head, "rows": [...]}, or a bare list without head.
+    """
+    if fmt == "json":
+        if json_rows is None:
+            json_rows = [dict(zip(columns, row)) for row in rows]
+        objs = [{key: _json(value) for key, value in r.items()} for r in json_rows]
+        _print_json(objs if head is None else {**head, "rows": objs})
+    elif fmt == "csv":
+        print(",".join(columns))
+        for row in rows:
+            print(",".join(str(value) for value in row))
+    else:
+        cells = [[_text(v, c, head) for c, v in zip(columns, row)] for row in rows]
+        widths = [max(map(len, column)) for column in zip(columns, *cells)]
+        if head is not None:
+            print(_head_line(head))
+        for line in [columns, *cells]:
+            print("  ".join(s.ljust(w) for s, w in zip(line, widths)).rstrip())
+
+
+def _print_pairs(head: dict, pairs: list[tuple[str, object]]) -> None:
+    print(_head_line(head))
+    for name, value in pairs:
+        print(f"{name:<20}{_text(value, name, head)}")
 
 
 def _parse_range(text: str) -> range:
@@ -84,113 +139,56 @@ def cmd_dims(args: argparse.Namespace) -> int:
     rows = []
     for i in range(L + 1):
         p = young.GammaParams(d, L, i)
-        shape = young.gamma_shape(p)
-        plus = young.gamma_plus_shape(p)
+        shape, plus = young.gamma_shape(p), young.gamma_plus_shape(p)
         rows.append(
-            {
-                "i": i,
-                "shape": _shape_str(shape),
-                "shape_plus": _shape_str(plus),
-                "weyl_dim": young.weyl_dimension(shape, d),
-                "weyl_dim_plus": young.weyl_dimension(plus, d),
-                "hook_dim": young.hook_length_dimension(shape),
-                "casimir": simulator.casimir_eigenvalue(shape, d),
-            }
+            [
+                i,
+                _shape_str(shape),
+                _shape_str(plus),
+                young.weyl_dimension(shape, d),
+                young.weyl_dimension(plus, d),
+                young.hook_length_dimension(shape),
+                simulator.casimir_eigenvalue(shape, d),
+            ]
         )
-    header = ["i", "shape", "shape_plus", "weyl_dim", "weyl_dim_plus", "hook_dim", "casimir"]
-    if args.format == "json":
-        _print_json({"d": d, "n": n, "L": L, "N": (d + 1) * L, "rows": rows})
-    elif args.format == "csv":
-        print(",".join(header))
-        for r in rows:
-            print(",".join(str(r[h]) for h in header))
-    else:
-        print(f"d={d} n={n} L={L} N={(d + 1) * L}")
-        _print_table(header, [[str(r[h]) for h in header] for r in rows])
+    columns = ["i", "shape", "shape_plus", "weyl_dim", "weyl_dim_plus", "hook_dim", "casimir"]
+    _render(args.format, {"d": d, "n": n, "L": L, "N": (d + 1) * L}, columns, rows)
     return 0
 
 
 def cmd_coeffs(args: argparse.Namespace) -> int:
     n = _rounded_n(args.d, args.n)
-    d, L = args.d, n // (2 * args.d)
-    tab = coeffs.CoeffTable.build(d, L)
-    header = ["i", "alpha", "beta", "x_sq", "y_sq", "g", "f_sq", "shared_radicand"]
-    if args.format == "json":
-        rows = [
-            {
-                "i": i,
-                "alpha": _frac_json(tab.alpha[i]),
-                "beta": _frac_json(tab.beta[i]),
-                "x_sq": _frac_json(tab.x_sq[i]),
-                "y_sq": _frac_json(tab.y_sq[i]),
-                "g": tab.g[i],
-                "f_sq": _frac_json(tab.f_sq[i]),
-                "shared_radicand": _frac_json(tab.shared_radicand[i]),
-            }
-            for i in range(L + 1)
-        ]
-        _print_json({"d": d, "n": n, "L": L, "N": tab.N, "rows": rows})
-    elif args.format == "csv":
-        print(",".join(header))
-        for i in range(L + 1):
-            print(
-                f"{i},{tab.alpha[i]},{tab.beta[i]},{tab.x_sq[i]},{tab.y_sq[i]},"
-                f"{tab.g[i]},{tab.f_sq[i]},{tab.shared_radicand[i]}"
-            )
-    else:
-        print(f"d={d} n={n} L={L} N={tab.N}")
-        body = [
-            [
-                str(i),
-                _fmt_frac(tab.alpha[i]),
-                _fmt_frac(tab.beta[i]),
-                _fmt_frac(tab.x_sq[i]),
-                _fmt_frac(tab.y_sq[i]),
-                str(tab.g[i]),
-                _fmt_frac(tab.f_sq[i]),
-                _fmt_frac(tab.shared_radicand[i]),
-            ]
-            for i in range(L + 1)
-        ]
-        _print_table(header, body)
+    tab = coeffs.CoeffTable.build(args.d, n // (2 * args.d))
+    columns = [f.name for f in dataclasses.fields(tab) if f.name not in ("d", "L", "N")]
+    rows = [[i, *values] for i, values in enumerate(zip(*(getattr(tab, c) for c in columns)))]
+    _render(args.format, {"d": tab.d, "n": n, "L": tab.L, "N": tab.N}, ["i", *columns], rows)
     return 0
 
 
 def cmd_infidelity(args: argparse.Namespace) -> int:
     n = _rounded_n(args.d, args.n)
     report = fidelity.fidelity_report(args.d, n)
+    fields = _report_fields(report)
     if args.format == "json":
-        _print_json(_report_json(report))
+        _print_json({key: _json(value) for key, value in fields.items()})
     elif args.format == "csv":
-        print(",".join(SWEEP_COLUMNS))
-        print(",".join(_sweep_row(report)))
+        _render_reports("csv", [report])
     else:
-        print(f"d={report.d} n={report.n} L={report.L}")
-        lines = [
-            ("fidelity", _fmt_frac(report.fidelity_exact)),
-            ("infidelity", _fmt_frac(report.infidelity_exact)),
-            ("closed_form", _fmt_frac(report.closed_form)),
-            ("bound_ratio", repr(report.bound_ratio)),
-            ("optimal_rayleigh", repr(report.optimal_rayleigh)),
-            ("optimal_infidelity", repr(report.optimal_infidelity)),
-            ("gap_ratio", repr(report.gap_ratio)),
-            ("optimal_f", "[" + ", ".join(repr(v) for v in report.optimal_f) + "]"),
-        ]
-        for name, value in lines:
-            print(f"{name:<20}{value}")
+        head = {key: fields.pop(key) for key in ("d", "n", "L")}
+        _print_pairs(head, [(k, v) for k, v in fields.items() if not k.endswith("_float")])
     return 0
 
 
-def _report_json(report: fidelity.FidelityReport) -> dict:
+def _report_fields(report: fidelity.FidelityReport) -> dict:
     return {
         "d": report.d,
         "n": report.n,
         "L": report.L,
-        "fidelity": _frac_json(report.fidelity_exact),
+        "fidelity": report.fidelity_exact,
         "fidelity_float": float(report.fidelity_exact),
-        "infidelity": _frac_json(report.infidelity_exact),
+        "infidelity": report.infidelity_exact,
         "infidelity_float": float(report.infidelity_exact),
-        "closed_form": _frac_json(report.closed_form),
+        "closed_form": report.closed_form,
         "bound_ratio": report.bound_ratio,
         "optimal_rayleigh": report.optimal_rayleigh,
         "optimal_infidelity": report.optimal_infidelity,
@@ -199,15 +197,32 @@ def _report_json(report: fidelity.FidelityReport) -> dict:
     }
 
 
+def _render_reports(fmt: str, reports: list[fidelity.FidelityReport]) -> None:
+    """Reports as SWEEP_COLUMNS rows; JSON shows all their fields instead."""
+    rows = [
+        [
+            r.d,
+            r.n,
+            r.L,
+            r.infidelity_exact.numerator,
+            r.infidelity_exact.denominator,
+            float(r.infidelity_exact),
+            r.bound_ratio,
+            r.optimal_infidelity,
+            r.gap_ratio,
+        ]
+        for r in reports
+    ]
+    _render(fmt, None, SWEEP_COLUMNS, rows, [_report_fields(r) for r in reports])
+
+
 def cmd_plan(args: argparse.Namespace) -> int:
-    if not 0 < args.eps < 1:
-        raise ValueError(f"eps must lie in (0, 1), got {args.eps}")
     d, eps = args.d, args.eps
     n = fidelity.plan_queries(d, eps)
     L = n // (2 * d)
     infid = fidelity.closed_form_infidelity(d, L)
-    heisenberg = d**1.5 / eps
-    classical = d / eps**2
+    target, heisenberg, classical = eps**2 / 100, d**1.5 / eps, d / eps**2
+    guarantee = f"trace distance <= {eps} with probability >= 2/3"
     if args.format == "json":
         _print_json(
             {
@@ -215,135 +230,91 @@ def cmd_plan(args: argparse.Namespace) -> int:
                 "eps": eps,
                 "n": n,
                 "L": L,
-                "infidelity": _frac_json(infid),
+                "infidelity": _json(infid),
                 "infidelity_float": float(infid),
-                "target_float": eps**2 / 100,
+                "target_float": target,
                 "ref_heisenberg": heisenberg,
                 "ref_classical": classical,
-                "guarantee": f"trace distance <= {eps} with probability >= 2/3",
+                "guarantee": guarantee,
             }
         )
     else:
-        print(f"d={d} eps={eps}")
-        print(f"{'queries n':<20}{n}")
-        print(f"{'L':<20}{L}")
-        print(f"{'infidelity at n':<20}{_fmt_frac(infid)}")
-        print(f"{'target eps^2/100':<20}{eps**2 / 100!r}")
-        print(f"{'ref d^1.5/eps':<20}{heisenberg!r}")
-        print(f"{'ref d/eps^2':<20}{classical!r}")
-        print(f"guarantee: trace distance <= {eps} with probability >= 2/3")
+        pairs = [
+            ("queries n", n),
+            ("L", L),
+            ("infidelity at n", infid),
+            ("target eps^2/100", target),
+            ("ref d^1.5/eps", heisenberg),
+            ("ref d/eps^2", classical),
+        ]
+        _print_pairs({"d": d, "eps": eps}, pairs)
+        print(f"guarantee: {guarantee}")
     return 0
-
-
-def _sweep_row(report: fidelity.FidelityReport) -> list[str]:
-    return [
-        str(report.d),
-        str(report.n),
-        str(report.L),
-        str(report.infidelity_exact.numerator),
-        str(report.infidelity_exact.denominator),
-        repr(float(report.infidelity_exact)),
-        repr(report.bound_ratio),
-        repr(report.optimal_infidelity),
-        repr(report.gap_ratio),
-    ]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     d_range = _parse_range(args.d_range)
     n_range = _parse_range(args.n_range)
-    rows = []
+    reports = []
     for d in d_range:
         if d < 2:
             raise ValueError(f"d must be >= 2, got {d}")
         for n in n_range:
             if n > 0 and n % (2 * d) == 0:
-                rows.append(fidelity.fidelity_report(d, n))
-    if args.format == "json":
-        _print_json([_report_json(r) for r in rows])
-    elif args.format == "table":
-        _print_table(SWEEP_COLUMNS, [_sweep_row(r) for r in rows])
-    else:
-        print(",".join(SWEEP_COLUMNS))
-        for r in rows:
-            print(",".join(_sweep_row(r)))
+                reports.append(fidelity.fidelity_report(d, n))
+    _render_reports(args.format, reports)
     return 0
 
 
 def _verify_families(max_d: int, max_L: int, seed: int):
-    """Yield (name, runner) pairs; a runner returns (cases, first_failure)."""
+    """Yield (name, cases) pairs; cases yields None or a failure message per case."""
+    grid = [(d, L) for d in range(2, max_d + 1) for L in range(1, max_L + 1)]
+    indexed = [(d, L, i) for d, L in grid for i in range(L + 1)]
 
     def infidelity_chain():
-        cases = 0
-        for d in range(2, max_d + 1):
-            for L in range(1, max_L + 1):
-                cases += 1
-                swept = 1 - fidelity.expected_fidelity(d, 2 * d * L)
-                summed = fidelity.infidelity_sum_form(d, L)
-                closed = fidelity.closed_form_infidelity(d, L)
-                if not swept == summed == closed:
-                    return cases, f"d={d} L={L}: {swept} vs {summed} vs {closed}"
-        return cases, None
+        for d, L in grid:
+            swept = 1 - fidelity.expected_fidelity(d, 2 * d * L)
+            summed = fidelity.infidelity_sum_form(d, L)
+            closed = fidelity.closed_form_infidelity(d, L)
+            ok = swept == summed == closed
+            yield None if ok else f"d={d} L={L}: {swept} vs {summed} vs {closed}"
 
     def dimension_ratios():
-        cases = 0
-        for d in range(2, max_d + 1):
-            for L in range(1, max_L + 1):
-                for i in range(L + 1):
-                    cases += 1
-                    if not coeffs.dim_ratio_check(young.GammaParams(d, L, i)):
-                        return cases, f"d={d} L={L} i={i}"
-        return cases, None
+        for d, L, i in indexed:
+            ok = coeffs.dim_ratio_check(young.GammaParams(d, L, i))
+            yield None if ok else f"d={d} L={L} i={i}"
 
     def cg_branch_weights():
-        cases = 0
-        for d in range(2, max_d + 1):
-            for L in range(1, max_L + 1):
-                for i in range(L + 1):
-                    cases += 1
-                    p = young.GammaParams(d, L, i)
-                    got = coeffs.cg_add_box(young.gamma_chain(p))
-                    alpha, beta = coeffs.alpha_beta(p)
-                    want = [(1, alpha)] + ([(d, beta)] if i < L else [])
-                    if got != want:
-                        return cases, f"d={d} L={L} i={i}: {got} != {want}"
-        return cases, None
+        for d, L, i in indexed:
+            p = young.GammaParams(d, L, i)
+            got = coeffs.cg_add_box(young.gamma_chain(p))
+            alpha, beta = coeffs.alpha_beta(p)
+            want = [(1, alpha)] + ([(d, beta)] if i < L else [])
+            yield None if got == want else f"d={d} L={L} i={i}: {got} != {want}"
 
     def g_increments():
-        cases = 0
-        for d in range(2, max_d + 1):
-            for L in range(1, max_L + 1):
-                N = (d + 1) * L
-                for i in range(L + 1):
-                    cases += 1
-                    diff = coeffs.g_coeff(i, d, L) - coeffs.g_coeff(i - 1, d, L)
-                    if diff != L + N + d - 2 * i:
-                        return cases, f"d={d} L={L} i={i}: increment {diff}"
-        return cases, None
+        for d, L, i in indexed:
+            diff = coeffs.g_coeff(i, d, L) - coeffs.g_coeff(i - 1, d, L)
+            N = (d + 1) * L
+            yield None if diff == L + N + d - 2 * i else f"d={d} L={L} i={i}: increment {diff}"
 
     def telescoping():
         rnd = random.Random(seed)
-        for case in range(100):
+        for _ in range(100):
             a = Fraction(rnd.randint(-30, 30), rnd.randint(1, 30))
             b = Fraction(rnd.randint(-30, 30), rnd.randint(1, 30))
             k = rnd.randint(0, 25)
-            if not coeffs.telescoping_check(a, b, k):
-                return case + 1, f"a={a} b={b} k={k}"
-        return 100, None
+            yield None if coeffs.telescoping_check(a, b, k) else f"a={a} b={b} k={k}"
 
     def branching_sums():
-        cases = 0
         for d in range(2, max_d + 1):
             for boxes in range(0, 11):
                 for lam in young.partitions(boxes, d):
-                    cases += 1
                     total = sum(
                         young.weyl_dimension(mu, d - 1)
                         for mu in young.branching_restrictions(lam, d)
                     )
-                    if total != young.weyl_dimension(lam, d):
-                        return cases, f"d={d} lambda={lam}"
-        return cases, None
+                    yield None if total == young.weyl_dimension(lam, d) else f"d={d} lambda={lam}"
 
     def amplitude_reduction():
         rng = np.random.default_rng(seed)
@@ -355,17 +326,16 @@ def _verify_families(max_d: int, max_L: int, seed: int):
             phi /= np.linalg.norm(phi)
             proj = np.diag(rng.integers(0, 2, dim).astype(float))
             lhs, rhs = fidelity.amplitude_reduction_check(psi, phi, proj)
-            if lhs > rhs + 1e-10:
-                return case + 1, f"case {case}: d={dim} lhs={lhs!r} rhs={rhs!r}"
-        return 1000, None
+            bad = lhs > rhs + 1e-10
+            yield f"case {case}: d={dim} lhs={lhs!r} rhs={rhs!r}" if bad else None
 
-    yield "infidelity-chain", infidelity_chain
-    yield "dimension-ratios", dimension_ratios
-    yield "cg-branch-weights", cg_branch_weights
-    yield "g-increments", g_increments
-    yield "telescoping", telescoping
-    yield "branching-sums", branching_sums
-    yield "amplitude-reduction", amplitude_reduction
+    yield "infidelity-chain", infidelity_chain()
+    yield "dimension-ratios", dimension_ratios()
+    yield "cg-branch-weights", cg_branch_weights()
+    yield "g-increments", g_increments()
+    yield "telescoping", telescoping()
+    yield "branching-sums", branching_sums()
+    yield "amplitude-reduction", amplitude_reduction()
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -374,13 +344,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(f"verify: max_d={args.max_d} max_L={args.max_L} seed={args.seed}")
     failures = 0
     total = 0
-    for name, runner in _verify_families(args.max_d, args.max_L, args.seed):
+    for name, results in _verify_families(args.max_d, args.max_L, args.seed):
         total += 1
+        cases, failure = 0, None
         try:
-            cases, failure = runner()
+            for failure in results:
+                cases += 1
+                if failure is not None:
+                    break
         except Exception as exc:  # a hard consistency error is a failure too
             failure = str(exc)
-            cases = 0
         if failure is None:
             print(f"[PASS] {name} ({cases} cases)")
         else:
@@ -408,7 +381,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         and abs(tot_est.mean - 1.0) <= 3 * tot_est.stderr
     )
     report = {
-        "analytic_fidelity": {**_frac_json(analytic), "float": float(analytic)},
+        "analytic_fidelity": {**_json(analytic), "float": float(analytic)},
         "mc_mean": fid_est.mean,
         "mc_stderr": fid_est.stderr,
         "samples": args.samples,
@@ -431,15 +404,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0 if passed else 1
 
 
-def _print_table(header: list[str], body: list[list[str]]) -> None:
-    widths = [len(h) for h in header]
-    for row in body:
-        widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
-    for row in body:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gtprobe",
@@ -451,23 +415,16 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p: argparse.ArgumentParser, choices=("table", "csv", "json")):
         p.add_argument("--format", choices=choices, default=choices[0])
 
-    p = sub.add_parser("dims", help="shape and dimension table per index i")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=cmd_dims)
-
-    p = sub.add_parser("coeffs", help="exact coefficient table per index i")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=cmd_coeffs)
-
-    p = sub.add_parser("infidelity", help="exact fidelity report for (d, n)")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=cmd_infidelity)
+    for name, func, help_text in (
+        ("dims", cmd_dims, "shape and dimension table per index i"),
+        ("coeffs", cmd_coeffs, "exact coefficient table per index i"),
+        ("infidelity", cmd_infidelity, "exact fidelity report for (d, n)"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--n", type=int, required=True)
+        add_format(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("plan", help="smallest query count for a target error")
     p.add_argument("--d", type=int, required=True)

@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 from .young import (
     GammaParams,
     as_diagram,
-    gamma_chain,
     gamma_plus_shape,
     gamma_shape,
     is_valid_chain,
@@ -243,7 +242,3 @@ class CoeffTable:
             f_sq=tuple(f_sq),
             shared_radicand=tuple(rad),
         )
-
-    def probe_branch_coefficients(self, i: int) -> list[tuple[int, Fraction]]:
-        """Clebsch-Gordan route to (alpha_i, beta_i) via the probe chain."""
-        return cg_add_box(gamma_chain(GammaParams(self.d, self.L, i)))

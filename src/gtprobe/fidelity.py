@@ -11,6 +11,7 @@ query counts for a target trace-distance error.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -136,12 +137,15 @@ def plan_queries(d: int, eps: float) -> int:
     """Smallest query count n (a multiple of 2d) with infidelity <= eps^2/100.
 
     At that n the estimate is within trace distance eps of the target
-    state with probability at least 2/3.
+    state with probability at least 2/3.  eps must lie in (0, 1), and
+    eps^2/100 must not underflow the normal float range.
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    if eps**2 / 100 < sys.float_info.min:
+        raise ValueError(f"eps={eps} is too small: eps^2/100 is not a normal float")
     target = Fraction(eps) ** 2 / 100
 
     def ok(L: int) -> bool:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
 from .coeffs import alpha_beta
-from .fidelity import protocol_probe
+from .fidelity import protocol_probe, query_count_params
 from .young import (
     Diagram,
     GammaParams,
@@ -262,9 +262,7 @@ def extract_gt_vectors(
     """
     if pick not in ("first", "last"):
         raise ValueError(f"pick must be 'first' or 'last', got {pick}")
-    L = n // (2 * d) if n % (2 * d) == 0 else 0
-    if d < 2 or L < 1:
-        raise ValueError(f"n must be a positive multiple of 2d, got d={d} n={n}")
+    L = query_count_params(d, n)
     _check_capacity(d, n)
     shapes = [gamma_shape(GammaParams(d, L, i)) for i in range(L + 1)]
     strings, buckets = _covariant_buckets(

@@ -37,6 +37,17 @@ class TestCoeffsCommand:
         assert code == 2
         assert "error" in err
 
+    def test_out_of_float_range_values_in_csv_and_json(self, capsys):
+        # The table format shows float approximations and refuses here (see
+        # TestExitCodes); the exact formats still work.
+        code, out, _ = run(capsys, ["coeffs", "--d", "100", "--n", "200", "--format", "csv"])
+        assert code == 0
+        f_sq = coeffs.CoeffTable.build(100, 1).f_sq
+        assert [line.split(",")[6] for line in out.splitlines()[1:]] == [str(q) for q in f_sq]
+        code, out, _ = run(capsys, ["coeffs", "--d", "100", "--n", "200", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["rows"][0]["f_sq"]["num"] == str(f_sq[0].numerator)
+
     def test_csv_has_exact_fractions(self, capsys):
         _, out, _ = run(capsys, ["coeffs", "--d", "2", "--n", "4", "--format", "csv"])
         lines = out.strip().splitlines()
@@ -192,6 +203,26 @@ class TestSimulateCommand:
     def test_too_few_samples(self, capsys):
         code, _, _ = run(capsys, ["simulate", "--d", "2", "--n", "4", "--samples", "10"])
         assert code == 2
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["dims", "--d", "1", "--n", "4"], "d must be >= 2, got 1"),
+            (["infidelity", "--d", "2", "--n", "3"], "n must be at least 2d=4, got 3"),
+            (["coeffs", "--d", "100", "--n", "200"], "f_sq at d=100 n=200 L=1 N=101"),
+            (["coeffs", "--d", "100", "--n", "200"], "use --format csv|json"),
+            (["plan", "--d", "2", "--eps", "1e-170"], "eps=1e-170"),
+            (["plan", "--d", "2", "--eps", "1e-170", "--format", "json"], "eps=1e-170"),
+        ],
+    )
+    def test_usage_error_exits_two_with_one_error_line(self, capsys, argv, message):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
 
 class TestParserBehaviour:

@@ -197,8 +197,7 @@ class TestCoeffTable:
         assert tab.shared_radicand == (Fraction(1, 6), Fraction(1, 4))
 
     def test_probe_branch_coefficients(self):
-        tab = CoeffTable.build(2, 1)
-        assert tab.probe_branch_coefficients(0) == [
+        assert cg_add_box(gamma_chain(GammaParams(2, 1, 0))) == [
             (1, Fraction(4, 5)),
             (2, Fraction(1, 5)),
         ]

@@ -174,6 +174,11 @@ class TestPlanner:
             plan_queries(2, 0.0)
         with pytest.raises(ValueError):
             plan_queries(2, 1.0)
+        # eps^2/100 below the normal float range would underflow the CLI's figures.
+        with pytest.raises(ValueError, match="eps=1e-170"):
+            plan_queries(2, 1e-170)
+        n = plan_queries(2, 1e-150)
+        assert closed_form_infidelity(2, n // 4) <= Fraction(1e-150) ** 2 / 100
 
 
 class TestTraceDistance:
