@@ -211,8 +211,11 @@ class TestExitCodes:
         [
             (["dims", "--d", "1", "--n", "4"], "d must be >= 2, got 1"),
             (["infidelity", "--d", "2", "--n", "3"], "n must be at least 2d=4, got 3"),
-            (["coeffs", "--d", "100", "--n", "200"], "f_sq at d=100 n=200 L=1 N=101"),
-            (["coeffs", "--d", "100", "--n", "200"], "use --format csv|json"),
+            (
+                ["coeffs", "--d", "100", "--n", "200"],
+                "f_sq at d=100 n=200 L=1 N=101 exceeds the float range of the table format; "
+                "use --format csv|json",
+            ),
             (["plan", "--d", "2", "--eps", "1e-170"], "eps=1e-170"),
             (["plan", "--d", "2", "--eps", "1e-170", "--format", "json"], "eps=1e-170"),
         ],
