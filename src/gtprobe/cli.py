@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -222,6 +223,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
     L = n // (2 * d)
     infid = fidelity.closed_form_infidelity(d, L)
     target, heisenberg, classical = eps**2 / 100, d**1.5 / eps, d / eps**2
+    if not (math.isfinite(heisenberg) and math.isfinite(classical)):
+        raise ValueError(f"ref d^1.5/eps or d/eps^2 at d={d} eps={eps} exceeds the float range")
     guarantee = f"trace distance <= {eps} with probability >= 2/3"
     if args.format == "json":
         _print_json(

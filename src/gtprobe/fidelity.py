@@ -38,9 +38,11 @@ def expected_fidelity(d: int, n: int) -> Fraction:
     rational because f_i x_i and f_{i-1} y_i share the radicand R_i:
     the term at index i equals (g_i (N-i+1) + g_{i-1} (L+d-i-1))^2 R_i.
     """
-    L = query_count_params(d, n)
-    tab = CoeffTable.build(d, L)
-    N = tab.N
+    return _expected_fidelity(CoeffTable.build(d, query_count_params(d, n)))
+
+
+def _expected_fidelity(tab: CoeffTable) -> Fraction:
+    L, d, N = tab.L, tab.d, tab.N
     num = Fraction(0)
     for i in range(L + 1):
         a = tab.g[i] * (N - i + 1)
@@ -120,7 +122,11 @@ def optimal_probe(d: int, L: int) -> tuple[np.ndarray, float]:
     the symmetric tridiagonal A^T A.  Returns (f_opt, lambda_max); the
     eigenvector sign is fixed so its largest entry is positive.
     """
-    tab = CoeffTable.build(d, L)
+    return _optimal_probe(CoeffTable.build(d, L))
+
+
+def _optimal_probe(tab: CoeffTable) -> tuple[np.ndarray, float]:
+    L = tab.L
     x = np.sqrt(np.array([float(v) for v in tab.x_sq]))
     y = np.sqrt(np.array([float(v) for v in tab.y_sq]))
     diag = x**2
@@ -229,7 +235,10 @@ def fidelity_report(d: int, n: int) -> FidelityReport:
     """Evaluate all fidelity quantities for (d, n), cross-checking the
     three exact routes to the infidelity against each other."""
     L = query_count_params(d, n)
-    fid = expected_fidelity(d, n)
+    # One table serves both the exact fidelity and the optimizer; it is not
+    # kept past this call, so every report re-runs the build's checks.
+    tab = CoeffTable.build(d, L)
+    fid = _expected_fidelity(tab)
     infid = 1 - fid
     closed = closed_form_infidelity(d, L)
     summed = infidelity_sum_form(d, L)
@@ -238,7 +247,7 @@ def fidelity_report(d: int, n: int) -> FidelityReport:
             f"infidelity routes disagree at d={d} n={n}: "
             f"sweep={infid} sum-form={summed} closed-form={closed}"
         )
-    vec, lam = optimal_probe(d, L)
+    vec, lam = _optimal_probe(tab)
     if lam < float(fid) - 1e-12 or lam > 1.0 + 1e-10:
         raise ConsistencyError(
             f"optimal Rayleigh value {lam} outside [fidelity, 1] at d={d} n={n}"

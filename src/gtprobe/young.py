@@ -9,7 +9,6 @@ alphabet ``[d]`` is identified with its chain of d interlacing diagrams
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import factorial
 from typing import Iterable, Sequence
@@ -50,7 +49,8 @@ def interlaces(mu: Iterable[int], lam: Iterable[int]) -> bool:
 def weyl_dimension(lam: Iterable[int], d: int) -> int:
     """Dimension of the unitary-group irrep with highest weight lam.
 
-    Evaluates prod_{1<=i<j<=d} (lam_i - i - lam_j + j)/(j - i) exactly.
+    Evaluates prod_{1<=i<j<=d} (lam_i - i - lam_j + j)/(j - i) exactly,
+    as one integer quotient of the numerator and denominator products.
     Diagrams with more than d rows label the zero representation and
     return 0.
     """
@@ -59,12 +59,15 @@ def weyl_dimension(lam: Iterable[int], d: int) -> int:
         raise ValueError(f"d must be positive, got {d}")
     if len(lam) > d:
         return 0
-    dim = Fraction(1)
-    for i in range(1, d + 1):
-        for j in range(i + 1, d + 1):
-            dim *= Fraction(row(lam, i) - row(lam, j) + j - i, j - i)
-    assert dim.denominator == 1 and dim > 0
-    return int(dim)
+    rows = lam + (0,) * (d - len(lam))
+    num = den = 1
+    for i in range(d):
+        for j in range(i + 1, d):
+            num *= rows[i] - rows[j] + j - i
+            den *= j - i
+    dim, rem = divmod(num, den)
+    assert rem == 0 and dim > 0
+    return dim
 
 
 def branching_restrictions(lam: Iterable[int], d: int) -> list[Diagram]:

@@ -218,6 +218,11 @@ class TestExitCodes:
             ),
             (["plan", "--d", "2", "--eps", "1e-170"], "eps=1e-170"),
             (["plan", "--d", "2", "--eps", "1e-170", "--format", "json"], "eps=1e-170"),
+            (["plan", "--d", "1000", "--eps", "1.6e-153"], "d=1000 eps=1.6e-153"),
+            (
+                ["plan", "--d", "1000", "--eps", "1.6e-153", "--format", "json"],
+                "d=1000 eps=1.6e-153",
+            ),
         ],
     )
     def test_usage_error_exits_two_with_one_error_line(self, capsys, argv, message):

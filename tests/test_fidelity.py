@@ -259,3 +259,41 @@ class TestFidelityReport:
         monkeypatch.setattr(fmod, "infidelity_sum_form", lambda d, L: Fraction(1, 7))
         with pytest.raises(ConsistencyError):
             fidelity_report(2, 4)
+
+
+REPORT_CASES = [(2, 4), (2, 40), (3, 12), (5, 30)]
+
+
+class TestOneTablePerReport:
+    @pytest.fixture
+    def build_calls(self, monkeypatch):
+        calls = []
+        build = CoeffTable.build.__func__
+
+        def counting_build(cls, d, L):
+            calls.append((d, L))
+            return build(cls, d, L)
+
+        monkeypatch.setattr(CoeffTable, "build", classmethod(counting_build))
+        return calls
+
+    @pytest.mark.parametrize("d,n", REPORT_CASES)
+    def test_report_builds_one_table(self, build_calls, d, n):
+        fidelity_report(d, n)
+        assert build_calls == [(d, n // (2 * d))]
+
+    @pytest.mark.parametrize("d,n", REPORT_CASES)
+    def test_report_matches_public_functions(self, d, n):
+        rep = fidelity_report(d, n)
+        vec, lam = optimal_probe(d, rep.L)
+        assert rep.fidelity_exact == expected_fidelity(d, n)
+        assert rep.optimal_rayleigh == lam
+        assert rep.optimal_f == tuple(float(v) for v in vec)
+
+    def test_no_table_outlives_a_call(self, monkeypatch):
+        from gtprobe import coeffs
+
+        fidelity_report(3, 12)
+        monkeypatch.setattr(coeffs, "xy_squared", lambda p: (Fraction(1, 2), Fraction(1, 3)))
+        with pytest.raises(ConsistencyError):
+            fidelity_report(3, 12)

@@ -1,8 +1,9 @@
+from fractions import Fraction
 from itertools import product
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gtprobe.young import (
     GammaParams,
@@ -50,6 +51,18 @@ def count_ssyt(shape, d):
     return rec(0, {})
 
 
+def weyl_dimension_fraction(lam, d):
+    """Reference: one Fraction per factor of prod_{i<j} (lam_i - lam_j + j - i)/(j - i)."""
+    if len(lam) > d:
+        return 0
+    dim = Fraction(1)
+    for i in range(1, d + 1):
+        for j in range(i + 1, d + 1):
+            dim *= Fraction(row(lam, i) - row(lam, j) + j - i, j - i)
+    assert dim.denominator == 1 and dim > 0
+    return int(dim)
+
+
 @st.composite
 def diagram_strategy(draw, max_rows=4, max_part=5):
     nrows = draw(st.integers(0, max_rows))
@@ -58,6 +71,13 @@ def diagram_strategy(draw, max_rows=4, max_part=5):
         reverse=True,
     )
     return tuple(rows)
+
+
+@st.composite
+def shape_and_d(draw):
+    """d up to 16 and a diagram with up to d+2 rows and parts up to 10^4."""
+    d = draw(st.integers(1, 16))
+    return draw(diagram_strategy(max_rows=d + 2, max_part=10**4)), d
 
 
 class TestDiagramBasics:
@@ -117,6 +137,23 @@ class TestWeylDimension:
 
     def test_too_many_rows_vanishes(self):
         assert weyl_dimension((1, 1, 1), 2) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(shape_and_d())
+    @example(((), 1))
+    @example(((7,), 1))
+    @example(((3, 1), 1))
+    @example(((), 16))
+    @example(((10**4,) * 17, 16))
+    def test_matches_fraction_product(self, case):
+        lam, d = case
+        dim = weyl_dimension(lam, d)
+        assert dim == weyl_dimension_fraction(lam, d)
+        assert (dim == 0) == (len(lam) > d)
+
+    def test_rejects_nonpositive_d(self):
+        with pytest.raises(ValueError):
+            weyl_dimension((1,), 0)
 
     def test_matches_ssyt_count(self):
         for d in (2, 3):
