@@ -33,14 +33,10 @@ from .simulator import (
     ExtractionError,
     GTVectorSet,
     MCEstimate,
-    apply_tensor_power,
     casimir_eigenvalue,
     extract_gt_vectors,
-    haar_unitary,
     mc_estimates,
     verify_cg_embedding,
-    weight_operator,
-    weight_sector,
 )
 from .young import (
     GammaParams,

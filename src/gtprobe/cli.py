@@ -395,7 +395,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.check_cg:
         residuals: list[float] = []
         recs = simulator.verify_cg_embedding(
-            d, n, null_tol=args.null_tol, casimir_tol=args.casimir_tol
+            d, n, null_tol=args.null_tol, casimir_tol=args.casimir_tol, vectors=vectors
         )
         for rec in recs:
             residuals.extend([rec.alpha_residual, rec.beta_residual])

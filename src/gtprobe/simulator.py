@@ -7,7 +7,8 @@ whole construction: the probe vectors are recovered as the highest-
 covariance null space of the off-diagonal subgroup generators, bucketed by
 the quadratic Casimir; the branching weights are recovered as projection
 norms; and the protocol's expected fidelity is recovered by Monte Carlo
-integration over Haar-random measurement outcomes.
+integration over Haar-random measurement outcomes, contracting W^{otimes n}
+on the weight sector that holds the probe vectors.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
 
 from .coeffs import alpha_beta
 from .fidelity import protocol_probe, query_count_params
@@ -84,39 +84,6 @@ def _string_index(string: tuple[int, ...], d: int) -> int:
     return idx
 
 
-def weight_sector(d: int, n: int, content: tuple[int, ...]) -> list[int]:
-    """Computational-basis indices of the strings with the given letter counts.
-
-    content[a] is the multiplicity of letter a+1; an inconsistent content
-    vector yields the empty list.
-    """
-    return [_string_index(s, d) for s in _sector_strings(d, n, content)]
-
-
-def weight_operator(a: int, b: int, d: int, n: int) -> csr_matrix:
-    """The generator E_ab = sum over sites of the single-site |a><b|.
-
-    Letters are 1-based.  Returned as a sparse matrix on the full d^n
-    space; it maps the content-c sector into the content-(c + e_a - e_b)
-    sector.
-    """
-    if not (1 <= a <= d and 1 <= b <= d):
-        raise ValueError(f"letters must lie in 1..{d}, got a={a} b={b}")
-    _check_capacity(d, n)
-    dim = d**n
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    place = [d ** (n - 1 - s) for s in range(n)]
-    for x in range(dim):
-        for s in range(n):
-            if (x // place[s]) % d == b - 1:
-                rows.append(x + (a - b) * place[s])
-                cols.append(x)
-                vals.append(1.0)
-    return coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
-
-
 def _transfer(
     strings: list[tuple[int, ...]],
     d: int,
@@ -182,22 +149,25 @@ def _covariant_buckets(
         if a != b
     }
 
-    sub = np.zeros((m, m))
-    for (a, b), t in transfers.items():
-        if a <= d - 2 and b <= d - 2:
-            sub += t.T @ t
-    evals, evecs = np.linalg.eigh(sub)
-    scale = max(float(evals[-1]), 1.0)
-    null_basis = evecs[:, evals < null_tol * scale]
-    if null_basis.shape[1] == 0:
-        raise ExtractionError(f"no covariant vectors found for content {content}")
-
     casimir = np.zeros((m, m))
     for t in transfers.values():
         casimir += t.T @ t
     casimir += sum(c * c for c in content) * np.eye(m)
-    restricted = null_basis.T @ casimir @ null_basis
-    evals2, evecs2 = np.linalg.eigh(restricted)
+    # At d = 2 the subgroup has no off-diagonal generators, so M = 0, its
+    # null basis is the identity and the whole sector is covariant.
+    null_basis = None
+    if d > 2:
+        sub = np.zeros((m, m))
+        for (a, b), t in transfers.items():
+            if a <= d - 2 and b <= d - 2:
+                sub += t.T @ t
+        evals, evecs = np.linalg.eigh(sub)
+        scale = max(float(evals[-1]), 1.0)
+        null_basis = evecs[:, evals < null_tol * scale]
+        if null_basis.shape[1] == 0:
+            raise ExtractionError(f"no covariant vectors found for content {content}")
+        casimir = null_basis.T @ casimir @ null_basis
+    evals2, evecs2 = np.linalg.eigh(casimir)
 
     expected = [casimir_eigenvalue(shape, d) for shape in shapes]
     if len(set(expected)) != len(expected):
@@ -222,7 +192,9 @@ def _covariant_buckets(
                 f"bucket for shape {shape} has dimension {len(chosen)}, "
                 f"expected hook-length dimension {want}"
             )
-        buckets.append(null_basis @ evecs2[:, chosen])
+        basis = evecs2[:, chosen]
+        # C order either way, so projections onto the bucket sum alike.
+        buckets.append(np.ascontiguousarray(basis) if null_basis is None else null_basis @ basis)
     return strings, buckets
 
 
@@ -299,15 +271,19 @@ def verify_cg_embedding(
     pick: str = "first",
     null_tol: float = NULL_SPACE_TOL,
     casimir_tol: float = CASIMIR_TOL,
+    vectors: GTVectorSet | None = None,
 ) -> list[CGResidual]:
     """Check the one-box branching weights against brute-force projections.
 
     For each i, tensors v_i with the last basis state, projects the result
     onto the covariant buckets of the (n+1)-site system, and compares the
-    squared projection norms with the exact (alpha_i, beta_i).
+    squared projection norms with the exact (alpha_i, beta_i).  vectors,
+    if given, are the v_i to use instead of extracting them with pick.
     """
     _check_capacity(d, n + 1)
-    vs = extract_gt_vectors(d, n, pick, null_tol, casimir_tol)
+    vs = vectors if vectors is not None else extract_gt_vectors(d, n, pick, null_tol, casimir_tol)
+    if vs.d != d or vs.n != n:
+        raise ValueError("vector set does not match the requested system")
     L = vs.L
     content = gamma_content(d, L)
     shapes_plus = [gamma_plus_shape(GammaParams(d, L, i)) for i in range(L + 1)]
@@ -338,16 +314,6 @@ def verify_cg_embedding(
     return out
 
 
-def haar_unitary(d: int, seed: int) -> np.ndarray:
-    """Haar-distributed d x d unitary, deterministic under the seed.
-
-    Ginibre draw followed by QR, with the R diagonal's phases absorbed so
-    the factorization is the canonical one with positive real diagonal.
-    """
-    rng = np.random.default_rng(seed)
-    return _haar_batch(rng, 1, d)[0]
-
-
 def _haar_batch(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
     z = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
     q, r = np.linalg.qr(z / math.sqrt(2.0))
@@ -355,25 +321,31 @@ def _haar_batch(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
     return q * (diag / np.abs(diag))[:, None, :]
 
 
-def apply_tensor_power(mat: np.ndarray, vec: np.ndarray, n: int) -> np.ndarray:
-    """Apply mat to every tensor factor of vec via n single-site contractions.
+def _prefix_levels(
+    strings: list[tuple[int, ...]],
+) -> tuple[dict[tuple[int, ...], int], list[tuple[np.ndarray, np.ndarray]]]:
+    """The distinct prefixes of equal-length strings, one length at a time.
 
-    mat may also be a batch of matrices of shape (..., d, d); the result
-    then carries the same leading axes, one transformed vector per matrix.
+    Returns the position of each distinct string among them (sorted) and,
+    per prefix length k, each length-k prefix's position among the
+    length-(k-1) prefixes and its last letter.
     """
-    mat = np.asarray(mat, dtype=complex)
-    d = mat.shape[-1]
-    vec = np.asarray(vec, dtype=complex).reshape(-1)
-    if mat.ndim < 2 or mat.shape[-2] != d or vec.size != d**n:
-        raise ValueError(
-            f"shape mismatch: matrix {mat.shape} on a length-{vec.size} vector"
-        )
-    batch = mat.shape[:-2]
-    out = np.broadcast_to(vec, batch + vec.shape)
-    for site in range(n):
-        out = out.reshape(batch + (d**site, d, d ** (n - 1 - site)))
-        out = mat[..., None, :, :] @ out
-    return out.reshape(batch + vec.shape)
+    index: dict[tuple[int, ...], int] = {(): 0}
+    levels = []
+    for k in range(1, len(strings[0]) + 1):
+        level = sorted({s[:k] for s in strings})
+        levels.append((np.array([index[p[:-1]] for p in level]), np.array([p[-1] for p in level])))
+        index = {p: j for j, p in enumerate(level)}
+    return index, levels
+
+
+def _restricted_power(w: np.ndarray, levels: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """W^{otimes k} restricted to the strings x, y of the last level, for a
+    batch of W: entry [x, y] is prod_j W[x_j, y_j], one site per level."""
+    power = np.ones((len(w), 1, 1), dtype=complex)
+    for parent, letter in levels:
+        power = power[:, parent[:, None], parent] * w[:, letter[:, None], letter]
+    return power
 
 
 @dataclass(frozen=True)
@@ -421,10 +393,28 @@ def mc_estimates(
     dims = np.array(
         [float(weyl_dimension(gamma_shape(GammaParams(d, L, i)), d)) for i in range(L + 1)]
     )
+    strings = _sector_strings(d, n, gamma_content(d, L))
+    indices = np.array([_string_index(s, d) for s in strings])
+    off_sector = float(np.linalg.norm(np.delete(vs.vectors, indices, axis=1)))
+    if off_sector > 0:
+        raise ValueError(
+            f"vector set has norm {off_sector:.3g} outside the weight sector at d={d} n={n}"
+        )
     # The v_i lie in distinct irreps, so <v_i|W^n|v_j> = 0 for i != j and
     # sum_i w_i <v_i|W^n|v_i> = <sum_i v_i|W^n|sum_i w_i v_i>, signed w_i too.
-    ket = (f * np.sqrt(dims)) @ vs.vectors
-    bra = vs.vectors.sum(axis=0).conj()
+    # Both vectors lie in the sector: split each string into a prefix of
+    # n//2 sites and a suffix, scatter them into prefix x suffix matrices K
+    # and B, and <bra|W^n|ket> = sum(B * (W1 @ K @ W2^T)) with W1, W2 the
+    # tensor powers of W restricted to the distinct prefixes and suffixes.
+    half = n // 2
+    prefixes, prefix_levels = _prefix_levels([s[:half] for s in strings])
+    suffixes, suffix_levels = _prefix_levels([s[half:] for s in strings])
+    at = ([prefixes[s[:half]] for s in strings], [suffixes[s[half:]] for s in strings])
+    ket = np.zeros((len(prefixes), len(suffixes)), dtype=complex)
+    bra = np.zeros_like(ket)
+    sector = vs.vectors[:, indices]
+    ket[at] = (f * np.sqrt(dims)) @ sector
+    bra[at] = sector.sum(axis=0).conj()
 
     rng = np.random.default_rng(seed)
     chunk = max(1, min(2048, _MC_CHUNK_BUDGET // d**n))
@@ -437,7 +427,9 @@ def mc_estimates(
         w = np.conj(np.swapaxes(outcome, -1, -2))
         if randomize_target:
             w = w @ _haar_batch(rng, b, d)
-        total = np.abs(apply_tensor_power(w, ket, n) @ bra) ** 2
+        w2 = np.swapaxes(_restricted_power(w, suffix_levels), -1, -2)
+        amps = np.sum(bra * (_restricted_power(w, prefix_levels) @ ket @ w2), axis=(1, 2))
+        total = np.abs(amps) ** 2
         fid = total * np.abs(w[:, d - 1, d - 1]) ** 2
         sums += (fid.sum(), total.sum())
         sq_sums += ((fid**2).sum(), (total**2).sum())

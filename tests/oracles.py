@@ -1,0 +1,203 @@
+"""Reference implementations and helpers that only the tests use.
+
+The library contracts Monte Carlo overlaps on the weight sector and skips
+the subgroup null space at d = 2; full_space_mc and
+full_null_space_buckets are the straightforward versions it replaced, kept
+so tests can compare against them.  The rest are full-space building blocks
+(tensor powers, weight sectors and generators, single Haar draws) that the
+tests check the construction with.
+"""
+
+import numpy as np
+from scipy.sparse import coo_matrix, csr_matrix
+
+from gtprobe.fidelity import protocol_probe
+from gtprobe.simulator import (
+    _MC_CHUNK_BUDGET,
+    CASIMIR_TOL,
+    NULL_SPACE_TOL,
+    ExtractionError,
+    _check_capacity,
+    _haar_batch,
+    _sector_strings,
+    _string_index,
+    _transfer,
+    casimir_eigenvalue,
+)
+from gtprobe.young import (
+    Diagram,
+    GammaParams,
+    gamma_shape,
+    hook_length_dimension,
+    weyl_dimension,
+)
+
+
+def weight_sector(d: int, n: int, content: tuple[int, ...]) -> list[int]:
+    """Computational-basis indices of the strings with the given letter counts.
+
+    content[a] is the multiplicity of letter a+1; an inconsistent content
+    vector yields the empty list.
+    """
+    return [_string_index(s, d) for s in _sector_strings(d, n, content)]
+
+
+def weight_operator(a: int, b: int, d: int, n: int) -> csr_matrix:
+    """The generator E_ab = sum over sites of the single-site |a><b|.
+
+    Letters are 1-based.  Returned as a sparse matrix on the full d^n
+    space; it maps the content-c sector into the content-(c + e_a - e_b)
+    sector.
+    """
+    if not (1 <= a <= d and 1 <= b <= d):
+        raise ValueError(f"letters must lie in 1..{d}, got a={a} b={b}")
+    _check_capacity(d, n)
+    dim = d**n
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    place = [d ** (n - 1 - s) for s in range(n)]
+    for x in range(dim):
+        for s in range(n):
+            if (x // place[s]) % d == b - 1:
+                rows.append(x + (a - b) * place[s])
+                cols.append(x)
+                vals.append(1.0)
+    return coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+
+
+def haar_unitary(d: int, seed: int) -> np.ndarray:
+    """Haar-distributed d x d unitary, deterministic under the seed.
+
+    Ginibre draw followed by QR, with the R diagonal's phases absorbed so
+    the factorization is the canonical one with positive real diagonal.
+    """
+    rng = np.random.default_rng(seed)
+    return _haar_batch(rng, 1, d)[0]
+
+
+def apply_tensor_power(mat: np.ndarray, vec: np.ndarray, n: int) -> np.ndarray:
+    """Apply mat to every tensor factor of vec via n single-site contractions.
+
+    mat may also be a batch of matrices of shape (..., d, d); the result
+    then carries the same leading axes, one transformed vector per matrix.
+    """
+    mat = np.asarray(mat, dtype=complex)
+    d = mat.shape[-1]
+    vec = np.asarray(vec, dtype=complex).reshape(-1)
+    if mat.ndim < 2 or mat.shape[-2] != d or vec.size != d**n:
+        raise ValueError(
+            f"shape mismatch: matrix {mat.shape} on a length-{vec.size} vector"
+        )
+    batch = mat.shape[:-2]
+    out = np.broadcast_to(vec, batch + vec.shape)
+    for site in range(n):
+        out = out.reshape(batch + (d**site, d, d ** (n - 1 - site)))
+        out = mat[..., None, :, :] @ out
+    return out.reshape(batch + vec.shape)
+
+
+def full_space_mc(d, n, samples, seed, vs, randomize_target=False, probe=None):
+    """The Monte Carlo pass with <bra|W^n|ket> contracted on all d^n amplitudes.
+
+    Returns [(mean, stderr)] for the fidelity and the total probability.
+    """
+    L = vs.L
+    f = protocol_probe(d, L) if probe is None else np.asarray(probe) / np.linalg.norm(probe)
+    dims = np.array(
+        [float(weyl_dimension(gamma_shape(GammaParams(d, L, i)), d)) for i in range(L + 1)]
+    )
+    ket = (f * np.sqrt(dims)) @ vs.vectors
+    bra = vs.vectors.sum(axis=0).conj()
+    rng = np.random.default_rng(seed)
+    chunk = max(1, min(2048, _MC_CHUNK_BUDGET // d**n))
+    fids, totals = [], []
+    done = 0
+    while done < samples:
+        b = min(chunk, samples - done)
+        w = np.conj(np.swapaxes(_haar_batch(rng, b, d), -1, -2))
+        if randomize_target:
+            w = w @ _haar_batch(rng, b, d)
+        totals.append(np.abs(apply_tensor_power(w, ket, n) @ bra) ** 2)
+        fids.append(totals[-1] * np.abs(w[:, d - 1, d - 1]) ** 2)
+        done += b
+    return [
+        (float(x.mean()), float(x.std(ddof=1) / np.sqrt(samples)))
+        for x in (np.concatenate(fids), np.concatenate(totals))
+    ]
+
+
+def full_null_space_buckets(
+    d: int,
+    n: int,
+    content: tuple[int, ...],
+    shapes: list[Diagram],
+    null_tol: float = NULL_SPACE_TOL,
+    casimir_tol: float = CASIMIR_TOL,
+) -> tuple[list[tuple[int, ...]], list[np.ndarray]]:
+    """_covariant_buckets through the subgroup null space at every d.
+
+    At d = 2 that null space is the whole sector, which the library skips.
+
+    Within the weight sector of the given content, computes the null space
+    of M = sum_{a != b <= d-1} E_ba E_ab (the vectors transforming as a
+    determinant power under the subgroup fixing the last basis state) and
+    splits it by quadratic-Casimir eigenvalue into one bucket per expected
+    shape.  Raises ExtractionError whenever the spectrum disagrees with
+    the hook-length bookkeeping.
+    """
+    strings = _sector_strings(d, n, content)
+    if not strings:
+        raise ExtractionError(f"empty weight sector for content {content}")
+    m = len(strings)
+    index_cache: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+
+    transfers = {
+        (a, b): _transfer(strings, d, a, b, index_cache)
+        for a in range(d)
+        for b in range(d)
+        if a != b
+    }
+
+    sub = np.zeros((m, m))
+    for (a, b), t in transfers.items():
+        if a <= d - 2 and b <= d - 2:
+            sub += t.T @ t
+    evals, evecs = np.linalg.eigh(sub)
+    scale = max(float(evals[-1]), 1.0)
+    null_basis = evecs[:, evals < null_tol * scale]
+    if null_basis.shape[1] == 0:
+        raise ExtractionError(f"no covariant vectors found for content {content}")
+
+    casimir = np.zeros((m, m))
+    for t in transfers.values():
+        casimir += t.T @ t
+    casimir += sum(c * c for c in content) * np.eye(m)
+    restricted = null_basis.T @ casimir @ null_basis
+    evals2, evecs2 = np.linalg.eigh(restricted)
+
+    expected = [casimir_eigenvalue(shape, d) for shape in shapes]
+    if len(set(expected)) != len(expected):
+        raise ExtractionError(f"Casimir eigenvalues {expected} are not distinct")
+    cols: list[list[int]] = [[] for _ in shapes]
+    for col, value in enumerate(evals2):
+        matches = [k for k, e in enumerate(expected) if abs(value - e) < casimir_tol]
+        if len(matches) != 1:
+            raise ExtractionError(
+                f"Casimir eigenvalue {value} matches {len(matches)} expected "
+                f"values among {expected}"
+            )
+        cols[matches[0]].append(col)
+
+    buckets: list[np.ndarray] = []
+    for shape, chosen in zip(shapes, cols):
+        want = hook_length_dimension(shape)
+        if not chosen:
+            raise ExtractionError(f"empty Casimir bucket for shape {shape}")
+        if len(chosen) != want:
+            raise ExtractionError(
+                f"bucket for shape {shape} has dimension {len(chosen)}, "
+                f"expected hook-length dimension {want}"
+            )
+        buckets.append(null_basis @ evecs2[:, chosen])
+    return strings, buckets

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gtprobe import cli, coeffs
+from gtprobe import cli, coeffs, simulator
 
 
 def run(capsys, argv):
@@ -194,6 +194,20 @@ class TestSimulateCommand:
         data = json.loads(out)
         assert data["pass"] is False
         assert json.dumps(data, indent=2) + "\n" == out
+
+    def test_check_cg_extracts_once(self, capsys, monkeypatch):
+        calls = []
+        extract = simulator.extract_gt_vectors
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return extract(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "extract_gt_vectors", counted)
+        argv = ["simulate", "--d", "3", "--n", "6", "--samples", "100", "--check-cg"]
+        code, out, _ = run(capsys, argv)
+        assert calls == [(3, 6)]
+        assert code == 0 and len(json.loads(out)["cg_residuals"]) == 4
 
     def test_capacity_exit_code(self, capsys):
         code, _, err = run(capsys, ["simulate", "--d", "5", "--n", "10", "--samples", "500"])

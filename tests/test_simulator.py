@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import product
 from math import comb, factorial
@@ -5,6 +6,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
+from gtprobe import simulator
 from gtprobe.coeffs import f_squared
 from gtprobe.fidelity import expected_fidelity
 from gtprobe.simulator import (
@@ -12,14 +14,10 @@ from gtprobe.simulator import (
     ExtractionError,
     _covariant_buckets,
     _haar_batch,
-    apply_tensor_power,
     casimir_eigenvalue,
     extract_gt_vectors,
-    haar_unitary,
     mc_estimates,
     verify_cg_embedding,
-    weight_operator,
-    weight_sector,
 )
 from gtprobe.young import (
     GammaParams,
@@ -28,6 +26,14 @@ from gtprobe.young import (
     gamma_shape,
     hook_length_dimension,
     weyl_dimension,
+)
+from oracles import (
+    apply_tensor_power,
+    full_null_space_buckets,
+    full_space_mc,
+    haar_unitary,
+    weight_operator,
+    weight_sector,
 )
 
 
@@ -194,6 +200,15 @@ class TestExtraction:
         assert np.allclose(np.abs(first.vectors[0]), np.abs(last.vectors[0]))
         assert not np.allclose(first.vectors[1], last.vectors[1])
 
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    @pytest.mark.parametrize("pick", ["first", "last"])
+    def test_qubit_shortcut_matches_full_null_space(self, n, pick, monkeypatch):
+        vs = extract_gt_vectors(2, n, pick=pick)
+        recs = verify_cg_embedding(2, n, vectors=vs)
+        monkeypatch.setattr(simulator, "_covariant_buckets", full_null_space_buckets)
+        assert np.array_equal(vs.vectors, extract_gt_vectors(2, n, pick=pick).vectors)
+        assert recs == verify_cg_embedding(2, n, pick=pick)
+
 
 class TestHaar:
     def test_unitarity(self):
@@ -279,6 +294,15 @@ class TestCGEmbedding:
                 assert rec.alpha_proj == pytest.approx(alpha, rel=1e-12, abs=1e-12)
                 assert rec.beta_proj == pytest.approx(beta, rel=1e-12, abs=1e-12)
 
+    def test_given_vectors_match_extraction(self):
+        for pick in ("first", "last"):
+            vs = extract_gt_vectors(3, 6, pick=pick)
+            assert verify_cg_embedding(3, 6, vectors=vs) == verify_cg_embedding(3, 6, pick=pick)
+
+    def test_rejects_mismatched_vectors(self):
+        with pytest.raises(ValueError, match="does not match"):
+            verify_cg_embedding(2, 8, vectors=extract_gt_vectors(2, 4))
+
     def test_capacity_covers_grown_system(self):
         with pytest.raises(CapacityError):
             verify_cg_embedding(4, 8)  # 4^9 exceeds the dense cap
@@ -346,6 +370,48 @@ class TestMonteCarlo:
             for est, (mean, stderr) in zip(got, want):
                 assert est.mean == pytest.approx(mean, rel=1e-12)
                 assert est.stderr == pytest.approx(stderr, rel=1e-12)
+
+    @pytest.mark.parametrize("d,n", [(2, 4), (2, 8), (3, 6), (2, 12), (4, 8)])
+    @pytest.mark.parametrize("pick", ["first", "last"])
+    def test_sector_kernel_matches_full_space_oracle(self, d, n, pick):
+        vs = extract_gt_vectors(d, n, pick=pick)
+        runs = [dict(), dict(randomize_target=True)]
+        if vs.L == 1:
+            runs.append(dict(probe=np.array([0.3, -0.7])))
+        # (2, 4) and (4, 8) span two chunks of 2048 and 61 samples
+        samples = {(2, 4): 2_500, (2, 8): 300, (3, 6): 300}.get((d, n), 100)
+        for kwargs in runs:
+            got = mc_estimates(d, n, samples, 11, vs, **kwargs)
+            want = full_space_mc(d, n, samples, 11, vs, **kwargs)
+            for est, (mean, stderr) in zip(got, want):
+                assert est.mean == pytest.approx(mean, rel=1e-12)
+                assert est.stderr == pytest.approx(stderr, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "d,n,samples,pinned",
+        [
+            # (fidelity mean, stderr, total mean, stderr) of the full-space
+            # kernel at seed 42, the benchmark's three simulate runs
+            (2, 4, 20_000, (0.886830848033371, 0.012020353821508246,
+                            1.0125604897107936, 0.012565601093722343)),
+            (2, 8, 8_000, (0.9343670788070076, 0.03247547411251455,
+                           0.9897158687171966, 0.0332355774576829)),
+            (3, 6, 6_000, (0.8356491091926512, 0.04111028775718627,
+                           1.0421788723088896, 0.04564265575636277)),
+        ],
+    )
+    def test_pinned_estimates(self, d, n, samples, pinned):
+        fid, tot = mc_estimates(d, n, samples, seed=42)
+        got = (fid.mean, fid.stderr, tot.mean, tot.stderr)
+        assert got == pytest.approx(pinned, rel=1e-13, abs=0.0)
+
+    def test_rejects_weight_outside_the_sector(self):
+        vs = extract_gt_vectors(2, 4)
+        vectors = vs.vectors.copy()
+        vectors[1, 0] = 1e-3  # |0000> has content (4, 0), not (1, 3)
+        planted = dataclasses.replace(vs, vectors=vectors)
+        with pytest.raises(ValueError, match=r"norm 0\.001 .* d=2 n=4"):
+            mc_estimates(2, 4, 100, seed=0, vectors=planted)
 
 
 class TestIsotypicStructure:
