@@ -24,8 +24,6 @@ from .fidelity import (
     optimal_probe,
     plan_queries,
     protocol_probe,
-    rayleigh_quotient,
-    trace_distance_from_overlap,
 )
 from .simulator import (
     CapacityError,

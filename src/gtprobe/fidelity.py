@@ -95,25 +95,6 @@ def protocol_probe(d: int, L: int) -> np.ndarray:
     return np.sqrt([float(v / total) for v in tab.f_sq])
 
 
-def rayleigh_quotient(f: np.ndarray, d: int, L: int) -> float:
-    """Homogeneous fidelity quotient at an arbitrary coefficient vector.
-
-    (f_0^2 x_0^2 + sum_{i>=1} (f_i x_i + f_{i-1} y_i)^2) / sum_i f_i^2;
-    invariant under rescaling of f.
-    """
-    f = np.asarray(f, dtype=float)
-    if f.shape != (L + 1,):
-        raise ValueError(f"expected {L + 1} coefficients, got shape {f.shape}")
-    if not np.any(f):
-        raise ValueError("coefficient vector must be nonzero")
-    tab = CoeffTable.build(d, L)
-    x = np.sqrt(np.array([float(v) for v in tab.x_sq]))
-    y = np.sqrt(np.array([float(v) for v in tab.y_sq]))
-    shifted = np.concatenate(([0.0], f[:-1]))
-    terms = x * f + y * shifted
-    return float(np.dot(terms, terms) / np.dot(f, f))
-
-
 def optimal_probe(d: int, L: int) -> tuple[np.ndarray, float]:
     """Maximize the fidelity quotient exactly as a tridiagonal eigenproblem.
 
@@ -169,16 +150,6 @@ def plan_queries(d: int, eps: float) -> int:
         else:
             lo = mid + 1
     return 2 * d * hi
-
-
-def trace_distance_from_overlap(overlap_sq: float) -> float:
-    """Trace norm 2*sqrt(1 - s) of the difference of two pure states
-    with squared overlap s; inputs within 1e-12 outside [0, 1] are clamped."""
-    s = float(overlap_sq)
-    if not -1e-12 <= s <= 1 + 1e-12:
-        raise ValueError(f"squared overlap must lie in [0, 1], got {s}")
-    s = min(max(s, 0.0), 1.0)
-    return 2.0 * math.sqrt(1.0 - s)
 
 
 def amplitude_reduction_check(

@@ -13,6 +13,7 @@ on the weight sector that holds the probe vectors.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -53,65 +54,14 @@ def _check_capacity(d: int, n: int) -> None:
         )
 
 
-def _sector_strings(d: int, n: int, content: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All length-n strings over 0..d-1 with the given letter counts, lex order."""
-    if len(content) != d or any(c < 0 for c in content) or sum(content) != n:
-        return []
-    out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-    remaining = list(content)
-
-    def rec() -> None:
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for a in range(d):
-            if remaining[a]:
-                remaining[a] -= 1
-                prefix.append(a)
-                rec()
-                prefix.pop()
-                remaining[a] += 1
-
-    rec()
-    return out
-
-
-def _string_index(string: tuple[int, ...], d: int) -> int:
-    idx = 0
-    for digit in string:
-        idx = idx * d + digit
-    return idx
-
-
-def _transfer(
-    strings: list[tuple[int, ...]],
-    d: int,
-    a: int,
-    b: int,
-    index_cache: dict[tuple[int, ...], dict[tuple[int, ...], int]],
-) -> np.ndarray:
-    """Matrix of E_ab (0-based letters) from the sector spanned by strings
-    into its image sector; rows are indexed by the image sector's strings."""
-    n = len(strings[0])
-    content = [0] * d
-    for digit in strings[0]:
-        content[digit] += 1
-    content[a] += 1
-    content[b] -= 1
-    target_key = tuple(content)
-    if target_key not in index_cache:
-        index_cache[target_key] = {
-            s: k for k, s in enumerate(_sector_strings(d, n, target_key))
-        }
-    target = index_cache[target_key]
-    mat = np.zeros((len(target), len(strings)))
-    for col, s in enumerate(strings):
-        for site, digit in enumerate(s):
-            if digit == b:
-                image = s[:site] + (a,) + s[site + 1 :]
-                mat[target[image], col] += 1.0
-    return mat
+def _sector(d: int, n: int, content: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The length-n strings over 0..d-1 with the given letter counts: their
+    ascending base-d codes (lex order) and their (m, n) letter matrix."""
+    letters = np.stack(np.unravel_index(np.arange(d**n), (d,) * n), axis=-1)
+    if len(content) != d:
+        return np.zeros(0, dtype=int), letters[:0]
+    keep = np.all([(letters == a).sum(axis=1) == c for a, c in enumerate(content)], axis=0)
+    return np.flatnonzero(keep), letters[keep]
 
 
 def casimir_eigenvalue(lam: Diagram, d: int) -> int:
@@ -126,41 +76,45 @@ def _covariant_buckets(
     shapes: list[Diagram],
     null_tol: float = NULL_SPACE_TOL,
     casimir_tol: float = CASIMIR_TOL,
-) -> tuple[list[tuple[int, ...]], list[np.ndarray]]:
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Orthonormal bases, one per shape, of the subgroup-covariant subspace.
 
     Within the weight sector of the given content, computes the null space
     of M = sum_{a != b <= d-1} E_ba E_ab (the vectors transforming as a
     determinant power under the subgroup fixing the last basis state) and
     splits it by quadratic-Casimir eigenvalue into one bucket per expected
-    shape.  Raises ExtractionError whenever the spectrum disagrees with
-    the hook-length bookkeeping.
+    shape.  Returns the sector's codes, which index the bucket rows.
+    Raises ExtractionError whenever the spectrum disagrees with the
+    hook-length bookkeeping.
     """
-    strings = _sector_strings(d, n, content)
-    if not strings:
+    codes, letters = _sector(d, n, content)
+    m = len(codes)
+    if not m:
         raise ExtractionError(f"empty weight sector for content {content}")
-    m = len(strings)
-    index_cache: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-
-    transfers = {
-        (a, b): _transfer(strings, d, a, b, index_cache)
-        for a in range(d)
-        for b in range(d)
-        if a != b
-    }
-
-    casimir = np.zeros((m, m))
-    for t in transfers.values():
-        casimir += t.T @ t
-    casimir += sum(c * c for c in content) * np.eye(m)
+    # For a != b, E_ba E_ab = sum over sites s, t of e_ba(s) e_ab(t): for
+    # s = t that is e_bb(s), and for s != t it swaps the letters a at s and
+    # b at t.  Summed over a != b, the s = t terms put (d-1) n on the
+    # diagonal, and each pair of sites holding two distinct letters gives
+    # one swap, reached from two ordered (a, b).  With the a = b terms
+    # (c_a^2), the Casimir sum_{a,b} E_ba E_ab is (d-1) n + sum_a c_a^2 on
+    # the diagonal and 2 per site swap; M, over the letters below d-1, is
+    # (d-2) per such letter and 2 per swap of two of them.  Every entry is
+    # a small integer, so both sums are exact in floating point.
+    casimir = ((d - 1) * n + sum(c * c for c in content)) * np.eye(m)
     # At d = 2 the subgroup has no off-diagonal generators, so M = 0, its
     # null basis is the identity and the whole sector is covariant.
+    sub = (d - 2) * sum(content[:-1]) * np.eye(m) if d > 2 else None
+    place = d ** np.arange(n - 1, -1, -1)
+    for s, t in itertools.combinations(range(n), 2):
+        x, y = letters[:, s], letters[:, t]
+        moved = np.flatnonzero(x != y)
+        image = np.searchsorted(codes, codes[moved] + (y - x)[moved] * (place[s] - place[t]))
+        casimir[moved, image] = 2.0
+        if sub is not None:
+            low = np.maximum(x, y)[moved] < d - 1
+            sub[moved[low], image[low]] = 2.0
     null_basis = None
-    if d > 2:
-        sub = np.zeros((m, m))
-        for (a, b), t in transfers.items():
-            if a <= d - 2 and b <= d - 2:
-                sub += t.T @ t
+    if sub is not None:
         evals, evecs = np.linalg.eigh(sub)
         scale = max(float(evals[-1]), 1.0)
         null_basis = evecs[:, evals < null_tol * scale]
@@ -195,7 +149,7 @@ def _covariant_buckets(
         basis = evecs2[:, chosen]
         # C order either way, so projections onto the bucket sum alike.
         buckets.append(np.ascontiguousarray(basis) if null_basis is None else null_basis @ basis)
-    return strings, buckets
+    return codes, buckets
 
 
 @dataclass(frozen=True)
@@ -237,14 +191,11 @@ def extract_gt_vectors(
     L = query_count_params(d, n)
     _check_capacity(d, n)
     shapes = [gamma_shape(GammaParams(d, L, i)) for i in range(L + 1)]
-    strings, buckets = _covariant_buckets(
-        d, n, gamma_content(d, L), shapes, null_tol, casimir_tol
-    )
-    indices = np.array([_string_index(s, d) for s in strings])
+    codes, buckets = _covariant_buckets(d, n, gamma_content(d, L), shapes, null_tol, casimir_tol)
     column = 0 if pick == "first" else -1
     vectors = np.zeros((L + 1, d**n), dtype=complex)
     for i, bucket in enumerate(buckets):
-        vectors[i, indices] = bucket[:, column]
+        vectors[i, codes] = bucket[:, column]
     return GTVectorSet(
         d=d,
         n=n,
@@ -284,14 +235,16 @@ def verify_cg_embedding(
     vs = vectors if vectors is not None else extract_gt_vectors(d, n, pick, null_tol, casimir_tol)
     if vs.d != d or vs.n != n:
         raise ValueError("vector set does not match the requested system")
+    imag = float(np.linalg.norm(vs.vectors.imag))
+    if imag > 0:
+        raise ValueError(f"vector set has imaginary part of norm {imag:.3g} at d={d} n={n}")
     L = vs.L
     content = gamma_content(d, L)
     shapes_plus = [gamma_plus_shape(GammaParams(d, L, i)) for i in range(L + 1)]
-    strings_plus, buckets_plus = _covariant_buckets(
+    plus, buckets_plus = _covariant_buckets(
         d, n + 1, content[:-1] + (content[-1] + 1,), shapes_plus, null_tol, casimir_tol
     )
     # v_i tensor |d> has entry v_i[k] at index k*d + d-1 and zeros elsewhere.
-    plus = np.array([_string_index(s, d) for s in strings_plus])
     grown = np.where(plus % d == d - 1, vs.vectors.real[:, plus // d], 0.0)
 
     out: list[CGResidual] = []
@@ -322,21 +275,23 @@ def _haar_batch(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
 
 
 def _prefix_levels(
-    strings: list[tuple[int, ...]],
-) -> tuple[dict[tuple[int, ...], int], list[tuple[np.ndarray, np.ndarray]]]:
-    """The distinct prefixes of equal-length strings, one length at a time.
+    letters: np.ndarray, d: int
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """The distinct prefixes of the rows of a letter matrix, one length at a time.
 
-    Returns the position of each distinct string among them (sorted) and,
-    per prefix length k, each length-k prefix's position among the
+    Returns each row's position among the distinct rows (sorted) and, per
+    prefix length k, each distinct length-k prefix's position among the
     length-(k-1) prefixes and its last letter.
     """
-    index: dict[tuple[int, ...], int] = {(): 0}
+    parents = np.zeros(1, dtype=int)
+    codes = np.zeros(len(letters), dtype=int)
     levels = []
-    for k in range(1, len(strings[0]) + 1):
-        level = sorted({s[:k] for s in strings})
-        levels.append((np.array([index[p[:-1]] for p in level]), np.array([p[-1] for p in level])))
-        index = {p: j for j, p in enumerate(level)}
-    return index, levels
+    for column in letters.T:
+        codes = codes * d + column
+        level, at = np.unique(codes, return_inverse=True)
+        levels.append((np.searchsorted(parents, level // d), level % d))
+        parents = level
+    return at, levels
 
 
 def _restricted_power(w: np.ndarray, levels: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -364,15 +319,14 @@ def mc_estimates(
     samples: int,
     seed: int,
     vectors: GTVectorSet | None = None,
-    randomize_target: bool = False,
     probe: np.ndarray | None = None,
 ) -> tuple[MCEstimate, MCEstimate]:
     """Monte Carlo estimates of the expected fidelity and of the total
     outcome probability, from one pass over a seeded stream of Haar outcomes.
 
     With A = sum_i f_i sqrt(dim_i) <v_i|W^{otimes n}|v_i> (W the outcome's
-    inverse action, the target fixed to the identity by Haar invariance
-    unless randomize_target is set), the fidelity integrand is
+    inverse action, the target fixed to the identity by Haar invariance),
+    the fidelity integrand is
     |A|^2 |<d|W|d>|^2 and the total-probability integrand |A|^2, whose
     exact mean is one.  probe overrides the protocol's coefficient vector
     f_0..f_L (it is normalized internally).  Returns (fidelity, total).
@@ -393,8 +347,7 @@ def mc_estimates(
     dims = np.array(
         [float(weyl_dimension(gamma_shape(GammaParams(d, L, i)), d)) for i in range(L + 1)]
     )
-    strings = _sector_strings(d, n, gamma_content(d, L))
-    indices = np.array([_string_index(s, d) for s in strings])
+    indices, letters = _sector(d, n, gamma_content(d, L))
     off_sector = float(np.linalg.norm(np.delete(vs.vectors, indices, axis=1)))
     if off_sector > 0:
         raise ValueError(
@@ -407,10 +360,10 @@ def mc_estimates(
     # and B, and <bra|W^n|ket> = sum(B * (W1 @ K @ W2^T)) with W1, W2 the
     # tensor powers of W restricted to the distinct prefixes and suffixes.
     half = n // 2
-    prefixes, prefix_levels = _prefix_levels([s[:half] for s in strings])
-    suffixes, suffix_levels = _prefix_levels([s[half:] for s in strings])
-    at = ([prefixes[s[:half]] for s in strings], [suffixes[s[half:]] for s in strings])
-    ket = np.zeros((len(prefixes), len(suffixes)), dtype=complex)
+    rows, prefix_levels = _prefix_levels(letters[:, :half], d)
+    cols, suffix_levels = _prefix_levels(letters[:, half:], d)
+    at = (rows, cols)
+    ket = np.zeros((len(prefix_levels[-1][1]), len(suffix_levels[-1][1])), dtype=complex)
     bra = np.zeros_like(ket)
     sector = vs.vectors[:, indices]
     ket[at] = (f * np.sqrt(dims)) @ sector
@@ -425,8 +378,6 @@ def mc_estimates(
         b = min(chunk, samples - done)
         outcome = _haar_batch(rng, b, d)
         w = np.conj(np.swapaxes(outcome, -1, -2))
-        if randomize_target:
-            w = w @ _haar_batch(rng, b, d)
         w2 = np.swapaxes(_restricted_power(w, suffix_levels), -1, -2)
         amps = np.sum(bra * (_restricted_power(w, prefix_levels) @ ket @ w2), axis=(1, 2))
         total = np.abs(amps) ** 2

@@ -1,16 +1,22 @@
 """Reference implementations and helpers that only the tests use.
 
-The library contracts Monte Carlo overlaps on the weight sector and skips
-the subgroup null space at d = 2; full_space_mc and
-full_null_space_buckets are the straightforward versions it replaced, kept
-so tests can compare against them.  The rest are full-space building blocks
-(tensor powers, weight sectors and generators, single Haar draws) that the
-tests check the construction with.
+The library contracts Monte Carlo overlaps on the weight sector, holds the
+sector as base-d codes, builds the Casimir from site swaps and skips the
+subgroup null space at d = 2; full_space_mc and full_null_space_buckets
+(with the string enumeration and E_ab transfer matrices below) are the
+straightforward versions it replaced, kept so tests can compare against
+them.  The rest are full-space building blocks (tensor powers, weight
+sectors and generators, single Haar draws) and float helpers (the
+fidelity quotient, the pure-state trace distance) that the tests check
+the construction with.
 """
+
+import math
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
+from gtprobe.coeffs import CoeffTable
 from gtprobe.fidelity import protocol_probe
 from gtprobe.simulator import (
     _MC_CHUNK_BUDGET,
@@ -19,9 +25,6 @@ from gtprobe.simulator import (
     ExtractionError,
     _check_capacity,
     _haar_batch,
-    _sector_strings,
-    _string_index,
-    _transfer,
     casimir_eigenvalue,
 )
 from gtprobe.young import (
@@ -33,13 +36,74 @@ from gtprobe.young import (
 )
 
 
+def sector_strings(d: int, n: int, content: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """All length-n strings over 0..d-1 with the given letter counts, lex order."""
+    if len(content) != d or any(c < 0 for c in content) or sum(content) != n:
+        return []
+    out: list[tuple[int, ...]] = []
+    prefix: list[int] = []
+    remaining = list(content)
+
+    def rec() -> None:
+        if len(prefix) == n:
+            out.append(tuple(prefix))
+            return
+        for a in range(d):
+            if remaining[a]:
+                remaining[a] -= 1
+                prefix.append(a)
+                rec()
+                prefix.pop()
+                remaining[a] += 1
+
+    rec()
+    return out
+
+
+def string_index(string: tuple[int, ...], d: int) -> int:
+    idx = 0
+    for digit in string:
+        idx = idx * d + digit
+    return idx
+
+
+def transfer(
+    strings: list[tuple[int, ...]],
+    d: int,
+    a: int,
+    b: int,
+    index_cache: dict[tuple[int, ...], dict[tuple[int, ...], int]],
+) -> np.ndarray:
+    """Matrix of E_ab (0-based letters) from the sector spanned by strings
+    into its image sector; rows are indexed by the image sector's strings."""
+    n = len(strings[0])
+    content = [0] * d
+    for digit in strings[0]:
+        content[digit] += 1
+    content[a] += 1
+    content[b] -= 1
+    target_key = tuple(content)
+    if target_key not in index_cache:
+        index_cache[target_key] = {
+            s: k for k, s in enumerate(sector_strings(d, n, target_key))
+        }
+    target = index_cache[target_key]
+    mat = np.zeros((len(target), len(strings)))
+    for col, s in enumerate(strings):
+        for site, digit in enumerate(s):
+            if digit == b:
+                image = s[:site] + (a,) + s[site + 1 :]
+                mat[target[image], col] += 1.0
+    return mat
+
+
 def weight_sector(d: int, n: int, content: tuple[int, ...]) -> list[int]:
     """Computational-basis indices of the strings with the given letter counts.
 
     content[a] is the multiplicity of letter a+1; an inconsistent content
     vector yields the empty list.
     """
-    return [_string_index(s, d) for s in _sector_strings(d, n, content)]
+    return [string_index(s, d) for s in sector_strings(d, n, content)]
 
 
 def weight_operator(a: int, b: int, d: int, n: int) -> csr_matrix:
@@ -97,6 +161,35 @@ def apply_tensor_power(mat: np.ndarray, vec: np.ndarray, n: int) -> np.ndarray:
     return out.reshape(batch + vec.shape)
 
 
+def rayleigh_quotient(f: np.ndarray, d: int, L: int) -> float:
+    """Homogeneous fidelity quotient at an arbitrary coefficient vector.
+
+    (f_0^2 x_0^2 + sum_{i>=1} (f_i x_i + f_{i-1} y_i)^2) / sum_i f_i^2;
+    invariant under rescaling of f.
+    """
+    f = np.asarray(f, dtype=float)
+    if f.shape != (L + 1,):
+        raise ValueError(f"expected {L + 1} coefficients, got shape {f.shape}")
+    if not np.any(f):
+        raise ValueError("coefficient vector must be nonzero")
+    tab = CoeffTable.build(d, L)
+    x = np.sqrt(np.array([float(v) for v in tab.x_sq]))
+    y = np.sqrt(np.array([float(v) for v in tab.y_sq]))
+    shifted = np.concatenate(([0.0], f[:-1]))
+    terms = x * f + y * shifted
+    return float(np.dot(terms, terms) / np.dot(f, f))
+
+
+def trace_distance_from_overlap(overlap_sq: float) -> float:
+    """Trace norm 2*sqrt(1 - s) of the difference of two pure states
+    with squared overlap s; inputs within 1e-12 outside [0, 1] are clamped."""
+    s = float(overlap_sq)
+    if not -1e-12 <= s <= 1 + 1e-12:
+        raise ValueError(f"squared overlap must lie in [0, 1], got {s}")
+    s = min(max(s, 0.0), 1.0)
+    return 2.0 * math.sqrt(1.0 - s)
+
+
 def full_space_mc(d, n, samples, seed, vs, randomize_target=False, probe=None):
     """The Monte Carlo pass with <bra|W^n|ket> contracted on all d^n amplitudes.
 
@@ -134,10 +227,12 @@ def full_null_space_buckets(
     shapes: list[Diagram],
     null_tol: float = NULL_SPACE_TOL,
     casimir_tol: float = CASIMIR_TOL,
-) -> tuple[list[tuple[int, ...]], list[np.ndarray]]:
-    """_covariant_buckets through the subgroup null space at every d.
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """_covariant_buckets through the subgroup null space at every d, with
+    the generator sums assembled from E_ab transfer matrices.
 
     At d = 2 that null space is the whole sector, which the library skips.
+    Returns the sector's codes, which index the bucket rows.
 
     Within the weight sector of the given content, computes the null space
     of M = sum_{a != b <= d-1} E_ba E_ab (the vectors transforming as a
@@ -146,14 +241,14 @@ def full_null_space_buckets(
     shape.  Raises ExtractionError whenever the spectrum disagrees with
     the hook-length bookkeeping.
     """
-    strings = _sector_strings(d, n, content)
+    strings = sector_strings(d, n, content)
     if not strings:
         raise ExtractionError(f"empty weight sector for content {content}")
     m = len(strings)
     index_cache: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
 
     transfers = {
-        (a, b): _transfer(strings, d, a, b, index_cache)
+        (a, b): transfer(strings, d, a, b, index_cache)
         for a in range(d)
         for b in range(d)
         if a != b
@@ -200,4 +295,4 @@ def full_null_space_buckets(
                 f"expected hook-length dimension {want}"
             )
         buckets.append(null_basis @ evecs2[:, chosen])
-    return strings, buckets
+    return np.array([string_index(s, d) for s in strings]), buckets

@@ -17,11 +17,10 @@ from gtprobe.fidelity import (
     optimal_probe,
     plan_queries,
     protocol_probe,
-    rayleigh_quotient,
-    trace_distance_from_overlap,
 )
 from gtprobe.young import GammaParams
 from gtprobe.coeffs import xy_squared
+from oracles import rayleigh_quotient, trace_distance_from_overlap
 
 
 class TestExpectedFidelity:

@@ -14,6 +14,7 @@ from gtprobe.simulator import (
     ExtractionError,
     _covariant_buckets,
     _haar_batch,
+    _sector,
     casimir_eigenvalue,
     extract_gt_vectors,
     mc_estimates,
@@ -32,12 +33,13 @@ from oracles import (
     full_null_space_buckets,
     full_space_mc,
     haar_unitary,
+    sector_strings,
     weight_operator,
     weight_sector,
 )
 
 
-def reference_mc(d, n, samples, seed, vs, randomize_target=False, probe=None):
+def reference_mc(d, n, samples, seed, vs, probe=None):
     """Per-irrep Monte Carlo loop: one tensor-power overlap per v_i."""
     L = vs.L
     if probe is None:
@@ -56,8 +58,6 @@ def reference_mc(d, n, samples, seed, vs, randomize_target=False, probe=None):
     while done < samples:
         b = min(chunk, samples - done)
         w = np.conj(np.swapaxes(_haar_batch(rng, b, d), -1, -2))
-        if randomize_target:
-            w = w @ _haar_batch(rng, b, d)
         amps = np.zeros(b, dtype=complex)
         for i in range(L + 1):
             out = np.repeat(vs.vectors[i][None, :], b, axis=0)
@@ -79,16 +79,16 @@ def reference_cg_projections(d, n, pick):
     content = gamma_content(d, L)
     shapes = [gamma_shape(GammaParams(d, L, i)) for i in range(L + 1)]
     shapes_plus = [gamma_plus_shape(GammaParams(d, L, i)) for i in range(L + 1)]
-    strings, buckets = _covariant_buckets(d, n, content, shapes)
-    strings_plus, buckets_plus = _covariant_buckets(
+    codes, buckets = _covariant_buckets(d, n, content, shapes)
+    plus, buckets_plus = _covariant_buckets(
         d, n + 1, content[:-1] + (content[-1] + 1,), shapes_plus
     )
-    index_plus = {s: k for k, s in enumerate(strings_plus)}
-    positions = [index_plus[s + (d - 1,)] for s in strings]
+    index_plus = {c: k for k, c in enumerate(plus)}
+    positions = [index_plus[c * d + d - 1] for c in codes]
     column = 0 if pick == "first" else -1
     out = []
     for i in range(L + 1):
-        grown = np.zeros(len(strings_plus))
+        grown = np.zeros(len(plus))
         grown[positions] = buckets[i][:, column]
         alpha = float(np.sum((buckets_plus[i].T @ grown) ** 2))
         beta = float(np.sum((buckets_plus[i + 1].T @ grown) ** 2)) if i < L else 0.0
@@ -96,7 +96,26 @@ def reference_cg_projections(d, n, pick):
     return out
 
 
+SECTOR_CASES = [
+    (2, 4, (1, 3)),
+    (3, 6, (1, 1, 4)),
+    (3, 3, (3, 0, 0)),
+    (3, 4, (1, 1, 2)),
+    (3, 4, (2, 1, 1)),
+    (2, 4, (1, 1)),
+    (2, 4, (1, 3, 0)),
+]
+
+
 class TestWeightSector:
+    @pytest.mark.parametrize("d,n,content", SECTOR_CASES)
+    def test_sector_matches_string_oracle(self, d, n, content):
+        codes, letters = _sector(d, n, content)
+        strings = sector_strings(d, n, content)
+        assert codes.tolist() == weight_sector(d, n, content)
+        assert letters.shape == (len(strings), n)
+        assert [tuple(row) for row in letters.tolist()] == strings
+
     def test_counts(self):
         assert len(weight_sector(2, 4, (1, 3))) == comb(4, 1)
         assert len(weight_sector(3, 6, (1, 1, 4))) == factorial(6) // factorial(4)
@@ -200,6 +219,9 @@ class TestExtraction:
         assert np.allclose(np.abs(first.vectors[0]), np.abs(last.vectors[0]))
         assert not np.allclose(first.vectors[1], last.vectors[1])
 
+    # The oracle assembles the generator sums from E_ab transfer matrices
+    # and takes the subgroup null space even at d = 2; the library builds
+    # them from site swaps.
     @pytest.mark.parametrize("n", [4, 8, 12])
     @pytest.mark.parametrize("pick", ["first", "last"])
     def test_qubit_shortcut_matches_full_null_space(self, n, pick, monkeypatch):
@@ -208,6 +230,17 @@ class TestExtraction:
         monkeypatch.setattr(simulator, "_covariant_buckets", full_null_space_buckets)
         assert np.array_equal(vs.vectors, extract_gt_vectors(2, n, pick=pick).vectors)
         assert recs == verify_cg_embedding(2, n, pick=pick)
+
+    @pytest.mark.parametrize("d,n", [(3, 6), (4, 8)])
+    @pytest.mark.parametrize("pick", ["first", "last"])
+    def test_swap_casimir_matches_transfer_oracle(self, d, n, pick, monkeypatch):
+        vs = extract_gt_vectors(d, n, pick=pick)
+        check_cg = d ** (n + 1) <= simulator.CAPACITY  # 4^9 is beyond it
+        recs = verify_cg_embedding(d, n, vectors=vs) if check_cg else None
+        monkeypatch.setattr(simulator, "_covariant_buckets", full_null_space_buckets)
+        assert np.array_equal(vs.vectors, extract_gt_vectors(d, n, pick=pick).vectors)
+        if check_cg:
+            assert recs == verify_cg_embedding(d, n, pick=pick)
 
 
 class TestHaar:
@@ -303,6 +336,16 @@ class TestCGEmbedding:
         with pytest.raises(ValueError, match="does not match"):
             verify_cg_embedding(2, 8, vectors=extract_gt_vectors(2, 4))
 
+    @pytest.mark.parametrize("d,n", [(2, 4), (2, 8), (3, 6)])
+    def test_rejects_complex_vectors(self, d, n):
+        # A global phase leaves every v_i valid, but the projections are
+        # real; dropping the imaginary part would report zero weights.
+        vs = extract_gt_vectors(d, n)
+        rotated = dataclasses.replace(vs, vectors=1j * vs.vectors)
+        norm = math.sqrt(vs.L + 1)
+        with pytest.raises(ValueError, match=rf"imaginary part of norm {norm:.3g} at d={d} n={n}"):
+            verify_cg_embedding(d, n, vectors=rotated)
+
     def test_capacity_covers_grown_system(self):
         with pytest.raises(CapacityError):
             verify_cg_embedding(4, 8)  # 4^9 exceeds the dense cap
@@ -336,9 +379,10 @@ class TestMonteCarlo:
 
     def test_randomized_target_agrees(self):
         direct = mc_estimates(2, 4, 20_000, seed=5)[0]
-        twisted = mc_estimates(2, 4, 20_000, seed=6, randomize_target=True)[0]
-        joint = math.hypot(direct.stderr, twisted.stderr)
-        assert abs(direct.mean - twisted.mean) <= 5 * joint
+        vs = extract_gt_vectors(2, 4)
+        twisted_mean, twisted_stderr = full_space_mc(2, 4, 20_000, 6, vs, randomize_target=True)[0]
+        joint = math.hypot(direct.stderr, twisted_stderr)
+        assert abs(direct.mean - twisted_mean) <= 5 * joint
 
     def test_basis_choice_independence(self):
         first = extract_gt_vectors(2, 4, pick="first")
@@ -360,7 +404,7 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("pick", ["first", "last"])
     def test_fused_contraction_matches_per_irrep_loop(self, d, n, pick):
         vs = extract_gt_vectors(d, n, pick=pick)
-        runs = [dict(), dict(randomize_target=True)]
+        runs = [dict()]
         if vs.L == 1:
             runs.append(dict(probe=np.array([0.3, -0.7])))
         samples = 2_500 if d**n <= 16 else 300  # (2, 4) spans two chunks
@@ -375,7 +419,7 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("pick", ["first", "last"])
     def test_sector_kernel_matches_full_space_oracle(self, d, n, pick):
         vs = extract_gt_vectors(d, n, pick=pick)
-        runs = [dict(), dict(randomize_target=True)]
+        runs = [dict()]
         if vs.L == 1:
             runs.append(dict(probe=np.array([0.3, -0.7])))
         # (2, 4) and (4, 8) span two chunks of 2048 and 61 samples
