@@ -2,7 +2,8 @@
 verification, query planning, parameter sweeps, and brute-force simulation.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 capacity
-error.  All output is deterministic given the flags (seeds included).
+error.  All output is deterministic given the flags (seeds included) and the
+BLAS thread count, which the threaded eigh of simulate's extraction depends on.
 """
 
 from __future__ import annotations
@@ -276,7 +277,7 @@ def _verify_families(max_d: int, max_L: int, seed: int):
 
     def infidelity_chain():
         for d, L in grid:
-            swept = 1 - fidelity.expected_fidelity(d, 2 * d * L)
+            swept = 1 - fidelity.expected_fidelity(coeffs.CoeffTable.build(d, L))
             summed = fidelity.infidelity_sum_form(d, L)
             closed = fidelity.closed_form_infidelity(d, L)
             ok = swept == summed == closed
@@ -344,6 +345,8 @@ def _verify_families(max_d: int, max_L: int, seed: int):
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_d < 2 or args.max_L < 1:
         raise ValueError("need --max-d >= 2 and --max-L >= 1")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     print(f"verify: max_d={args.max_d} max_L={args.max_L} seed={args.seed}")
     failures = 0
     total = 0
@@ -372,12 +375,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.samples < simulator.MIN_SAMPLES:
         raise ValueError(f"need at least {simulator.MIN_SAMPLES} samples")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     n = _rounded_n(args.d, args.n)
     d = args.d
     vectors = simulator.extract_gt_vectors(
         d, n, null_tol=args.null_tol, casimir_tol=args.casimir_tol
     )
-    analytic = fidelity.expected_fidelity(d, n)
+    analytic = fidelity.expected_fidelity(coeffs.CoeffTable.build(d, n // (2 * d)))
     fid_est, tot_est = simulator.mc_estimates(d, n, args.samples, args.seed, vectors)
     passed = (
         abs(fid_est.mean - float(analytic)) <= 3 * fid_est.stderr

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .coeffs import CoeffTable, ConsistencyError, g_coeff
+from .coeffs import CoeffTable, ConsistencyError, f_squared, g_coeff
 
 
 def query_count_params(d: int, n: int) -> int:
@@ -30,18 +30,14 @@ def query_count_params(d: int, n: int) -> int:
     return n // (2 * d)
 
 
-def expected_fidelity(d: int, n: int) -> Fraction:
-    """Exact expected fidelity of the n-query protocol.
+def expected_fidelity(tab: CoeffTable) -> Fraction:
+    """Exact expected fidelity of the protocol at the table's (d, L).
 
     Evaluates f_0^2 x_0^2 + sum_i (f_i x_i + f_{i-1} y_i)^2 over
     sum_i f_i^2 at the protocol's coefficients.  Each squared term is
     rational because f_i x_i and f_{i-1} y_i share the radicand R_i:
     the term at index i equals (g_i (N-i+1) + g_{i-1} (L+d-i-1))^2 R_i.
     """
-    return _expected_fidelity(CoeffTable.build(d, query_count_params(d, n)))
-
-
-def _expected_fidelity(tab: CoeffTable) -> Fraction:
     L, d, N = tab.L, tab.d, tab.N
     num = Fraction(0)
     for i in range(L + 1):
@@ -89,13 +85,14 @@ def bound_ratio(d: int, n: int) -> float:
 
 
 def protocol_probe(d: int, L: int) -> np.ndarray:
-    """The protocol's probe coefficients f_0..f_L, normalized to unit norm."""
-    tab = CoeffTable.build(d, L)
-    total = sum(tab.f_sq)
-    return np.sqrt([float(v / total) for v in tab.f_sq])
+    """The protocol's probe coefficients f_0..f_L, normalized to unit norm
+    (the f_i^2 that CoeffTable.build stores, read without building a table)."""
+    f_sq = [f_squared(i, d, L) for i in range(L + 1)]
+    total = sum(f_sq)
+    return np.sqrt([float(v / total) for v in f_sq])
 
 
-def optimal_probe(d: int, L: int) -> tuple[np.ndarray, float]:
+def optimal_probe(tab: CoeffTable) -> tuple[np.ndarray, float]:
     """Maximize the fidelity quotient exactly as a tridiagonal eigenproblem.
 
     With A the lower-bidiagonal map A_ii = x_i, A_{i,i-1} = y_i, the
@@ -103,10 +100,6 @@ def optimal_probe(d: int, L: int) -> tuple[np.ndarray, float]:
     the symmetric tridiagonal A^T A.  Returns (f_opt, lambda_max); the
     eigenvector sign is fixed so its largest entry is positive.
     """
-    return _optimal_probe(CoeffTable.build(d, L))
-
-
-def _optimal_probe(tab: CoeffTable) -> tuple[np.ndarray, float]:
     L = tab.L
     x = np.sqrt(np.array([float(v) for v in tab.x_sq]))
     y = np.sqrt(np.array([float(v) for v in tab.y_sq]))
@@ -209,7 +202,7 @@ def fidelity_report(d: int, n: int) -> FidelityReport:
     # One table serves both the exact fidelity and the optimizer; it is not
     # kept past this call, so every report re-runs the build's checks.
     tab = CoeffTable.build(d, L)
-    fid = _expected_fidelity(tab)
+    fid = expected_fidelity(tab)
     infid = 1 - fid
     closed = closed_form_infidelity(d, L)
     summed = infidelity_sum_form(d, L)
@@ -218,7 +211,7 @@ def fidelity_report(d: int, n: int) -> FidelityReport:
             f"infidelity routes disagree at d={d} n={n}: "
             f"sweep={infid} sum-form={summed} closed-form={closed}"
         )
-    vec, lam = _optimal_probe(tab)
+    vec, lam = optimal_probe(tab)
     if lam < float(fid) - 1e-12 or lam > 1.0 + 1e-10:
         raise ConsistencyError(
             f"optimal Rayleigh value {lam} outside [fidelity, 1] at d={d} n={n}"

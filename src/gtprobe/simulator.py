@@ -85,8 +85,12 @@ def _covariant_buckets(
     splits it by quadratic-Casimir eigenvalue into one bucket per expected
     shape.  Returns the sector's codes, which index the bucket rows.
     Raises ExtractionError whenever the spectrum disagrees with the
-    hook-length bookkeeping.
+    hook-length bookkeeping, and ValueError unless both tolerances are
+    positive and finite.
     """
+    for name, tol in (("null_tol", null_tol), ("casimir_tol", casimir_tol)):
+        if not 0 < tol < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {tol}")
     codes, letters = _sector(d, n, content)
     m = len(codes)
     if not m:

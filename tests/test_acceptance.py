@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from gtprobe import cli
-from gtprobe.coeffs import dim_ratio_check, telescoping_check
+from gtprobe.coeffs import CoeffTable, dim_ratio_check, telescoping_check
 from gtprobe.fidelity import (
     amplitude_reduction_check,
     bound_ratio,
@@ -40,7 +40,7 @@ def test_c1_infidelity_routes_agree_exactly():
     started = time.monotonic()
     for d in range(2, 7):
         for L in range(1, 13):
-            swept = 1 - expected_fidelity(d, 2 * d * L)
+            swept = 1 - expected_fidelity(CoeffTable.build(d, L))
             summed = infidelity_sum_form(d, L)
             closed = closed_form_infidelity(d, L)
             assert swept == summed == closed, (d, L)
@@ -49,12 +49,12 @@ def test_c1_infidelity_routes_agree_exactly():
 
 def test_c2_golden_fidelity_values():
     started = time.monotonic()
-    assert expected_fidelity(2, 4) == Fraction(7, 8)
-    assert expected_fidelity(3, 6) == Fraction(4, 5)
+    assert expected_fidelity(CoeffTable.build(2, 1)) == Fraction(7, 8)
+    assert expected_fidelity(CoeffTable.build(3, 1)) == Fraction(4, 5)
     for L in range(1, 51):
         want = Fraction(1, 2 * (L + 1) ** 2)
         assert closed_form_infidelity(2, L) == want
-        assert 1 - expected_fidelity(2, 4 * L) == want
+        assert 1 - expected_fidelity(CoeffTable.build(2, L)) == want
     _report("criterion 2: golden values 7/8, 4/5, and 1/(2(L+1)^2) for L<=50", started)
 
 
@@ -111,7 +111,7 @@ def test_c5_simulator_branching_weights():
 def test_c6_simulator_monte_carlo():
     started = time.monotonic()
     for d, n in ((2, 4), (3, 6)):
-        exact = float(expected_fidelity(d, n))
+        exact = float(expected_fidelity(CoeffTable.build(d, n // (2 * d))))
         fid, tot = mc_estimates(d, n, MC_SAMPLES, MC_SEED)
         assert abs(fid.mean - exact) <= 3 * fid.stderr, (d, n, fid)
         assert abs(tot.mean - 1.0) <= 3 * tot.stderr, (d, n, tot)
@@ -122,8 +122,9 @@ def test_c7_optimizer_sandwich_and_sweep_gap(capsys):
     started = time.monotonic()
     for d in range(2, 7):
         for L in range(1, 13):
-            _, lam = optimal_probe(d, L)
-            fid = float(expected_fidelity(d, 2 * d * L))
+            tab = CoeffTable.build(d, L)
+            _, lam = optimal_probe(tab)
+            fid = float(expected_fidelity(tab))
             assert fid - 1e-10 <= lam <= 1.0 + 1e-10, (d, L)
     code = cli.main(["sweep", "--d-range", "2:3", "--n-range", "4:24"])
     out = capsys.readouterr().out

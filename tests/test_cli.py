@@ -214,6 +214,12 @@ class TestSimulateCommand:
         assert code == 3
         assert "capacity" in err and "100000" in err
 
+    def test_too_tight_casimir_tol_fails_check(self, capsys):
+        argv = ["simulate", "--d", "3", "--n", "6", "--samples", "200", "--casimir-tol", "1e-30"]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert "matches 0 expected values" in err
+
     def test_too_few_samples(self, capsys):
         code, _, _ = run(capsys, ["simulate", "--d", "2", "--n", "4", "--samples", "10"])
         assert code == 2
@@ -236,6 +242,28 @@ class TestExitCodes:
             (
                 ["plan", "--d", "1000", "--eps", "1.6e-153", "--format", "json"],
                 "d=1000 eps=1.6e-153",
+            ),
+            (["verify", "--max-d", "2", "--max-L", "1", "--seed", "-1"], "--seed must be >= 0, got -1"),
+            (["simulate", "--d", "2", "--n", "4", "--seed", "-1"], "--seed must be >= 0, got -1"),
+            (
+                ["simulate", "--d", "3", "--n", "6", "--samples", "200", "--null-tol", "-1"],
+                "null_tol must be positive and finite, got -1.0",
+            ),
+            (
+                ["simulate", "--d", "3", "--n", "6", "--samples", "200", "--null-tol", "nan"],
+                "null_tol must be positive and finite, got nan",
+            ),
+            (
+                ["simulate", "--d", "3", "--n", "6", "--samples", "200", "--casimir-tol", "-1"],
+                "casimir_tol must be positive and finite, got -1.0",
+            ),
+            (
+                ["simulate", "--d", "3", "--n", "6", "--samples", "200", "--casimir-tol", "nan"],
+                "casimir_tol must be positive and finite, got nan",
+            ),
+            (
+                ["simulate", "--d", "2", "--n", "4", "--samples", "200", "--null-tol", "-1"],
+                "null_tol must be positive and finite, got -1.0",
             ),
         ],
     )

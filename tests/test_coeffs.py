@@ -1,5 +1,8 @@
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -214,3 +217,13 @@ class TestCoeffTable:
         with pytest.raises(ConsistencyError) as err:
             CoeffTable.build(2, 1)
         assert "i=1" in str(err.value)
+
+
+def test_exact_layer_imports_only_the_standard_library():
+    src = str(Path(coeffs.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import gtprobe.young, gtprobe.coeffs; "
+        "print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gtprobe import cli
 from gtprobe.coeffs import CoeffTable, ConsistencyError
 from gtprobe.fidelity import (
     amplitude_reduction_check,
@@ -17,6 +18,7 @@ from gtprobe.fidelity import (
     optimal_probe,
     plan_queries,
     protocol_probe,
+    query_count_params,
 )
 from gtprobe.young import GammaParams
 from gtprobe.coeffs import xy_squared
@@ -25,17 +27,17 @@ from oracles import rayleigh_quotient, trace_distance_from_overlap
 
 class TestExpectedFidelity:
     def test_golden_values(self):
-        assert expected_fidelity(2, 4) == Fraction(7, 8)
-        assert expected_fidelity(3, 6) == Fraction(4, 5)
-        assert expected_fidelity(2, 8) == 1 - Fraction(1, 18)
+        assert expected_fidelity(CoeffTable.build(2, 1)) == Fraction(7, 8)
+        assert expected_fidelity(CoeffTable.build(3, 1)) == Fraction(4, 5)
+        assert expected_fidelity(CoeffTable.build(2, 2)) == 1 - Fraction(1, 18)
 
     def test_rejects_bad_query_counts(self):
         with pytest.raises(ValueError):
-            expected_fidelity(2, 5)
+            query_count_params(2, 5)
         with pytest.raises(ValueError):
-            expected_fidelity(2, 0)
+            query_count_params(2, 0)
         with pytest.raises(ValueError):
-            expected_fidelity(1, 4)
+            query_count_params(1, 4)
 
 
 class TestInfidelityForms:
@@ -53,7 +55,7 @@ class TestInfidelityForms:
 
     def test_three_routes_agree(self):
         for d, L in product(range(2, 5), range(1, 7)):
-            swept = 1 - expected_fidelity(d, 2 * d * L)
+            swept = 1 - expected_fidelity(CoeffTable.build(d, L))
             assert swept == infidelity_sum_form(d, L) == closed_form_infidelity(d, L)
 
 
@@ -112,18 +114,25 @@ class TestProtocolProbe:
             old = np.sqrt(f_sq / f_sq.sum())
             assert np.max(np.abs(protocol_probe(d, L) - old)) <= 1e-15
 
+    def test_equals_table_normalization(self):
+        for d, L in product(range(2, 9), range(1, 21)):
+            f_sq = CoeffTable.build(d, L).f_sq
+            want = np.sqrt([float(v / sum(f_sq)) for v in f_sq])
+            assert np.array_equal(protocol_probe(d, L), want), (d, L)
+
 
 class TestOptimalProbe:
     def test_dominates_protocol_choice(self):
         for d, L in product(range(2, 6), range(1, 8)):
-            vec, lam = optimal_probe(d, L)
-            fid = float(expected_fidelity(d, 2 * d * L))
+            tab = CoeffTable.build(d, L)
+            vec, lam = optimal_probe(tab)
+            fid = float(expected_fidelity(tab))
             assert lam >= fid - 1e-10
             assert lam <= 1.0 + 1e-10
             assert rayleigh_quotient(vec, d, L) == pytest.approx(lam, abs=1e-10)
 
     def test_qubit_single_column(self):
-        vec, lam = optimal_probe(2, 1)
+        vec, lam = optimal_probe(CoeffTable.build(2, 1))
         assert lam >= 0.875
         assert vec.shape == (2,)
         assert np.all(vec > 0)  # top eigenvector of a positive tridiagonal matrix
@@ -137,7 +146,7 @@ class TestOptimalProbe:
         y = np.sqrt([float(v) for v in tab.y_sq])
         a = np.diag(x) + np.diag(y[1:], -1)
         m = a.T @ a
-        vec, lam = optimal_probe(d, L)
+        vec, lam = optimal_probe(tab)
         assert np.max(np.abs(m @ vec - lam * vec)) < 1e-10
 
 
@@ -284,10 +293,24 @@ class TestOneTablePerReport:
     @pytest.mark.parametrize("d,n", REPORT_CASES)
     def test_report_matches_public_functions(self, d, n):
         rep = fidelity_report(d, n)
-        vec, lam = optimal_probe(d, rep.L)
-        assert rep.fidelity_exact == expected_fidelity(d, n)
+        tab = CoeffTable.build(d, rep.L)
+        vec, lam = optimal_probe(tab)
+        assert rep.fidelity_exact == expected_fidelity(tab)
         assert rep.optimal_rayleigh == lam
         assert rep.optimal_f == tuple(float(v) for v in vec)
+
+    def test_protocol_probe_builds_no_table(self, build_calls):
+        protocol_probe(3, 4)
+        assert build_calls == []
+
+    def test_simulate_builds_one_table(self, build_calls, capsys):
+        argv = ["simulate", "--d", "2", "--n", "8", "--samples", "200", "--check-cg"]
+        assert cli.main(argv) == 0
+        assert build_calls == [(2, 2)]
+
+    def test_verify_builds_each_table_once(self, build_calls, capsys):
+        assert cli.main(["verify", "--max-d", "4", "--max-L", "5"]) == 0
+        assert build_calls == [(d, L) for d in range(2, 5) for L in range(1, 6)]
 
     def test_no_table_outlives_a_call(self, monkeypatch):
         from gtprobe import coeffs

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gtprobe import simulator
-from gtprobe.coeffs import f_squared
+from gtprobe.coeffs import CoeffTable, f_squared
 from gtprobe.fidelity import expected_fidelity
 from gtprobe.simulator import (
     CapacityError,
@@ -211,6 +211,14 @@ class TestExtraction:
         with pytest.raises(ValueError):
             extract_gt_vectors(2, 5)
 
+    def test_rejects_bad_tolerances(self):
+        with pytest.raises(ValueError, match="null_tol must be positive and finite, got -1"):
+            extract_gt_vectors(2, 4, null_tol=-1.0)
+        with pytest.raises(ValueError, match="casimir_tol must be positive and finite, got inf"):
+            extract_gt_vectors(3, 6, casimir_tol=math.inf)
+        with pytest.raises(ValueError, match="casimir_tol must be positive and finite, got nan"):
+            verify_cg_embedding(2, 4, casimir_tol=math.nan)
+
     def test_basis_choice_flag_changes_vector_not_invariants(self):
         first = extract_gt_vectors(2, 4)
         last = extract_gt_vectors(2, 4, pick="last")
@@ -398,7 +406,7 @@ class TestMonteCarlo:
 
     def test_matches_analytic_value_qutrit(self):
         est = mc_estimates(3, 6, 20_000, seed=42)[0]
-        assert abs(est.mean - float(expected_fidelity(3, 6))) <= 3 * est.stderr
+        assert abs(est.mean - float(expected_fidelity(CoeffTable.build(3, 1)))) <= 3 * est.stderr
 
     @pytest.mark.parametrize("d,n", [(2, 4), (3, 6), (2, 8)])
     @pytest.mark.parametrize("pick", ["first", "last"])
