@@ -379,6 +379,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     n = _rounded_n(args.d, args.n)
     d = args.d
+    if args.check_cg:  # the CG check's (n+1)-site capacity, before any work
+        for sites in (n, n + 1):
+            simulator._check_capacity(d, sites)
     vectors = simulator.extract_gt_vectors(
         d, n, null_tol=args.null_tol, casimir_tol=args.casimir_tol
     )

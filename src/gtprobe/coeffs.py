@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Sequence
 
 from .young import (
@@ -35,10 +36,8 @@ def alpha_beta(p: GammaParams) -> tuple[Fraction, Fraction]:
     """
     d, L, N, i = p.d, p.L, p.N, p.i
     den = L + N + d - 2 * i - 1
-    alpha = Fraction(N + d - i - 1, den)
-    beta = Fraction(L - i, den)
-    assert alpha + beta == 1
-    return alpha, beta
+    assert (N + d - i - 1) + (L - i) == den  # alpha + beta == 1
+    return Fraction(N + d - i - 1, den), Fraction(L - i, den)
 
 
 def xy_squared(p: GammaParams) -> tuple[Fraction, Fraction]:
@@ -86,11 +85,13 @@ def shared_radicand(i: int, d: int, L: int) -> Fraction:
     so that (f_i x_i)^2 = (g_i (N-i+1))^2 R_i and
     (f_{i-1} y_i)^2 = (g_{i-1} (L+d-i-1))^2 R_i.
     """
+    if not 0 <= i <= L:
+        raise ValueError(f"index i must satisfy 0 <= i <= L={L}, got {i}")
     N = (d + 1) * L
-    value = Fraction(1, L + N + d - 2 * i)
+    value = 1
     for j in range(2, d):
         value *= (N + j - i) * (L + d - j - i)
-    return value
+    return Fraction(value, L + N + d - 2 * i)
 
 
 def cg_add_box(chain: Sequence[Iterable[int]]) -> list[tuple[int, Fraction]]:
@@ -129,6 +130,29 @@ def cg_add_box(chain: Sequence[Iterable[int]]) -> list[tuple[int, Fraction]]:
     return out
 
 
+def _products_equal(lhs: Sequence[Fraction | int], rhs: Sequence[Fraction | int]) -> bool:
+    """prod(lhs) == prod(rhs), cross-multiplied in integers (denominators are positive)."""
+    left = prod(q.numerator for q in lhs) * prod(q.denominator for q in rhs)
+    return left == prod(q.numerator for q in rhs) * prod(q.denominator for q in lhs)
+
+
+def _dim_ratios_hold(
+    p: GammaParams, dim: int, dim_plus: int, dim_prev: int,
+    alpha: Fraction, beta_prev: Fraction | int, x_sq: Fraction, y_sq: Fraction,
+) -> bool:
+    """The identities of dim_ratio_check, given dim(gamma_i), dim(gamma_i^+),
+    dim(gamma_{i-1}), alpha_i, beta_{i-1}, x_i^2 and y_i^2; the two values
+    at i - 1 are unused at i = 0."""
+    d, L, N, i = p.d, p.L, p.N, p.i
+    s = L + N + d - 2 * i  # dim/dim_plus == u/v is checked as dim * v == dim_plus * u
+    ok = dim * s * (N + d - i - 1) == dim_plus * (s - 1) * (N - i + 1)
+    ok = ok and _products_equal((alpha, alpha, dim), (x_sq, dim_plus))
+    if i >= 1:
+        ok = ok and dim_prev * s * (L - i + 1) == dim_plus * (s + 1) * (L + d - i - 1)
+        ok = ok and _products_equal((beta_prev, beta_prev, dim_prev), (y_sq, dim_plus))
+    return ok
+
+
 def dim_ratio_check(p: GammaParams) -> bool:
     """Exact check of the dimension-ratio identities behind x and y.
 
@@ -138,21 +162,14 @@ def dim_ratio_check(p: GammaParams) -> bool:
     and, squared, x_i^2 = alpha_i^2 dim(gamma_i)/dim(gamma_i^+) and
     y_i^2 = beta_{i-1}^2 dim(gamma_{i-1})/dim(gamma_i^+).
     """
-    d, L, N, i = p.d, p.L, p.N, p.i
-    s = L + N + d - 2 * i
-    dim_plus = weyl_dimension(gamma_plus_shape(p), d)
-    ratio = Fraction(weyl_dimension(gamma_shape(p), d), dim_plus)
-    alpha, _ = alpha_beta(p)
-    x_sq, y_sq = xy_squared(p)
-    ok = ratio == Fraction((s - 1) * (N - i + 1), s * (N + d - i - 1))
-    ok = ok and alpha**2 * ratio == x_sq
-    if i >= 1:
-        prev = GammaParams(d, L, i - 1)
-        ratio_prev = Fraction(weyl_dimension(gamma_shape(prev), d), dim_plus)
-        beta_prev = alpha_beta(prev)[1]
-        ok = ok and ratio_prev == Fraction((s + 1) * (L + d - i - 1), s * (L - i + 1))
-        ok = ok and beta_prev**2 * ratio_prev == y_sq
-    return ok
+    d, dim_prev, beta_prev = p.d, 0, 0
+    if p.i >= 1:
+        prev = GammaParams(d, p.L, p.i - 1)
+        dim_prev, beta_prev = weyl_dimension(gamma_shape(prev), d), alpha_beta(prev)[1]
+    dim, dim_plus = weyl_dimension(gamma_shape(p), d), weyl_dimension(gamma_plus_shape(p), d)
+    return _dim_ratios_hold(
+        p, dim, dim_plus, dim_prev, alpha_beta(p)[0], beta_prev, *xy_squared(p)
+    )
 
 
 def telescoping_check(a: Fraction, b: Fraction, k: int) -> bool:
@@ -199,46 +216,33 @@ class CoeffTable:
     @classmethod
     def build(cls, d: int, L: int) -> "CoeffTable":
         N = (d + 1) * L
-        alpha, beta, x_sq, y_sq, g, f_sq, rad = [], [], [], [], [], [], []
+        rows = []  # (alpha, beta, x_sq, y_sq, g, f_sq, shared_radicand) per index
+        # Each quantity is evaluated once per index; the dimension-ratio
+        # identity at i reads dim(gamma_{i-1}) and beta_{i-1} from index i-1.
+        prev_dim = prev_b = prev_g = prev_f = 0
         for i in range(L + 1):
             p = GammaParams(d, L, i)
-            if not dim_ratio_check(p):
+            a, b = alpha_beta(p)
+            xs, ys = xy_squared(p)
+            dim = weyl_dimension(gamma_shape(p), d)
+            dim_plus = weyl_dimension(gamma_plus_shape(p), d)
+            if not _dim_ratios_hold(p, dim, dim_plus, prev_dim, a, prev_b, xs, ys):
                 raise ConsistencyError(
                     f"dimension-ratio identity failed at d={d} L={L} i={i}"
                 )
-            a, b = alpha_beta(p)
-            xs, ys = xy_squared(p)
             gi = g_coeff(i, d, L)
             fs = f_squared(i, d, L)
             ri = shared_radicand(i, d, L)
-            if fs * xs != Fraction(gi * (N - i + 1)) ** 2 * ri:
+            if not _products_equal((fs, xs), ((gi * (N - i + 1)) ** 2, ri)):
                 raise ConsistencyError(
                     f"shared radicand mismatch for f_i*x_i at d={d} L={L} i={i}"
                 )
-            prev_f = f_sq[i - 1] if i >= 1 else Fraction(0)
-            prev_g = g[i - 1] if i >= 1 else 0
-            if prev_f * ys != Fraction(prev_g * (L + d - i - 1)) ** 2 * ri:
+            if not _products_equal((prev_f, ys), ((prev_g * (L + d - i - 1)) ** 2, ri)):
                 raise ConsistencyError(
                     f"shared radicand mismatch for f_(i-1)*y_i at d={d} L={L} i={i}"
                 )
-            alpha.append(a)
-            beta.append(b)
-            x_sq.append(xs)
-            y_sq.append(ys)
-            g.append(gi)
-            f_sq.append(fs)
-            rad.append(ri)
-        if beta[L] != 0:
-            raise ConsistencyError(f"beta_L must vanish, got {beta[L]} at d={d} L={L}")
-        return cls(
-            d=d,
-            L=L,
-            N=N,
-            alpha=tuple(alpha),
-            beta=tuple(beta),
-            x_sq=tuple(x_sq),
-            y_sq=tuple(y_sq),
-            g=tuple(g),
-            f_sq=tuple(f_sq),
-            shared_radicand=tuple(rad),
-        )
+            rows.append((a, b, xs, ys, gi, fs, ri))
+            prev_dim, prev_b, prev_g, prev_f = dim, b, gi, fs
+        if prev_b != 0:
+            raise ConsistencyError(f"beta_L must vanish, got {prev_b} at d={d} L={L}")
+        return cls(d, L, N, *zip(*rows))

@@ -39,12 +39,13 @@ def expected_fidelity(tab: CoeffTable) -> Fraction:
     the term at index i equals (g_i (N-i+1) + g_{i-1} (L+d-i-1))^2 R_i.
     """
     L, d, N = tab.L, tab.d, tab.N
-    num = Fraction(0)
-    for i in range(L + 1):
-        a = tab.g[i] * (N - i + 1)
-        b = (tab.g[i - 1] if i >= 1 else 0) * (L + d - i - 1)
-        num += (a + b) ** 2 * tab.shared_radicand[i]
-    return num / sum(tab.f_sq)
+    # Both sums stay unreduced integer pairs, normalized once; gp is g_{i-1}.
+    num, den, f_num, f_den, gp = 0, 1, 0, 1, 0
+    for i, (gi, r, f) in enumerate(zip(tab.g, tab.shared_radicand, tab.f_sq)):
+        term = (gi * (N - i + 1) + gp * (L + d - i - 1)) ** 2 * r.numerator
+        num, den = num * r.denominator + term * den, den * r.denominator
+        f_num, f_den, gp = f_num * f.denominator + f.numerator * f_den, f_den * f.denominator, gi
+    return Fraction(num * f_den, den * f_num)
 
 
 def infidelity_sum_form(d: int, L: int) -> Fraction:
@@ -57,17 +58,17 @@ def infidelity_sum_form(d: int, L: int) -> Fraction:
     if d < 2 or L < 1:
         raise ValueError(f"need d >= 2 and L >= 1, got d={d} L={L}")
     N = (d + 1) * L
-    num = Fraction(0)
-    den = Fraction(0)
+    # num/den is the upper sum, unreduced; total is d-1 times the lower sum.
+    num, den, total, gp = 0, 1, 0, 0
     for i in range(L + 1):
         prods = 1
         for j in range(1, d):
             prods *= (N + j - i) * (L + j - i)
-        gi = g_coeff(i, d, L)
-        gp = g_coeff(i - 1, d, L)
-        num += Fraction((gi - gp) ** 2, L + N + d - 2 * i) * prods
-        den += Fraction(gi**2 - gp**2, d - 1) * prods
-    return num / den
+        gi, s = g_coeff(i, d, L), L + N + d - 2 * i
+        num, den = num * s + (gi - gp) ** 2 * prods * den, den * s
+        total += (gi**2 - gp**2) * prods
+        gp = gi
+    return Fraction(num * (d - 1), den * total)
 
 
 def closed_form_infidelity(d: int, L: int) -> Fraction:

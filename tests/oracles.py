@@ -8,15 +8,25 @@ straightforward versions it replaced, kept so tests can compare against
 them.  The rest are full-space building blocks (tensor powers, weight
 sectors and generators, single Haar draws) and float helpers (the
 fidelity quotient, the pure-state trace distance) that the tests check
-the construction with.
+the construction with.  reference_build and its companions are the exact
+layer as written in Fractions, the oracle for the integer-arithmetic
+CoeffTable.build, dim_ratio_check and fidelity sums.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
-from gtprobe.coeffs import CoeffTable
+from gtprobe.coeffs import (
+    CoeffTable,
+    ConsistencyError,
+    alpha_beta,
+    f_squared,
+    g_coeff,
+    xy_squared,
+)
 from gtprobe.fidelity import protocol_probe
 from gtprobe.simulator import (
     _MC_CHUNK_BUDGET,
@@ -30,6 +40,7 @@ from gtprobe.simulator import (
 from gtprobe.young import (
     Diagram,
     GammaParams,
+    gamma_plus_shape,
     gamma_shape,
     hook_length_dimension,
     weyl_dimension,
@@ -296,3 +307,103 @@ def full_null_space_buckets(
             )
         buckets.append(null_basis @ evecs2[:, chosen])
     return np.array([string_index(s, d) for s in strings]), buckets
+
+
+# The exact layer as it was written in Fractions, before CoeffTable.build
+# and the fidelity sums moved to integer cross-multiplication: each index
+# re-derives its Weyl dimensions and branching weights through
+# reference_dim_ratio_check, and every comparison and sum is a Fraction one.
+
+
+def reference_dim_ratio_check(p: GammaParams) -> bool:
+    d, L, N, i = p.d, p.L, p.N, p.i
+    s = L + N + d - 2 * i
+    dim_plus = weyl_dimension(gamma_plus_shape(p), d)
+    ratio = Fraction(weyl_dimension(gamma_shape(p), d), dim_plus)
+    alpha, _ = alpha_beta(p)
+    x_sq, y_sq = xy_squared(p)
+    ok = ratio == Fraction((s - 1) * (N - i + 1), s * (N + d - i - 1))
+    ok = ok and alpha**2 * ratio == x_sq
+    if i >= 1:
+        prev = GammaParams(d, L, i - 1)
+        ratio_prev = Fraction(weyl_dimension(gamma_shape(prev), d), dim_plus)
+        beta_prev = alpha_beta(prev)[1]
+        ok = ok and ratio_prev == Fraction((s + 1) * (L + d - i - 1), s * (L - i + 1))
+        ok = ok and beta_prev**2 * ratio_prev == y_sq
+    return ok
+
+
+def reference_shared_radicand(i: int, d: int, L: int) -> Fraction:
+    N = (d + 1) * L
+    value = Fraction(1, L + N + d - 2 * i)
+    for j in range(2, d):
+        value *= (N + j - i) * (L + d - j - i)
+    return value
+
+
+def reference_build(d: int, L: int) -> CoeffTable:
+    N = (d + 1) * L
+    alpha, beta, x_sq, y_sq, g, f_sq, rad = [], [], [], [], [], [], []
+    for i in range(L + 1):
+        p = GammaParams(d, L, i)
+        if not reference_dim_ratio_check(p):
+            raise ConsistencyError(f"dimension-ratio identity failed at d={d} L={L} i={i}")
+        a, b = alpha_beta(p)
+        xs, ys = xy_squared(p)
+        gi = g_coeff(i, d, L)
+        fs = f_squared(i, d, L)
+        ri = reference_shared_radicand(i, d, L)
+        if fs * xs != Fraction(gi * (N - i + 1)) ** 2 * ri:
+            raise ConsistencyError(f"shared radicand mismatch for f_i*x_i at d={d} L={L} i={i}")
+        prev_f = f_sq[i - 1] if i >= 1 else Fraction(0)
+        prev_g = g[i - 1] if i >= 1 else 0
+        if prev_f * ys != Fraction(prev_g * (L + d - i - 1)) ** 2 * ri:
+            raise ConsistencyError(
+                f"shared radicand mismatch for f_(i-1)*y_i at d={d} L={L} i={i}"
+            )
+        alpha.append(a)
+        beta.append(b)
+        x_sq.append(xs)
+        y_sq.append(ys)
+        g.append(gi)
+        f_sq.append(fs)
+        rad.append(ri)
+    if beta[L] != 0:
+        raise ConsistencyError(f"beta_L must vanish, got {beta[L]} at d={d} L={L}")
+    return CoeffTable(
+        d=d,
+        L=L,
+        N=N,
+        alpha=tuple(alpha),
+        beta=tuple(beta),
+        x_sq=tuple(x_sq),
+        y_sq=tuple(y_sq),
+        g=tuple(g),
+        f_sq=tuple(f_sq),
+        shared_radicand=tuple(rad),
+    )
+
+
+def reference_expected_fidelity(tab: CoeffTable) -> Fraction:
+    L, d, N = tab.L, tab.d, tab.N
+    num = Fraction(0)
+    for i in range(L + 1):
+        a = tab.g[i] * (N - i + 1)
+        b = (tab.g[i - 1] if i >= 1 else 0) * (L + d - i - 1)
+        num += (a + b) ** 2 * tab.shared_radicand[i]
+    return num / sum(tab.f_sq)
+
+
+def reference_infidelity_sum_form(d: int, L: int) -> Fraction:
+    N = (d + 1) * L
+    num = Fraction(0)
+    den = Fraction(0)
+    for i in range(L + 1):
+        prods = 1
+        for j in range(1, d):
+            prods *= (N + j - i) * (L + j - i)
+        gi = g_coeff(i, d, L)
+        gp = g_coeff(i - 1, d, L)
+        num += Fraction((gi - gp) ** 2, L + N + d - 2 * i) * prods
+        den += Fraction(gi**2 - gp**2, d - 1) * prods
+    return num / den

@@ -214,6 +214,17 @@ class TestSimulateCommand:
         assert code == 3
         assert "capacity" in err and "100000" in err
 
+    def test_check_cg_capacity_fails_before_any_work(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("work started before the capacity check")
+
+        monkeypatch.setattr(simulator, "extract_gt_vectors", fail)
+        monkeypatch.setattr(simulator, "mc_estimates", fail)
+        argv = ["simulate", "--d", "2", "--n", "16", "--samples", "2000", "--check-cg"]
+        code, out, err = run(capsys, argv)
+        assert code == 3 and out == ""
+        assert err == "error: d^n = 2^17 = 131072 exceeds the simulator capacity of 100000\n"
+
     def test_too_tight_casimir_tol_fails_check(self, capsys):
         argv = ["simulate", "--d", "3", "--n", "6", "--samples", "200", "--casimir-tol", "1e-30"]
         code, out, err = run(capsys, argv)

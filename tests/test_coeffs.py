@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 from fractions import Fraction
@@ -5,7 +6,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gtprobe import coeffs
 from gtprobe.coeffs import (
@@ -20,7 +21,27 @@ from gtprobe.coeffs import (
     telescoping_check,
     xy_squared,
 )
-from gtprobe.young import GammaParams, gamma_chain, weyl_dimension
+from gtprobe.fidelity import expected_fidelity, infidelity_sum_form
+from gtprobe.young import (
+    GammaParams,
+    gamma_chain,
+    gamma_plus_shape,
+    gamma_shape,
+    weyl_dimension,
+)
+from oracles import (
+    reference_build,
+    reference_dim_ratio_check,
+    reference_expected_fidelity,
+    reference_infidelity_sum_form,
+)
+
+
+def _wrap(monkeypatch, name, wrapper):
+    """Replace coeffs.<name>, as CoeffTable.build and dim_ratio_check see it,
+    by wrapper(true_function, *args)."""
+    true_fn = getattr(coeffs, name)
+    monkeypatch.setattr(coeffs, name, lambda *args: wrapper(true_fn, *args))
 
 
 @st.composite
@@ -82,6 +103,13 @@ class TestGAndF:
             g_coeff(-2, 2, 1)
         with pytest.raises(ValueError):
             g_coeff(2, 2, 1)
+
+    def test_shared_radicand_range_check(self):
+        with pytest.raises(ValueError, match=r"0 <= i <= L=2, got 5"):
+            shared_radicand(5, 3, 2)
+        with pytest.raises(ValueError, match=r"0 <= i <= L=2, got -1"):
+            shared_radicand(-1, 3, 2)
+        assert shared_radicand(2, 3, 2) > 0
 
     def test_f_examples(self):
         assert f_squared(0, 2, 1) == 180
@@ -217,6 +245,88 @@ class TestCoeffTable:
         with pytest.raises(ConsistencyError) as err:
             CoeffTable.build(2, 1)
         assert "i=1" in str(err.value)
+
+    @pytest.mark.parametrize("shape_of", [gamma_shape, gamma_plus_shape])
+    def test_wrong_weyl_dimension_fires(self, monkeypatch, shape_of):
+        d, L = 3, 4
+        wrong = shape_of(GammaParams(d, L, 1))
+        _wrap(
+            monkeypatch, "weyl_dimension", lambda f, lam, dd: f(lam, dd) + (lam == wrong)
+        )
+        message = r"dimension-ratio identity failed at d=3 L=4 i=1$"
+        with pytest.raises(ConsistencyError, match=message):
+            CoeffTable.build(d, L)
+
+    @pytest.mark.parametrize("which,fails_at", [(0, 2), (1, 3)])
+    def test_wrong_alpha_or_beta_fires(self, monkeypatch, which, fails_at):
+        # A wrong alpha_2 breaks x_2; a wrong beta_2 enters the y check at i = 3.
+        def broken(f, p):
+            ab = list(f(p))
+            ab[which] += p.i == 2
+            return tuple(ab)
+
+        _wrap(monkeypatch, "alpha_beta", broken)
+        with pytest.raises(ConsistencyError, match=rf"at d=4 L=5 i={fails_at}$"):
+            CoeffTable.build(4, 5)
+
+    def test_nonvanishing_beta_L_fires(self, monkeypatch):
+        _wrap(monkeypatch, "alpha_beta", lambda f, p: (f(p)[0], f(p)[1] + (p.i == p.L)))
+        with pytest.raises(ConsistencyError, match=r"beta_L must vanish, got 1 at d=2 L=3$"):
+            CoeffTable.build(2, 3)
+
+    def test_wrong_shared_radicand_fires(self, monkeypatch):
+        _wrap(
+            monkeypatch, "shared_radicand", lambda f, i, d, L: f(i, d, L) * (2 if i == 2 else 1)
+        )
+        with pytest.raises(ConsistencyError, match=r"for f_i\*x_i at d=5 L=3 i=2$"):
+            CoeffTable.build(5, 3)
+
+    @pytest.mark.parametrize("d,L", [(2, 7), (5, 12)])
+    def test_evaluates_each_quantity_once_per_index(self, monkeypatch, d, L):
+        calls = {"weyl_dimension": 0, "alpha_beta": 0, "xy_squared": 0}
+
+        def counted(name):
+            def call(f, *args):
+                calls[name] += 1
+                return f(*args)
+
+            return call
+
+        for name in calls:
+            _wrap(monkeypatch, name, counted(name))
+        CoeffTable.build(d, L)
+        assert calls == {"weyl_dimension": 2 * (L + 1), "alpha_beta": L + 1, "xy_squared": L + 1}
+
+
+class TestAgainstFractionReference:
+    """The integer-arithmetic build, dimension-ratio check and fidelity sums
+    against the same code written in Fractions (tests/oracles.py)."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(2, 12), st.integers(1, 60))
+    @example(2, 200)
+    @example(10, 40)
+    def test_equal_to_reference(self, d, L):
+        tab, ref = CoeffTable.build(d, L), reference_build(d, L)
+        for field in dataclasses.fields(CoeffTable):
+            got, want = getattr(tab, field.name), getattr(ref, field.name)
+            assert got == want, field.name
+            assert type(got) is type(want), field.name
+            if isinstance(want, tuple):
+                assert [type(v) for v in got] == [type(v) for v in want], field.name
+        fid, want_fid = expected_fidelity(tab), reference_expected_fidelity(ref)
+        assert fid == want_fid and type(fid) is Fraction
+        summed, want_summed = infidelity_sum_form(d, L), reference_infidelity_sum_form(d, L)
+        assert summed == want_summed and type(summed) is Fraction
+        for i in range(L + 1):
+            p = GammaParams(d, L, i)
+            assert dim_ratio_check(p) is reference_dim_ratio_check(p) is True, i
+
+    def test_dim_ratio_check_sees_a_wrong_dimension(self, monkeypatch):
+        p = GammaParams(3, 4, 2)
+        wrong = gamma_shape(GammaParams(3, 4, 1))  # dim(gamma_{i-1}) at i = 2
+        _wrap(monkeypatch, "weyl_dimension", lambda f, lam, d: f(lam, d) + (lam == wrong))
+        assert not dim_ratio_check(p)
 
 
 def test_exact_layer_imports_only_the_standard_library():
