@@ -16,10 +16,9 @@ from typing import Iterable, Sequence
 
 from .young import (
     GammaParams,
-    as_diagram,
+    as_chain,
     gamma_plus_shape,
     gamma_shape,
-    is_valid_chain,
     row,
     weyl_dimension,
 )
@@ -67,10 +66,8 @@ def f_squared(i: int, d: int, L: int) -> Fraction:
     """Squared probe coefficient before normalization.
 
     f_i^2 = g_i^2 (L+N+d-2i-1) prod_{j=2}^{d-1}(N+j-i-1) prod_{j=2}^{d-1}(L+d-j-i);
-    empty products are 1.
+    empty products are 1; g_{-1} = 0 makes f_{-1}^2 = 0.
     """
-    if i == -1:
-        return Fraction(0)
     N = (d + 1) * L
     value = g_coeff(i, d, L) ** 2 * (L + N + d - 2 * i - 1)
     for j in range(2, d):
@@ -107,9 +104,7 @@ def cg_add_box(chain: Sequence[Iterable[int]]) -> list[tuple[int, Fraction]]:
     with lam the top diagram.  Rows whose extension is invalid are
     omitted; the surviving squares sum to 1.
     """
-    diagrams = tuple(as_diagram(c) for c in chain)
-    if not is_valid_chain(diagrams):
-        raise ValueError("not a valid interlacing chain")
+    diagrams = as_chain(chain)
     d = len(diagrams)
     lam = diagrams[-1]
     sub = diagrams[-2] if d >= 2 else ()

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .coeffs import CoeffTable, ConsistencyError, f_squared, g_coeff
 
@@ -101,6 +100,9 @@ def optimal_probe(tab: CoeffTable) -> tuple[np.ndarray, float]:
     the symmetric tridiagonal A^T A.  Returns (f_opt, lambda_max); the
     eigenvector sign is fixed so its largest entry is positive.
     """
+    # Imported here so that runs which never optimize do not load scipy.
+    from scipy.linalg import eigh_tridiagonal
+
     L = tab.L
     x = np.sqrt(np.array([float(v) for v in tab.x_sq]))
     y = np.sqrt(np.array([float(v) for v in tab.y_sq]))
@@ -158,6 +160,8 @@ def amplitude_reduction_check(
     psi = np.asarray(psi, dtype=complex)
     phi = np.asarray(phi, dtype=complex)
     proj = np.asarray(proj, dtype=complex)
+    if not all(np.isfinite(a).all() for a in (psi, phi, proj)):
+        raise ValueError("psi, phi and proj must be finite")
     for name, vec in (("psi", psi), ("phi", phi)):
         if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
             raise ValueError(f"{name} is not unit norm")

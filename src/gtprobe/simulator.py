@@ -313,8 +313,6 @@ class MCEstimate:
 
     mean: float
     stderr: float
-    samples: int
-    seed: int
 
 
 def mc_estimates(
@@ -345,8 +343,8 @@ def mc_estimates(
         f = protocol_probe(d, L)
     else:
         f = np.asarray(probe, dtype=float)
-        if f.shape != (L + 1,) or not np.any(f):
-            raise ValueError(f"probe must be a nonzero vector of length {L + 1}")
+        if f.shape != (L + 1,) or not np.any(f) or not np.all(np.isfinite(f)):
+            raise ValueError(f"probe must be a finite nonzero vector of length {L + 1}")
         f = f / np.linalg.norm(f)
     dims = np.array(
         [float(weyl_dimension(gamma_shape(GammaParams(d, L, i)), d)) for i in range(L + 1)]
@@ -393,6 +391,6 @@ def mc_estimates(
     variances = (sq_sums - sums**2 / samples) / (samples - 1)
     stderrs = np.sqrt(np.maximum(variances, 0.0) / samples)
     return (
-        MCEstimate(float(means[0]), float(stderrs[0]), samples, seed),
-        MCEstimate(float(means[1]), float(stderrs[1]), samples, seed),
+        MCEstimate(float(means[0]), float(stderrs[0])),
+        MCEstimate(float(means[1]), float(stderrs[1])),
     )

@@ -11,15 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Diagram = tuple[int, ...]
 Chain = tuple[Diagram, ...]
 
 
 def as_diagram(rows: Iterable[int]) -> Diagram:
-    """Validate and canonicalize row lengths (no trailing zeros stored)."""
-    rows = tuple(int(r) for r in rows)
+    """Validate and canonicalize integral row lengths (no trailing zeros stored)."""
+    given = tuple(rows)
+    rows = tuple(int(r) for r in given)
+    if rows != given:
+        raise ValueError(f"row lengths must be integers, got {given}")
     while rows and rows[-1] == 0:
         rows = rows[:-1]
     for a, b in zip(rows, rows[1:]):
@@ -35,15 +38,24 @@ def row(lam: Diagram, k: int) -> int:
     return lam[k - 1] if 1 <= k <= len(lam) else 0
 
 
-def interlaces(mu: Iterable[int], lam: Iterable[int]) -> bool:
-    """True iff lam_1 >= mu_1 >= lam_2 >= mu_2 >= ... (missing rows read 0)."""
-    mu, lam = as_diagram(mu), as_diagram(lam)
-    if len(mu) > len(lam):
-        return False
-    for k in range(1, len(lam) + 1):
-        if not (row(lam, k) >= row(mu, k) >= row(lam, k + 1)):
-            return False
-    return True
+def as_chain(chain: Iterable[Iterable[int]]) -> Chain:
+    """Validate and canonicalize an interlacing chain of diagrams.
+
+    Starting from the empty diagram, each diagram mu must interlace the
+    next one lam: lam_1 >= mu_1 >= lam_2 >= mu_2 >= ... (missing rows read
+    0), so the k-th diagram has at most k rows.
+    """
+    diagrams = tuple(as_diagram(c) for c in chain)
+    mu: Diagram = ()
+    for lam in diagrams:
+        if not (
+            len(mu) <= len(lam) <= len(mu) + 1
+            and all(a >= b for a, b in zip(lam, mu))
+            and all(b >= a for b, a in zip(mu, lam[1:]))
+        ):
+            raise ValueError("not a valid interlacing chain")
+        mu = lam
+    return diagrams
 
 
 def weyl_dimension(lam: Iterable[int], d: int) -> int:
@@ -79,7 +91,8 @@ def branching_restrictions(lam: Iterable[int], d: int) -> list[Diagram]:
         return []
     nrows = min(d - 1, len(lam))
     ranges = [range(row(lam, k + 1), row(lam, k) + 1) for k in range(1, nrows + 1)]
-    return sorted(as_diagram(choice) for choice in product(*ranges))
+    # Each choice is weakly decreasing; dropping its zero rows makes it canonical.
+    return sorted(tuple(filter(None, choice)) for choice in product(*ranges))
 
 
 def hook_length_dimension(lam: Iterable[int]) -> int:
@@ -120,23 +133,12 @@ def partitions(n: int, max_rows: int | None = None) -> list[Diagram]:
     return out
 
 
-def is_valid_chain(chain: Sequence[Iterable[int]]) -> bool:
-    """True iff the diagrams interlace upward and the k-th has <= k rows."""
-    diagrams = [as_diagram(c) for c in chain]
-    for k, lam in enumerate(diagrams, start=1):
-        if len(lam) > k:
-            return False
-        if k >= 2 and not interlaces(diagrams[k - 2], lam):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class GammaParams:
     """Parameters (d, L, i) of the probe tableau family.
 
-    The derived quantities N = (d+1)L and n = 2dL are fixed by the
-    construction; i indexes the member shape, 0 <= i <= L.
+    The derived quantity N = (d+1)L is fixed by the construction (the
+    shapes have n = 2dL boxes); i indexes the member shape, 0 <= i <= L.
     """
 
     d: int
@@ -155,15 +157,10 @@ class GammaParams:
     def N(self) -> int:
         return (self.d + 1) * self.L
 
-    @property
-    def n(self) -> int:
-        return 2 * self.d * self.L
-
 
 def gamma_shape(p: GammaParams) -> Diagram:
     """Probe shape (N+L-i, L, ..., L, i) with d-2 middle rows; n boxes."""
-    rows = [p.N + p.L - p.i] + [p.L] * (p.d - 2) + [p.i]
-    return as_diagram(rows)
+    return (p.N + p.L - p.i,) + (p.L,) * (p.d - 2) + ((p.i,) if p.i else ())
 
 
 def gamma_plus_shape(p: GammaParams) -> Diagram:

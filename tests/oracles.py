@@ -10,7 +10,8 @@ sectors and generators, single Haar draws) and float helpers (the
 fidelity quotient, the pure-state trace distance) that the tests check
 the construction with.  reference_build and its companions are the exact
 layer as written in Fractions, the oracle for the integer-arithmetic
-CoeffTable.build, dim_ratio_check and fidelity sums.
+CoeffTable.build, dim_ratio_check and fidelity sums.  interlaces and
+is_valid_chain are the pairwise chain checks that young.as_chain replaced.
 """
 
 import math
@@ -40,11 +41,35 @@ from gtprobe.simulator import (
 from gtprobe.young import (
     Diagram,
     GammaParams,
+    as_diagram,
     gamma_plus_shape,
     gamma_shape,
     hook_length_dimension,
+    row,
     weyl_dimension,
 )
+
+
+def interlaces(mu, lam) -> bool:
+    """True iff lam_1 >= mu_1 >= lam_2 >= mu_2 >= ... (missing rows read 0)."""
+    mu, lam = as_diagram(mu), as_diagram(lam)
+    if len(mu) > len(lam):
+        return False
+    for k in range(1, len(lam) + 1):
+        if not (row(lam, k) >= row(mu, k) >= row(lam, k + 1)):
+            return False
+    return True
+
+
+def is_valid_chain(chain) -> bool:
+    """True iff the diagrams interlace upward and the k-th has <= k rows."""
+    diagrams = [as_diagram(c) for c in chain]
+    for k, lam in enumerate(diagrams, start=1):
+        if len(lam) > k:
+            return False
+        if k >= 2 and not interlaces(diagrams[k - 2], lam):
+            return False
+    return True
 
 
 def sector_strings(d: int, n: int, content: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -296,3 +299,21 @@ class TestParserBehaviour:
         with pytest.raises(SystemExit) as err:
             cli.main(["coeffs", "--d", "2"])
         assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,loaded",
+    [
+        (["verify"], False),
+        (["simulate", "--d", "2", "--n", "4", "--samples", "100"], False),
+        (["infidelity", "--d", "2", "--n", "4"], True),
+    ],
+)
+def test_scipy_loads_only_for_the_optimizer(argv, loaded):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); from gtprobe import cli; "
+        f"code = cli.main({argv!r}); print(code, 'scipy.linalg' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == f"0 {loaded}"

@@ -246,6 +246,15 @@ class TestAmplitudeReduction:
         with pytest.raises(ValueError):
             amplitude_reduction_check(psi, psi, 2 * np.eye(2))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan)])
+    @pytest.mark.parametrize("where", ["psi", "phi", "proj"])
+    def test_rejects_non_finite_inputs(self, bad, where):
+        args = {"psi": np.array([1, 0], dtype=complex), "phi": np.array([0, 1], dtype=complex)}
+        args["proj"] = np.diag([1.0, 0.0]).astype(complex)
+        args[where][0 if where != "proj" else (1, 1)] = bad
+        with pytest.raises(ValueError, match="finite"):
+            amplitude_reduction_check(**args)
+
 
 class TestFidelityReport:
     def test_fields(self):

@@ -2,11 +2,13 @@ from fractions import Fraction
 from itertools import product
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gtprobe.young import (
     GammaParams,
+    as_chain,
     as_diagram,
     branching_restrictions,
     gamma_chain,
@@ -14,12 +16,11 @@ from gtprobe.young import (
     gamma_plus_shape,
     gamma_shape,
     hook_length_dimension,
-    interlaces,
-    is_valid_chain,
     partitions,
     row,
     weyl_dimension,
 )
+from oracles import interlaces, is_valid_chain
 
 
 def count_ssyt(shape, d):
@@ -74,6 +75,35 @@ def diagram_strategy(draw, max_rows=4, max_part=5):
 
 
 @st.composite
+def chain_strategy(draw):
+    """Chains of up to five diagrams as lists or tuples, some with trailing
+    zeros.  Half are interlacing chains grown from the empty diagram, then
+    possibly broken by one changed or appended row (too many rows, rows out
+    of interlacing, or no diagram at all); the rest are unrelated diagrams."""
+    length = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        chain = [list(draw(diagram_strategy(max_rows=5))) for _ in range(length)]
+    else:
+        chain, mu = [], ()
+        for _ in range(length):
+            # lam_1 >= mu_1 >= lam_2 >= mu_2 >= ...: lam_j lies in [mu_j, mu_{j-1}].
+            bounds = [(row(mu, 1), row(mu, 1) + 3)]
+            bounds += [(row(mu, j), row(mu, j - 1)) for j in range(2, len(mu) + 2)]
+            lam = [draw(st.integers(lo, hi)) for lo, hi in bounds]
+            chain.append(lam)
+            mu = tuple(r for r in lam if r)
+        if chain and draw(st.booleans()):
+            lam = draw(st.sampled_from(chain))
+            if not lam or draw(st.booleans()):
+                lam.append(draw(st.integers(1, 3)))
+            else:
+                lam[draw(st.integers(0, len(lam) - 1))] += draw(st.sampled_from([-2, -1, 1, 2]))
+    for lam in chain:
+        lam.extend([0] * draw(st.integers(0, 2)))
+    return [draw(st.sampled_from([list, tuple]))(lam) for lam in chain]
+
+
+@st.composite
 def shape_and_d(draw):
     """d up to 16 and a diagram with up to d+2 rows and parts up to 10^4."""
     d = draw(st.integers(1, 16))
@@ -94,13 +124,77 @@ class TestDiagramBasics:
         with pytest.raises(ValueError):
             as_diagram((2, -1))
 
+    def test_as_diagram_rejects_non_integral_rows(self):
+        for rows in ([2.7, 1.2], (2.5,), [3.9, 0.5], [Fraction(5, 2)], [np.float64(1.5)]):
+            with pytest.raises(ValueError, match="must be integers"):
+                as_diagram(rows)
+        with pytest.raises(ValueError, match=r"got \(2.5,\)"):
+            weyl_dimension((2.5,), 2)
+        with pytest.raises(ValueError, match=r"got \(3.9, 0.5\)"):
+            hook_length_dimension([3.9, 0.5])
+
+    def test_as_diagram_accepts_integral_values(self):
+        rows = as_diagram([np.int64(3), 2.0, Fraction(4, 2), np.int32(1), 0.0])
+        assert rows == (3, 2, 2, 1)
+        assert all(type(r) is int for r in rows)
+
     def test_row_padding(self):
         assert row((3, 1), 1) == 3
         assert row((3, 1), 2) == 1
         assert row((3, 1), 3) == 0
 
 
+class TestAsChain:
+    def test_known_chains(self):
+        assert as_chain([(3,), (3, 3), (3, 3, 1), (4, 3, 1)]) == ((3,), (3, 3), (3, 3, 1), (4, 3, 1))
+        assert as_chain([[2, 0], (3, 1, 0)]) == ((2,), (3, 1))
+        assert as_chain([(), [0, 0], (2,)]) == ((), (), (2,))
+        assert as_chain([]) == ()
+        for k in range(8):
+            assert as_chain([(k,)]) == ((k,) if k else (),)
+
+    @pytest.mark.parametrize(
+        "chain",
+        [
+            [(1, 1)],  # the first diagram has two rows
+            [(4,), (3, 3)],  # mu_1 > lam_1
+            [(2,), (2, 1), (2, 2, 2)],  # lam_3 > mu_2
+            [(1,), (1, 1), (1, 1, 1), (2, 1)],  # mu has more rows than lam
+            [(), (1, 1)],  # lam_2 > mu_1
+        ],
+    )
+    def test_rejects_non_interlacing(self, chain):
+        with pytest.raises(ValueError, match="not a valid interlacing chain"):
+            as_chain(chain)
+
+    def test_rejects_non_diagrams(self):
+        with pytest.raises(ValueError, match="weakly decreasing"):
+            as_chain([(1,), (1, 2)])
+
+    @settings(max_examples=500, deadline=None)
+    @given(chain_strategy())
+    @example([(1,), (1, 1), (1, 1, 1), (2, 1)])
+    @example([[2, 0], (3, 1, 0)])
+    @example([(1, 1)])
+    def test_matches_oracle(self, chain):
+        try:
+            diagrams = tuple(as_diagram(lam) for lam in chain)
+        except ValueError:
+            with pytest.raises(ValueError):
+                as_chain(chain)
+            return
+        if is_valid_chain(diagrams):
+            got = as_chain(chain)
+            assert got == diagrams
+            assert all(type(r) is int for lam in got for r in lam)
+        else:
+            with pytest.raises(ValueError, match="not a valid interlacing chain"):
+                as_chain(chain)
+
+
 class TestInterlacing:
+    """Pins the pairwise oracle that as_chain and branching_restrictions are checked against."""
+
     def test_known_chain(self):
         assert interlaces((3, 3, 1), (4, 3, 1))
         assert interlaces((3, 1), (3, 3, 1))
@@ -187,6 +281,20 @@ class TestBranching:
             assert interlaces(mu, (4, 2, 1))
             assert len(mu) <= 3
 
+    def test_members_are_canonical_and_complete(self):
+        for d in range(2, 9):
+            for boxes in range(0, 11):
+                for lam in partitions(boxes, d):
+                    got = branching_restrictions(lam, d)
+                    assert got == [as_diagram(mu) for mu in got]
+                    want = [
+                        mu
+                        for m in range(boxes + 1)
+                        for mu in partitions(m, d - 1)
+                        if interlaces(mu, lam)
+                    ]
+                    assert got == sorted(want), (lam, d)
+
     def test_dimension_sum_rule(self):
         for d in range(2, 7):
             for n in range(0, 11):
@@ -235,7 +343,6 @@ class TestGammaFamily:
     def test_derived_quantities(self):
         p = GammaParams(3, 2, 1)
         assert p.N == 8
-        assert p.n == 12
 
     def test_shapes(self):
         assert gamma_shape(GammaParams(2, 1, 0)) == (4,)
@@ -244,6 +351,14 @@ class TestGammaFamily:
         assert gamma_plus_shape(GammaParams(2, 1, 0)) == (5,)
         assert gamma_plus_shape(GammaParams(2, 1, 1)) == (4, 1)
         assert gamma_plus_shape(GammaParams(3, 1, 0)) == (6, 1)
+
+    def test_shapes_are_canonical(self):
+        for d, L in product(range(2, 9), range(1, 21)):
+            for i in range(L + 1):
+                p = GammaParams(d, L, i)
+                old = as_diagram([p.N + p.L - p.i] + [p.L] * (p.d - 2) + [p.i])
+                assert gamma_shape(p) == old
+                assert gamma_plus_shape(p) == (old[0] + 1,) + old[1:]
 
     def test_box_counts(self):
         for d, L in product(range(2, 7), range(1, 11)):
@@ -271,7 +386,7 @@ class TestGammaFamily:
             for i in range(L + 1):
                 p = GammaParams(d, L, i)
                 chain = gamma_chain(p)
-                assert is_valid_chain(chain)
+                assert as_chain(chain) == chain
                 top, below = chain[-1], chain[-2]
                 assert row(top, 1) - row(below, 1) == p.N - i
                 assert row(top, d) - row(below, d) == i
