@@ -2,8 +2,7 @@
 verification, query planning, parameter sweeps, and brute-force simulation.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 capacity
-error.  All output is deterministic given the flags (seeds included) and the
-BLAS thread count, which the threaded eigh of simulate's extraction depends on.
+error.  All output is deterministic given the flags (seeds included).
 """
 
 from __future__ import annotations
@@ -401,12 +400,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "total_prob_stderr": tot_est.stderr,
     }
     if args.check_cg:
-        residuals: list[float] = []
         recs = simulator.verify_cg_embedding(
             d, n, null_tol=args.null_tol, casimir_tol=args.casimir_tol, vectors=vectors
         )
-        for rec in recs:
-            residuals.extend([rec.alpha_residual, rec.beta_residual])
+        residuals = [r for rec in recs for r in (rec.alpha_residual, rec.beta_residual)]
         report["cg_residuals"] = residuals
         passed = passed and all(r < CG_RESIDUAL_LIMIT for r in residuals)
     report["sector_dims"] = list(vectors.sector_dims)

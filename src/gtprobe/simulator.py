@@ -1,21 +1,20 @@
 """Brute-force validation of the protocol on small tensor-power spaces.
 
-Everything here works directly in (C^d)^{otimes n} with dense/sector-level
-linear algebra and no representation-theoretic shortcuts, so agreement
-with the exact-rational modules is an independent end-to-end check of the
-whole construction: the probe vectors are recovered as the highest-
-covariance null space of the off-diagonal subgroup generators, bucketed by
-the quadratic Casimir; the branching weights are recovered as projection
-norms; and the protocol's expected fidelity is recovered by Monte Carlo
-integration over Haar-random measurement outcomes, contracting W^{otimes n}
-on the weight sector that holds the probe vectors.
+Everything here works directly in (C^d)^{otimes n}, on the weight sector
+that holds the probe vectors, with no representation-theoretic shortcuts,
+so agreement with the exact-rational modules is an independent end-to-end
+check of the whole construction: the probe vectors are recovered as the
+null space of the off-diagonal subgroup generators, bucketed by the
+quadratic Casimir, through exact integer projectors; the branching weights
+are recovered as projection norms; and the protocol's expected fidelity is
+recovered by Monte Carlo integration over Haar-random measurement outcomes.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .young import (
     gamma_plus_shape,
     gamma_shape,
     hook_length_dimension,
+    partitions,
     weyl_dimension,
 )
 
@@ -49,9 +49,7 @@ class ExtractionError(RuntimeError):
 
 def _check_capacity(d: int, n: int) -> None:
     if d**n > CAPACITY:
-        raise CapacityError(
-            f"d^n = {d}^{n} = {d**n} exceeds the simulator capacity of {CAPACITY}"
-        )
+        raise CapacityError(f"d^n = {d}^{n} = {d**n} exceeds the simulator capacity of {CAPACITY}")
 
 
 def _sector(d: int, n: int, content: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -69,24 +67,50 @@ def casimir_eigenvalue(lam: Diagram, d: int) -> int:
     return sum(r * (r + d + 1 - 2 * j) for j, r in enumerate(lam, start=1))
 
 
-def _covariant_buckets(
-    d: int,
-    n: int,
-    content: tuple[int, ...],
-    shapes: list[Diagram],
-    null_tol: float = NULL_SPACE_TOL,
-    casimir_tol: float = CASIMIR_TOL,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Orthonormal bases, one per shape, of the subgroup-covariant subspace.
+def _null_values(d: int, content: tuple[int, ...]) -> list[int]:
+    """The eigenvalues M may have on the sector: M is the U(d-1) Casimir of
+    the letters below d-1 less their sum_a c_a^2 (see _covariant_buckets)."""
+    low, shift = content[:-1], sum(c * c for c in content[:-1])
+    return sorted({casimir_eigenvalue(mu, d - 1) - shift for mu in partitions(sum(low), d - 1)})
 
-    Within the weight sector of the given content, computes the null space
-    of M = sum_{a != b <= d-1} E_ba E_ab (the vectors transforming as a
-    determinant power under the subgroup fixing the last basis state) and
-    splits it by quadratic-Casimir eigenvalue into one bucket per expected
-    shape.  Returns the sector's codes, which index the bucket rows.
-    Raises ExtractionError whenever the spectrum disagrees with the
-    hook-length bookkeeping, and ValueError unless both tolerances are
-    positive and finite.
+
+def _entry_bound(n: int, content: tuple[int, ...], null_values, casimir_values) -> int:
+    """A priori bound on every entry of the exact certificate: C and M are D + 2A
+    with k swaps per row (2k = n^2 - sum_a c_a^2, or l^2 - sum_{a<d-1} c_a^2 over
+    the l letters below d-1), so X - r scales the largest entry by |D - r| + 2k."""
+    low, sq, d = sum(content[:-1]), sum(c * c for c in content), len(content)
+    m_op = ((d - 2) * low, low * low - sq + content[-1] ** 2)  # (D, 2k)
+    c_op = ((d - 1) * n + sq, n * n - sq)
+    chains = [(m_op, r) for r in null_values if r], [(m_op, 0)], [(c_op, e) for e in casimir_values]
+    kernel, null, spectrum = (math.prod(max(1, abs(D - r) + w) for (D, w), r in c) for c in chains)
+    return kernel * max(null, spectrum)
+
+
+def _lagrange(apply, values, keep: int, v: np.ndarray) -> tuple[np.ndarray, int]:
+    """prod_{r != keep} (X - r) v and prod_{r != keep} (keep - r): numerator
+    and denominator of the projector onto X's eigenvalue keep, applied to v,
+    when apply multiplies by X and X's spectrum lies in values."""
+    others = [r for r in values if r != keep]
+    for r in others:
+        v = apply(v) - r * v
+    return v, math.prod(keep - r for r in others)
+
+
+def _covariant_buckets(
+    d: int, n: int, content: tuple, shapes: list, pick: str, null_tol: float, casimir_tol: float
+):
+    """The sector's codes, one certified unit vector per shape in its
+    subgroup-covariant part (ker M, M = sum_{a != b <= d-1} E_ba E_ab, split
+    by the Casimir C), and project(k, v) = P_0 P_k v as numerator and
+    denominator, P_0 and P_k the Lagrange projectors onto ker M and value k.
+
+    C and M commute with each other and with every site permutation, and the
+    sector is one orbit of those, so p(C, M) e_x = 0 gives p(C, M) = 0 and
+    tr p(C, M) = m p(C, M)[x, x], for the string x that pick selects.  So
+    integer matvecs on e_x certify M's spectrum, C's on ker M and bucket k's
+    dimension m (P_0 P_k)[x, x]; its vector is P_0 P_k e_x over the root of
+    (P_0 P_k)[x, x], with float residuals |M v|, |C v - e v| held within
+    null_tol and casimir_tol times the spectrum's scale.
     """
     for name, tol in (("null_tol", null_tol), ("casimir_tol", casimir_tol)):
         if not 0 < tol < math.inf:
@@ -95,65 +119,64 @@ def _covariant_buckets(
     m = len(codes)
     if not m:
         raise ExtractionError(f"empty weight sector for content {content}")
-    # For a != b, E_ba E_ab = sum over sites s, t of e_ba(s) e_ab(t): for
-    # s = t that is e_bb(s), and for s != t it swaps the letters a at s and
-    # b at t.  Summed over a != b, the s = t terms put (d-1) n on the
-    # diagonal, and each pair of sites holding two distinct letters gives
-    # one swap, reached from two ordered (a, b).  With the a = b terms
-    # (c_a^2), the Casimir sum_{a,b} E_ba E_ab is (d-1) n + sum_a c_a^2 on
-    # the diagonal and 2 per site swap; M, over the letters below d-1, is
-    # (d-2) per such letter and 2 per swap of two of them.  Every entry is
-    # a small integer, so both sums are exact in floating point.
-    casimir = ((d - 1) * n + sum(c * c for c in content)) * np.eye(m)
-    # At d = 2 the subgroup has no off-diagonal generators, so M = 0, its
-    # null basis is the identity and the whole sector is covariant.
-    sub = (d - 2) * sum(content[:-1]) * np.eye(m) if d > 2 else None
-    place = d ** np.arange(n - 1, -1, -1)
-    for s, t in itertools.combinations(range(n), 2):
-        x, y = letters[:, s], letters[:, t]
-        moved = np.flatnonzero(x != y)
-        image = np.searchsorted(codes, codes[moved] + (y - x)[moved] * (place[s] - place[t]))
-        casimir[moved, image] = 2.0
-        if sub is not None:
-            low = np.maximum(x, y)[moved] < d - 1
-            sub[moved[low], image[low]] = 2.0
-    null_basis = None
-    if sub is not None:
-        evals, evecs = np.linalg.eigh(sub)
-        scale = max(float(evals[-1]), 1.0)
-        null_basis = evecs[:, evals < null_tol * scale]
-        if null_basis.shape[1] == 0:
-            raise ExtractionError(f"no covariant vectors found for content {content}")
-        casimir = null_basis.T @ casimir @ null_basis
-    evals2, evecs2 = np.linalg.eigh(casimir)
-
+    where = f"at d={d} n={n} (sector of m={m})"
     expected = [casimir_eigenvalue(shape, d) for shape in shapes]
     if len(set(expected)) != len(expected):
-        raise ExtractionError(f"Casimir eigenvalues {expected} are not distinct")
-    cols: list[list[int]] = [[] for _ in shapes]
-    for col, value in enumerate(evals2):
-        matches = [k for k, e in enumerate(expected) if abs(value - e) < casimir_tol]
-        if len(matches) != 1:
-            raise ExtractionError(
-                f"Casimir eigenvalue {value} matches {len(matches)} expected "
-                f"values among {expected}"
-            )
-        cols[matches[0]].append(col)
+        raise ExtractionError(f"Casimir eigenvalues {expected} are not distinct {where}")
+    null_values = _null_values(d, content)
+    bound = _entry_bound(n, content, null_values, expected)
+    if bound > np.iinfo(np.int64).max:
+        raise ExtractionError(f"certificate entries may reach {bound}, beyond int64, {where}")
+    # E_ba E_ab = sum_{s,t} e_ba(s) e_ab(t) is e_bb(s) for s = t and swaps
+    # the letters a at s and b at t otherwise.  So C = sum_{a,b} E_ba E_ab is
+    # (d-1) n + sum_a c_a^2 on the diagonal plus 2 per swap of two distinct
+    # letters, and M is (d-2) per letter below d-1 plus 2 per swap of two of
+    # them.  Every string has as many swaps: a table of images, row by row.
+    s, t = np.triu_indices(n, 1)
+    at_s, at_t = letters[:, s], letters[:, t]
+    moved = at_s != at_t
+    place = d ** np.arange(n - 1, -1, -1)
+    image = np.searchsorted(codes, (codes[:, None] + (at_t - at_s) * (place[s] - place[t]))[moved])
+    low = (np.maximum(at_s, at_t) < d - 1)[moved]
 
-    buckets: list[np.ndarray] = []
-    for shape, chosen in zip(shapes, cols):
-        want = hook_length_dimension(shape)
-        if not chosen:
-            raise ExtractionError(f"empty Casimir bucket for shape {shape}")
-        if len(chosen) != want:
+    def operator(diag: int, images: np.ndarray):
+        return lambda v: diag * v + 2 * v[images].sum(axis=1)
+
+    casimir = operator((d - 1) * n + sum(c * c for c in content), image.reshape(m, -1))
+    sub = operator((d - 2) * sum(content[:-1]), image[low].reshape(m, -1))
+
+    def project(k: int, v: np.ndarray) -> tuple[np.ndarray, int]:
+        kernel, d0 = _lagrange(sub, null_values, 0, v)
+        u, dk = _lagrange(casimir, expected, expected[k], kernel)
+        return u, d0 * dk
+
+    x = 0 if pick == "first" else m - 1
+    e_x = (np.arange(m) == x).astype(np.int64)
+    if np.any(sub(_lagrange(sub, null_values, 0, e_x)[0])):
+        raise ExtractionError(f"M has eigenvalues outside {null_values} {where}")
+    vectors = np.zeros((len(shapes), m))
+    for k, (shape, value) in enumerate(zip(shapes, expected)):
+        u, den = project(k, e_x)
+        if k == 0 and np.any(casimir(u) - value * u):
+            raise ExtractionError(f"covariant Casimir values lie outside {expected} {where}")
+        dim, want = Fraction(m * int(u[x]), den), hook_length_dimension(shape)
+        if dim != want:
             raise ExtractionError(
-                f"bucket for shape {shape} has dimension {len(chosen)}, "
-                f"expected hook-length dimension {want}"
+                f"bucket for shape {shape} has dimension {dim}, "
+                f"expected hook-length dimension {want} {where}"
             )
-        basis = evecs2[:, chosen]
-        # C order either way, so projections onto the bucket sum alike.
-        buckets.append(np.ascontiguousarray(basis) if null_basis is None else null_basis @ basis)
-    return codes, buckets
+        vectors[k] = v = u / math.sqrt(int(u[x]) * den)
+        for label, op, e, name, tol, scale in (
+            ("M", sub, 0, "null_tol", null_tol, max(1, null_values[-1])),
+            ("C", casimir, value, "casimir_tol", casimir_tol, max(expected)),
+        ):
+            residual = math.sqrt(float(np.sum((op(v) - e * v) ** 2)))
+            if not residual <= tol * scale:
+                raise ExtractionError(
+                    f"bucket {k} {where}: |{label} v - {e} v| = {residual:.3g} exceeds {name}"
+                    f" {tol:g} times the scale {scale}, so v matches 0 expected values"
+                )
+    return codes, vectors, project
 
 
 @dataclass(frozen=True)
@@ -184,29 +207,20 @@ def extract_gt_vectors(
     null_tol: float = NULL_SPACE_TOL,
     casimir_tol: float = CASIMIR_TOL,
 ) -> GTVectorSet:
-    """Recover the probe basis vectors by brute-force spectral bucketing.
-
-    pick selects which orthonormal basis vector represents each bucket
-    ("first" or "last"); results consumed downstream are independent of
-    the choice.
-    """
+    """Recover the probe basis vectors by exact spectral bucketing; pick
+    chooses the sector string x ("first" or "last") whose bucket projections
+    are the vectors, and nothing consumed downstream depends on it."""
     if pick not in ("first", "last"):
         raise ValueError(f"pick must be 'first' or 'last', got {pick}")
     L = query_count_params(d, n)
     _check_capacity(d, n)
     shapes = [gamma_shape(GammaParams(d, L, i)) for i in range(L + 1)]
-    codes, buckets = _covariant_buckets(d, n, gamma_content(d, L), shapes, null_tol, casimir_tol)
-    column = 0 if pick == "first" else -1
+    content = gamma_content(d, L)
+    codes, sector, _ = _covariant_buckets(d, n, content, shapes, pick, null_tol, casimir_tol)
     vectors = np.zeros((L + 1, d**n), dtype=complex)
-    for i, bucket in enumerate(buckets):
-        vectors[i, codes] = bucket[:, column]
-    return GTVectorSet(
-        d=d,
-        n=n,
-        vectors=vectors,
-        casimir_values=tuple(casimir_eigenvalue(s, d) for s in shapes),
-        sector_dims=tuple(b.shape[1] for b in buckets),
-    )
+    vectors[:, codes] = sector
+    casimir_values = tuple(casimir_eigenvalue(s, d) for s in shapes)
+    return GTVectorSet(d, n, vectors, casimir_values, tuple(map(hook_length_dimension, shapes)))
 
 
 @dataclass(frozen=True)
@@ -239,35 +253,25 @@ def verify_cg_embedding(
     vs = vectors if vectors is not None else extract_gt_vectors(d, n, pick, null_tol, casimir_tol)
     if vs.d != d or vs.n != n:
         raise ValueError("vector set does not match the requested system")
-    imag = float(np.linalg.norm(vs.vectors.imag))
-    if imag > 0:
+    if np.any(vs.vectors.imag):
+        imag = math.sqrt(float(np.sum(vs.vectors.imag**2)))
         raise ValueError(f"vector set has imaginary part of norm {imag:.3g} at d={d} n={n}")
     L = vs.L
     content = gamma_content(d, L)
     shapes_plus = [gamma_plus_shape(GammaParams(d, L, i)) for i in range(L + 1)]
-    plus, buckets_plus = _covariant_buckets(
-        d, n + 1, content[:-1] + (content[-1] + 1,), shapes_plus, null_tol, casimir_tol
+    plus, _, project = _covariant_buckets(
+        d, n + 1, content[:-1] + (content[-1] + 1,), shapes_plus, "first", null_tol, casimir_tol
     )
     # v_i tensor |d> has entry v_i[k] at index k*d + d-1 and zeros elsewhere.
     grown = np.where(plus % d == d - 1, vs.vectors.real[:, plus // d], 0.0)
-
+    # weights[k][i] is the squared norm of v_i tensor |d> in grown bucket k.
+    weights = [np.sum(np.divide(*project(k, grown.T)) ** 2, axis=0) for k in range(L + 1)]
+    weights += [np.zeros(L + 1)]
     out: list[CGResidual] = []
     for i in range(L + 1):
-        alpha, beta = alpha_beta(GammaParams(d, L, i))
-        alpha_proj = float(np.sum((buckets_plus[i].T @ grown[i]) ** 2))
-        if i + 1 <= L:
-            beta_proj = float(np.sum((buckets_plus[i + 1].T @ grown[i]) ** 2))
-        else:
-            beta_proj = 0.0
-        out.append(
-            CGResidual(
-                i=i,
-                alpha_proj=alpha_proj,
-                beta_proj=beta_proj,
-                alpha_residual=abs(alpha_proj - float(alpha)),
-                beta_residual=abs(beta_proj - float(beta)),
-            )
-        )
+        alpha, beta = (float(w) for w in alpha_beta(GammaParams(d, L, i)))
+        a, b = float(weights[i][i]), float(weights[i + 1][i])
+        out.append(CGResidual(i, a, b, abs(a - alpha), abs(b - beta)))
     return out
 
 
@@ -345,10 +349,10 @@ def mc_estimates(
         f = np.asarray(probe, dtype=float)
         if f.shape != (L + 1,) or not np.any(f) or not np.all(np.isfinite(f)):
             raise ValueError(f"probe must be a finite nonzero vector of length {L + 1}")
+        f = f / np.abs(f).max()  # so huge entries cannot overflow the norm
         f = f / np.linalg.norm(f)
-    dims = np.array(
-        [float(weyl_dimension(gamma_shape(GammaParams(d, L, i)), d)) for i in range(L + 1)]
-    )
+    shapes = [gamma_shape(GammaParams(d, L, i)) for i in range(L + 1)]
+    dims = np.array([weyl_dimension(shape, d) for shape in shapes], dtype=float)
     indices, letters = _sector(d, n, gamma_content(d, L))
     off_sector = float(np.linalg.norm(np.delete(vs.vectors, indices, axis=1)))
     if off_sector > 0:
@@ -373,13 +377,11 @@ def mc_estimates(
 
     rng = np.random.default_rng(seed)
     chunk = max(1, min(2048, _MC_CHUNK_BUDGET // d**n))
-    sums = np.zeros(2)
-    sq_sums = np.zeros(2)
+    sums, sq_sums = np.zeros(2), np.zeros(2)
     done = 0
     while done < samples:
         b = min(chunk, samples - done)
-        outcome = _haar_batch(rng, b, d)
-        w = np.conj(np.swapaxes(outcome, -1, -2))
+        w = np.conj(np.swapaxes(_haar_batch(rng, b, d), -1, -2))
         w2 = np.swapaxes(_restricted_power(w, suffix_levels), -1, -2)
         amps = np.sum(bra * (_restricted_power(w, prefix_levels) @ ket @ w2), axis=(1, 2))
         total = np.abs(amps) ** 2
@@ -390,7 +392,5 @@ def mc_estimates(
     means = sums / samples
     variances = (sq_sums - sums**2 / samples) / (samples - 1)
     stderrs = np.sqrt(np.maximum(variances, 0.0) / samples)
-    return (
-        MCEstimate(float(means[0]), float(stderrs[0])),
-        MCEstimate(float(means[1]), float(stderrs[1])),
-    )
+    fid, total = (MCEstimate(float(a), float(b)) for a, b in zip(means, stderrs))
+    return fid, total

@@ -20,7 +20,10 @@ Chain = tuple[Diagram, ...]
 def as_diagram(rows: Iterable[int]) -> Diagram:
     """Validate and canonicalize integral row lengths (no trailing zeros stored)."""
     given = tuple(rows)
-    rows = tuple(int(r) for r in given)
+    try:
+        rows = tuple(int(r) for r in given)
+    except (OverflowError, ValueError):  # int() of inf or nan
+        rows = None
     if rows != given:
         raise ValueError(f"row lengths must be integers, got {given}")
     while rows and rows[-1] == 0:

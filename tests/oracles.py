@@ -1,16 +1,16 @@
 """Reference implementations and helpers that only the tests use.
 
 The library contracts Monte Carlo overlaps on the weight sector, holds the
-sector as base-d codes, builds the Casimir from site swaps and skips the
-subgroup null space at d = 2; full_space_mc and full_null_space_buckets
-(with the string enumeration and E_ab transfer matrices below) are the
-straightforward versions it replaced, kept so tests can compare against
-them.  The rest are full-space building blocks (tensor powers, weight
-sectors and generators, single Haar draws) and float helpers (the
-fidelity quotient, the pure-state trace distance) that the tests check
-the construction with.  reference_build and its companions are the exact
-layer as written in Fractions, the oracle for the integer-arithmetic
-CoeffTable.build, dim_ratio_check and fidelity sums.  interlaces and
+sector as base-d codes, and certifies its probe vectors with exact integer
+projectors built from site swaps; full_space_mc and full_null_space_buckets
+(dense eigh on generator sums from the string enumeration and E_ab
+transfer matrices below) are the straightforward versions it replaced,
+kept so tests can compare against them.  The rest are full-space building
+blocks (tensor powers, weight sectors and generators, single Haar draws)
+and float helpers (the fidelity quotient, the pure-state trace distance)
+that the tests check the construction with.  reference_build and its
+companions are the exact layer as written in Fractions, the oracle for the
+integer-arithmetic CoeffTable.build, dim_ratio_check and fidelity sums.  interlaces and
 is_valid_chain are the pairwise chain checks that young.as_chain replaced.
 """
 
@@ -264,10 +264,9 @@ def full_null_space_buckets(
     null_tol: float = NULL_SPACE_TOL,
     casimir_tol: float = CASIMIR_TOL,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """_covariant_buckets through the subgroup null space at every d, with
-    the generator sums assembled from E_ab transfer matrices.
+    """Orthonormal bases, one per shape, of the subgroup-covariant subspace,
+    by dense eigh on generator sums assembled from E_ab transfer matrices.
 
-    At d = 2 that null space is the whole sector, which the library skips.
     Returns the sector's codes, which index the bucket rows.
 
     Within the weight sector of the given content, computes the null space

@@ -1,4 +1,6 @@
 import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -233,6 +235,22 @@ class TestSimulateCommand:
         code, out, err = run(capsys, argv)
         assert code == 1 and out == ""
         assert "matches 0 expected values" in err
+        residual = re.search(r"\|C v - \d+ v\| = (\S+) exceeds casimir_tol 1e-30 times", err)
+        assert residual and 0 < float(residual[1]) < 1e-12
+
+    def test_stdout_does_not_depend_on_blas_threads(self):
+        argv = ["simulate", "--d", "2", "--n", "12", "--samples", "500", "--seed", "42"]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            done = subprocess.run(
+                [sys.executable, "-m", "gtprobe.cli", *argv, "--check-cg"],
+                capture_output=True, env=env, check=True,
+            )
+            outs.append(done.stdout)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["pass"] is True
 
     def test_too_few_samples(self, capsys):
         code, _, _ = run(capsys, ["simulate", "--d", "2", "--n", "4", "--samples", "10"])

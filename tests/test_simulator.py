@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from itertools import product
 from math import comb, factorial
 
@@ -13,7 +14,9 @@ from gtprobe.simulator import (
     CapacityError,
     ExtractionError,
     _covariant_buckets,
+    _entry_bound,
     _haar_batch,
+    _null_values,
     _sector,
     casimir_eigenvalue,
     extract_gt_vectors,
@@ -73,14 +76,16 @@ def reference_mc(d, n, samples, seed, vs, probe=None):
     ]
 
 
-def reference_cg_projections(d, n, pick):
-    """(alpha_proj, beta_proj) per i, from the n-site buckets grown by |d>."""
+def reference_cg_projections(d, n, pick, vs=None):
+    """(alpha_proj, beta_proj) per i from the oracle's buckets: v_i tensor |d>
+    projected onto its (n+1)-site buckets, with v_i the oracle's n-site
+    bucket vector that pick selects unless the vector set vs gives it."""
     L = n // (2 * d)
     content = gamma_content(d, L)
     shapes = [gamma_shape(GammaParams(d, L, i)) for i in range(L + 1)]
     shapes_plus = [gamma_plus_shape(GammaParams(d, L, i)) for i in range(L + 1)]
-    codes, buckets = _covariant_buckets(d, n, content, shapes)
-    plus, buckets_plus = _covariant_buckets(
+    codes, buckets = full_null_space_buckets(d, n, content, shapes)
+    plus, buckets_plus = full_null_space_buckets(
         d, n + 1, content[:-1] + (content[-1] + 1,), shapes_plus
     )
     index_plus = {c: k for k, c in enumerate(plus)}
@@ -89,11 +94,28 @@ def reference_cg_projections(d, n, pick):
     out = []
     for i in range(L + 1):
         grown = np.zeros(len(plus))
-        grown[positions] = buckets[i][:, column]
+        grown[positions] = buckets[i][:, column] if vs is None else vs.vectors[i, codes].real
         alpha = float(np.sum((buckets_plus[i].T @ grown) ** 2))
         beta = float(np.sum((buckets_plus[i + 1].T @ grown) ** 2)) if i < L else 0.0
         out.append((alpha, beta))
     return out
+
+
+def assert_matches_oracle(d, n, pick):
+    """Each extracted vector has norm 1 and lies in its bucket of the
+    eigh-based transfer-matrix oracle, and its CG records match the
+    oracle's projections of the same vectors, all within 1e-12."""
+    vs = extract_gt_vectors(d, n, pick=pick)
+    shapes = [gamma_shape(GammaParams(d, vs.L, i)) for i in range(vs.L + 1)]
+    codes, buckets = full_null_space_buckets(d, n, gamma_content(d, vs.L), shapes)
+    for v, bucket in zip(vs.vectors, buckets):
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(bucket.T @ v[codes]) == pytest.approx(1.0, abs=1e-12)
+    if d ** (n + 1) <= simulator.CAPACITY:  # 4^9 is beyond it
+        recs = verify_cg_embedding(d, n, vectors=vs)
+        for rec, (alpha, beta) in zip(recs, reference_cg_projections(d, n, pick, vs)):
+            assert rec.alpha_proj == pytest.approx(alpha, rel=0, abs=1e-12)
+            assert rec.beta_proj == pytest.approx(beta, rel=0, abs=1e-12)
 
 
 SECTOR_CASES = [
@@ -227,28 +249,154 @@ class TestExtraction:
         assert np.allclose(np.abs(first.vectors[0]), np.abs(last.vectors[0]))
         assert not np.allclose(first.vectors[1], last.vectors[1])
 
-    # The oracle assembles the generator sums from E_ab transfer matrices
-    # and takes the subgroup null space even at d = 2; the library builds
-    # them from site swaps.
+    # The oracle diagonalizes the generator sums, assembled from E_ab
+    # transfer matrices, with eigh, taking the subgroup null space even at
+    # d = 2; the library certifies its buckets with exact integer matvecs.
     @pytest.mark.parametrize("n", [4, 8, 12])
     @pytest.mark.parametrize("pick", ["first", "last"])
-    def test_qubit_shortcut_matches_full_null_space(self, n, pick, monkeypatch):
-        vs = extract_gt_vectors(2, n, pick=pick)
-        recs = verify_cg_embedding(2, n, vectors=vs)
-        monkeypatch.setattr(simulator, "_covariant_buckets", full_null_space_buckets)
-        assert np.array_equal(vs.vectors, extract_gt_vectors(2, n, pick=pick).vectors)
-        assert recs == verify_cg_embedding(2, n, pick=pick)
+    def test_qubit_shortcut_matches_full_null_space(self, n, pick):
+        assert_matches_oracle(2, n, pick)
 
     @pytest.mark.parametrize("d,n", [(3, 6), (4, 8)])
     @pytest.mark.parametrize("pick", ["first", "last"])
-    def test_swap_casimir_matches_transfer_oracle(self, d, n, pick, monkeypatch):
-        vs = extract_gt_vectors(d, n, pick=pick)
-        check_cg = d ** (n + 1) <= simulator.CAPACITY  # 4^9 is beyond it
-        recs = verify_cg_embedding(d, n, vectors=vs) if check_cg else None
-        monkeypatch.setattr(simulator, "_covariant_buckets", full_null_space_buckets)
-        assert np.array_equal(vs.vectors, extract_gt_vectors(d, n, pick=pick).vectors)
-        if check_cg:
-            assert recs == verify_cg_embedding(d, n, pick=pick)
+    def test_swap_casimir_matches_transfer_oracle(self, d, n, pick):
+        assert_matches_oracle(d, n, pick)
+
+
+def admitted_sizes():
+    """Every (d, sites) whose sector the extraction or the CG check can
+    certify within CAPACITY: sites = n and n + 1 for n a multiple of 2d."""
+    d = 2
+    while d ** (2 * d) <= simulator.CAPACITY:
+        n = 2 * d
+        while d**n <= simulator.CAPACITY:
+            yield d, n, False
+            if d ** (n + 1) <= simulator.CAPACITY:
+                yield d, n, True
+            n += 2 * d
+        d += 1
+
+
+def certified_sector(d, n, grown):
+    L = n // (2 * d)
+    content = gamma_content(d, L)
+    shape = gamma_plus_shape if grown else gamma_shape
+    if grown:
+        content = content[:-1] + (content[-1] + 1,)
+    return n + grown, content, [shape(GammaParams(d, L, i)) for i in range(L + 1)]
+
+
+class TestExactCertificate:
+    def test_admitted_sizes(self):
+        sizes = {(d, n + grown) for d, n, grown in admitted_sizes()}
+        assert sizes == {(2, 4), (2, 5), (2, 8), (2, 9), (2, 12), (2, 13), (2, 16),
+                         (3, 6), (3, 7), (4, 8)}
+
+    @pytest.mark.parametrize("d,n,grown", list(admitted_sizes()))
+    def test_entry_bound_fits_int64(self, d, n, grown):
+        sites, content, shapes = certified_sector(d, n, grown)
+        values = [casimir_eigenvalue(shape, d) for shape in shapes]
+        bound = _entry_bound(sites, content, _null_values(d, content), values)
+        assert 0 < bound <= np.iinfo(np.int64).max
+
+    @pytest.mark.parametrize("d,n,grown", [(2, 12, True), (3, 6, False), (4, 8, False)])
+    def test_entry_bound_covers_the_certificate(self, d, n, grown, monkeypatch):
+        sites, content, shapes = certified_sector(d, n, grown)
+        values = [casimir_eigenvalue(shape, d) for shape in shapes]
+        bound = _entry_bound(sites, content, _null_values(d, content), values)
+        largest = []
+        lagrange = simulator._lagrange
+
+        def recorded(apply, values, keep, v):
+            out = lagrange(apply, values, keep, v)
+            largest.append(int(np.abs(out[0]).max()))
+            return out
+
+        monkeypatch.setattr(simulator, "_lagrange", recorded)
+        _covariant_buckets(d, sites, content, shapes, "first", 1e-9, 1e-6)
+        assert largest and max(largest) <= bound
+
+    def test_entry_bound_guard(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_entry_bound", lambda *args: 2**63)
+        with pytest.raises(
+            ExtractionError,
+            match=r"may reach 9223372036854775808, beyond int64, at d=2 n=4 \(sector of m=4\)",
+        ):
+            extract_gt_vectors(2, 4)
+
+    @pytest.mark.parametrize("d,n,m", [(3, 6, 30), (4, 8, 336)])
+    def test_planted_missing_null_value(self, d, n, m, monkeypatch):
+        values = simulator._null_values
+        monkeypatch.setattr(simulator, "_null_values", lambda d, content: values(d, content)[:-1])
+        with pytest.raises(
+            ExtractionError, match=rf"M has eigenvalues outside .* at d={d} n={n} \(sector of m={m}\)"
+        ):
+            extract_gt_vectors(d, n)
+
+    @pytest.mark.parametrize("d,n,m", [(2, 8, 28), (3, 6, 30), (4, 8, 336)])
+    @pytest.mark.parametrize("shifted", [0, 1])
+    def test_planted_casimir_shift(self, d, n, m, shifted, monkeypatch):
+        true_value = simulator.casimir_eigenvalue
+        shape = gamma_shape(GammaParams(d, n // (2 * d), shifted))
+
+        def planted(lam, rank):
+            return true_value(lam, rank) + (rank == d and tuple(lam) == shape)
+
+        monkeypatch.setattr(simulator, "casimir_eigenvalue", planted)
+        with pytest.raises(
+            ExtractionError,
+            match=rf"covariant Casimir values lie outside .* at d={d} n={n} \(sector of m={m}\)",
+        ):
+            extract_gt_vectors(d, n)
+
+    @pytest.mark.parametrize("d,n,m,shifted", [(2, 8, 28, 1), (3, 6, 30, 0), (2, 9, 36, 2)])
+    def test_planted_hook_dimension(self, d, n, m, shifted, monkeypatch):
+        grown = n % (2 * d) == 1
+        sites, content, shapes = certified_sector(d, n - grown, grown)
+        true_dim = simulator.hook_length_dimension
+        monkeypatch.setattr(
+            simulator,
+            "hook_length_dimension",
+            lambda lam: true_dim(lam) + (tuple(lam) == shapes[shifted]),
+        )
+        dim = true_dim(shapes[shifted])
+        with pytest.raises(
+            ExtractionError,
+            match=rf"shape {re.escape(str(shapes[shifted]))} has dimension {dim}, expected "
+            rf"hook-length dimension {dim + 1} at d={d} n={n} \(sector of m={m}\)",
+        ):
+            if grown:
+                verify_cg_embedding(d, n - 1)
+            else:
+                extract_gt_vectors(d, n)
+
+    @pytest.mark.parametrize("d,n,m", [(3, 6, 30), (4, 8, 336)])
+    def test_vector_off_the_kernel_fails_null_tol(self, d, n, m, monkeypatch):
+        # Past bucket 0, the certificates read only the x-th entry of each
+        # numerator, so one changed elsewhere passes them; the residual
+        # check sees it.
+        lagrange = simulator._lagrange
+
+        def planted(apply, values, keep, v):
+            u, den = lagrange(apply, values, keep, v)
+            if keep and keep == min(values) and u.dtype == np.int64:
+                u = u.copy()
+                u[1] += 1
+            return u, den
+
+        monkeypatch.setattr(simulator, "_lagrange", planted)
+        with pytest.raises(ExtractionError) as err:
+            extract_gt_vectors(d, n)
+        message = str(err.value)
+        assert re.match(rf"bucket 1 at d={d} n={n} \(sector of m={m}\): ", message)
+        residual = float(re.search(r"\|M v - 0 v\| = (\S+) exceeds null_tol 1e-09 times", message)[1])
+        assert residual > 1e-6
+
+    @pytest.mark.parametrize("d,n", [(2, 16), (4, 8)])
+    def test_vectors_are_orthonormal_eigenvectors(self, d, n):
+        vs = extract_gt_vectors(d, n, pick="last")
+        gram = vs.vectors @ vs.vectors.conj().T
+        assert np.max(np.abs(gram - np.eye(vs.L + 1))) < 1e-14
 
 
 class TestHaar:
@@ -407,6 +555,12 @@ class TestMonteCarlo:
     def test_rejects_non_finite_probe(self, bad):
         with pytest.raises(ValueError, match="finite nonzero vector of length 2"):
             mc_estimates(2, 4, 100, seed=0, probe=[bad, 1.0])
+
+    def test_huge_probe_matches_its_direction(self):
+        # 1e308 squared overflows; the estimates depend on the direction only.
+        huge = mc_estimates(2, 4, 100, seed=0, probe=[1e308, 1e308])
+        assert huge == mc_estimates(2, 4, 100, seed=0, probe=[1.0, 1.0])
+        assert huge[0].mean > 0 and huge[0].stderr > 0
 
     def test_matches_analytic_value_qutrit(self):
         est = mc_estimates(3, 6, 20_000, seed=42)[0]

@@ -133,6 +133,13 @@ class TestDiagramBasics:
         with pytest.raises(ValueError, match=r"got \(3.9, 0.5\)"):
             hook_length_dimension([3.9, 0.5])
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_as_diagram_rejects_non_finite_rows(self, bad):
+        with pytest.raises(ValueError, match="must be integers"):
+            as_diagram([bad])
+        with pytest.raises(ValueError, match="must be integers"):
+            as_diagram([3, bad])
+
     def test_as_diagram_accepts_integral_values(self):
         rows = as_diagram([np.int64(3), 2.0, Fraction(4, 2), np.int32(1), 0.0])
         assert rows == (3, 2, 2, 1)
