@@ -54,12 +54,17 @@ def _check_capacity(d: int, n: int) -> None:
 
 def _sector(d: int, n: int, content: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The length-n strings over 0..d-1 with the given letter counts: their
-    ascending base-d codes (lex order) and their (m, n) letter matrix."""
-    letters = np.stack(np.unravel_index(np.arange(d**n), (d,) * n), axis=-1)
-    if len(content) != d:
-        return np.zeros(0, dtype=int), letters[:0]
-    keep = np.all([(letters == a).sum(axis=1) == c for a, c in enumerate(content)], axis=0)
-    return np.flatnonzero(keep), letters[keep]
+    ascending base-d codes (lex order) and their (m, n) letter matrix, grown
+    site by site from (prefix, letters left) pairs in O(m n), never d^n; a
+    content of wrong length or sum, or a negative count, has no strings."""
+    if d**n > 2**63:
+        raise ValueError(f"d^n = {d}^{n} = {d**n} exceeds the int64 range of the sector codes")
+    valid = len(content) == d and min(content, default=0) >= 0 and sum(content) == n
+    codes, left = np.zeros(int(valid), dtype=int), np.array([content] * valid).reshape(-1, d)
+    for _ in range(n):  # np.nonzero is row-major: prefixes stay in lex order
+        parent, letter = np.nonzero(left > 0)
+        codes, left = codes[parent] * d + letter, left[parent] - np.eye(d, dtype=int)[letter]
+    return codes, codes[:, None] // d ** np.arange(n - 1, -1, -1) % d
 
 
 def casimir_eigenvalue(lam: Diagram, d: int) -> int:

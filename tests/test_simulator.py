@@ -1,11 +1,13 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 from itertools import product
 from math import comb, factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gtprobe import simulator
 from gtprobe.coeffs import CoeffTable, f_squared
@@ -129,14 +131,88 @@ SECTOR_CASES = [
 ]
 
 
+# The four sectors the perfbench extract workload builds: extract_gt_vectors
+# at (2,16) and (4,8), and the grown sectors of verify_cg_embedding at (2,12)
+# and (3,6).
+WORKLOAD_SECTORS = [
+    (2, 16, (4, 12)),
+    (4, 8, (1, 1, 1, 5)),
+    (2, 13, (3, 10)),
+    (3, 7, (1, 1, 5)),
+]
+
+@st.composite
+def sector_args(draw):
+    """(d, n, content) with content valid, of the wrong length, of the wrong
+    sum, or with a negative count."""
+    d, n = draw(st.integers(1, 5)), draw(st.integers(1, 9))
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=d - 1, max_size=d - 1)))
+    content = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+    kind = draw(st.sampled_from(["valid", "length", "sum", "negative"]))
+    if kind == "length":
+        content = content + [0] if draw(st.booleans()) or d == 1 else content[:-1]
+    elif kind == "sum":
+        content[draw(st.integers(0, d - 1))] += draw(st.integers(-3, 3).filter(bool))
+    elif kind == "negative":
+        i = draw(st.integers(0, d - 1))
+        shift = content[i] + draw(st.integers(1, 3))
+        content[i] -= shift
+        if d > 1:  # keep the sum, so only the sign is wrong
+            content[(i + 1) % d] += shift
+    return d, n, tuple(content)
+
+
+def assert_sector_matches_oracle(d, n, content):
+    codes, letters = _sector(d, n, content)
+    strings = sector_strings(d, n, content)
+    assert codes.dtype == letters.dtype == np.int64
+    assert codes.tolist() == weight_sector(d, n, content)
+    assert letters.shape == (len(strings), n)
+    assert [tuple(row) for row in letters.tolist()] == strings
+
+
+def sector_peak_bytes(d, n, content):
+    """Peak traced allocation of one _sector call; numpy traces its data
+    buffers under tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = _sector(d, n, content)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
 class TestWeightSector:
-    @pytest.mark.parametrize("d,n,content", SECTOR_CASES)
+    @pytest.mark.parametrize("d,n,content", SECTOR_CASES + WORKLOAD_SECTORS)
     def test_sector_matches_string_oracle(self, d, n, content):
-        codes, letters = _sector(d, n, content)
-        strings = sector_strings(d, n, content)
-        assert codes.tolist() == weight_sector(d, n, content)
-        assert letters.shape == (len(strings), n)
-        assert [tuple(row) for row in letters.tolist()] == strings
+        assert_sector_matches_oracle(d, n, content)
+
+    @given(sector_args())
+    @settings(max_examples=200, deadline=None)
+    def test_sector_matches_string_oracle_on_random_contents(self, args):
+        assert_sector_matches_oracle(*args)
+
+    def test_sector_never_builds_all_strings(self):
+        peak, (codes, _) = sector_peak_bytes(2, 16, (4, 12))
+        assert len(codes) == comb(16, 4)
+        assert peak < 2_000_000  # the 2^16 x 16 letter matrix alone is 8.4 MB
+
+    def test_sector_beyond_any_dense_space(self):
+        peak, (codes, letters) = sector_peak_bytes(2, 40, (2, 38))
+        assert len(codes) == comb(40, 2)
+        assert codes.tolist() == weight_sector(2, 40, (2, 38))
+        assert letters.sum(axis=1).tolist() == [38] * comb(40, 2)
+        assert peak < 2_000_000
+
+    def test_codes_at_the_int64_edge(self):
+        codes, _ = _sector(2, 63, (1, 62))
+        assert codes.tolist() == weight_sector(2, 63, (1, 62))
+        assert codes[-1] == 2**63 - 2
+
+    def test_codes_beyond_int64_raise(self):
+        message = r"d\^n = 2\^64 = 18446744073709551616 exceeds the int64 range"
+        with pytest.raises(ValueError, match=message):
+            _sector(2, 64, (1, 63))
 
     def test_counts(self):
         assert len(weight_sector(2, 4, (1, 3))) == comb(4, 1)
