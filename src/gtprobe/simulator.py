@@ -36,7 +36,9 @@ NULL_SPACE_TOL = 1e-9
 CASIMIR_TOL = 1e-6
 MIN_SAMPLES = 100
 
-_MC_CHUNK_BUDGET = 4_000_000  # complex entries held per Monte Carlo chunk
+# A Monte Carlo chunk is min(2048, _MC_CHUNK_BUDGET // d^n) draws; the chunk size fixes
+# how the seeded stream splits into real and imaginary parts, so it shapes every estimate.
+_MC_CHUNK_BUDGET = 4_000_000
 
 
 class CapacityError(RuntimeError):
@@ -52,19 +54,23 @@ def _check_capacity(d: int, n: int) -> None:
         raise CapacityError(f"d^n = {d}^{n} = {d**n} exceeds the simulator capacity of {CAPACITY}")
 
 
-def _sector(d: int, n: int, content: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The length-n strings over 0..d-1 with the given letter counts: their
-    ascending base-d codes (lex order) and their (m, n) letter matrix, grown
-    site by site from (prefix, letters left) pairs in O(m n), never d^n; a
-    content of wrong length or sum, or a negative count, has no strings."""
+def _sector(d: int, n: int, content: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, list]:
+    """The length-n strings over 0..d-1 with the given letter counts (none if
+    the content has the wrong length or sum, or a negative count), grown site
+    by site from (prefix, letters left) pairs in O(m n), never d^n: their
+    ascending base-d codes (lex order), their (m, n) letter matrix, and their
+    prefix tree, whose level k-1 gives each distinct length-k prefix, in lex
+    order, as its parent's position among the length-(k-1) ones and a letter."""
     if d**n > 2**63:
         raise ValueError(f"d^n = {d}^{n} = {d**n} exceeds the int64 range of the sector codes")
     valid = len(content) == d and min(content, default=0) >= 0 and sum(content) == n
     codes, left = np.zeros(int(valid), dtype=int), np.array([content] * valid).reshape(-1, d)
+    levels = []
     for _ in range(n):  # np.nonzero is row-major: prefixes stay in lex order
         parent, letter = np.nonzero(left > 0)
+        levels.append((parent, letter))
         codes, left = codes[parent] * d + letter, left[parent] - np.eye(d, dtype=int)[letter]
-    return codes, codes[:, None] // d ** np.arange(n - 1, -1, -1) % d
+    return codes, codes[:, None] // d ** np.arange(n - 1, -1, -1) % d, levels
 
 
 def casimir_eigenvalue(lam: Diagram, d: int) -> int:
@@ -120,7 +126,7 @@ def _covariant_buckets(
     for name, tol in (("null_tol", null_tol), ("casimir_tol", casimir_tol)):
         if not 0 < tol < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {tol}")
-    codes, letters = _sector(d, n, content)
+    codes, letters, _ = _sector(d, n, content)
     m = len(codes)
     if not m:
         raise ExtractionError(f"empty weight sector for content {content}")
@@ -228,6 +234,19 @@ def extract_gt_vectors(
     return GTVectorSet(d, n, vectors, casimir_values, tuple(map(hook_length_dimension, shapes)))
 
 
+def _checked_sector(d: int, n: int, vs: GTVectorSet) -> tuple[np.ndarray, np.ndarray, list]:
+    """The weight sector of (d, n) (see _sector), once vs is checked to be a
+    vector set of that system with no weight outside the sector."""
+    L = query_count_params(d, n)
+    if vs.d != d or vs.n != n:
+        raise ValueError("vector set does not match the requested system")
+    sector = _sector(d, n, gamma_content(d, L))
+    off = float(np.linalg.norm(np.delete(vs.vectors, sector[0], axis=1)))
+    if off > 0:
+        raise ValueError(f"vector set has norm {off:.3g} outside the weight sector at d={d} n={n}")
+    return sector
+
+
 @dataclass(frozen=True)
 class CGResidual:
     """Projection weights of v_i tensor |d> onto the two grown buckets."""
@@ -256,8 +275,7 @@ def verify_cg_embedding(
     """
     _check_capacity(d, n + 1)
     vs = vectors if vectors is not None else extract_gt_vectors(d, n, pick, null_tol, casimir_tol)
-    if vs.d != d or vs.n != n:
-        raise ValueError("vector set does not match the requested system")
+    _checked_sector(d, n, vs)
     if np.any(vs.vectors.imag):
         imag = math.sqrt(float(np.sum(vs.vectors.imag**2)))
         raise ValueError(f"vector set has imaginary part of norm {imag:.3g} at d={d} n={n}")
@@ -285,26 +303,6 @@ def _haar_batch(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
     q, r = np.linalg.qr(z / math.sqrt(2.0))
     diag = np.einsum("bii->bi", r)
     return q * (diag / np.abs(diag))[:, None, :]
-
-
-def _prefix_levels(
-    letters: np.ndarray, d: int
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """The distinct prefixes of the rows of a letter matrix, one length at a time.
-
-    Returns each row's position among the distinct rows (sorted) and, per
-    prefix length k, each distinct length-k prefix's position among the
-    length-(k-1) prefixes and its last letter.
-    """
-    parents = np.zeros(1, dtype=int)
-    codes = np.zeros(len(letters), dtype=int)
-    levels = []
-    for column in letters.T:
-        codes = codes * d + column
-        level, at = np.unique(codes, return_inverse=True)
-        levels.append((np.searchsorted(parents, level // d), level % d))
-        parents = level
-    return at, levels
 
 
 def _restricted_power(w: np.ndarray, levels: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -337,16 +335,14 @@ def mc_estimates(
 
     With A = sum_i f_i sqrt(dim_i) <v_i|W^{otimes n}|v_i> (W the outcome's
     inverse action, the target fixed to the identity by Haar invariance),
-    the fidelity integrand is
-    |A|^2 |<d|W|d>|^2 and the total-probability integrand |A|^2, whose
-    exact mean is one.  probe overrides the protocol's coefficient vector
-    f_0..f_L (it is normalized internally).  Returns (fidelity, total).
+    the fidelity integrand is |A|^2 |<d|W|d>|^2 and the total-probability
+    integrand |A|^2, whose exact mean is one.  probe overrides the protocol's
+    coefficient vector f_0..f_L (normalized internally).  Returns (fidelity, total).
     """
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
     vs = vectors if vectors is not None else extract_gt_vectors(d, n)
-    if vs.d != d or vs.n != n:
-        raise ValueError("vector set does not match the requested system")
+    indices, _, levels = _checked_sector(d, n, vs)
     L = vs.L
     if probe is None:
         f = protocol_probe(d, L)
@@ -358,23 +354,16 @@ def mc_estimates(
         f = f / np.linalg.norm(f)
     shapes = [gamma_shape(GammaParams(d, L, i)) for i in range(L + 1)]
     dims = np.array([weyl_dimension(shape, d) for shape in shapes], dtype=float)
-    indices, letters = _sector(d, n, gamma_content(d, L))
-    off_sector = float(np.linalg.norm(np.delete(vs.vectors, indices, axis=1)))
-    if off_sector > 0:
-        raise ValueError(
-            f"vector set has norm {off_sector:.3g} outside the weight sector at d={d} n={n}"
-        )
     # The v_i lie in distinct irreps, so <v_i|W^n|v_j> = 0 for i != j and
     # sum_i w_i <v_i|W^n|v_i> = <sum_i v_i|W^n|sum_i w_i v_i>, signed w_i too.
-    # Both vectors lie in the sector: split each string into a prefix of
-    # n//2 sites and a suffix, scatter them into prefix x suffix matrices K
-    # and B, and <bra|W^n|ket> = sum(B * (W1 @ K @ W2^T)) with W1, W2 the
-    # tensor powers of W restricted to the distinct prefixes and suffixes.
-    half = n // 2
-    rows, prefix_levels = _prefix_levels(letters[:, :half], d)
-    cols, suffix_levels = _prefix_levels(letters[:, half:], d)
-    at = (rows, cols)
-    ket = np.zeros((len(prefix_levels[-1][1]), len(suffix_levels[-1][1])), dtype=complex)
+    # Scatter both into matrices K and B by the first and last n/2 sites of each
+    # sector string; <bra|W^n|ket> = sum(B * (P @ K @ P^T)), P = W^{n/2} on the
+    # distinct halves.  The sector holds every arrangement of its content and
+    # n = 2dL is even, so both halves range over the prefix tree's level n/2.
+    half = d ** (n // 2)
+    at = tuple(np.unique(part, return_inverse=True)[1] for part in divmod(indices, half))
+    levels = levels[: n // 2]
+    ket = np.zeros((len(levels[-1][1]),) * 2, dtype=complex)
     bra = np.zeros_like(ket)
     sector = vs.vectors[:, indices]
     ket[at] = (f * np.sqrt(dims)) @ sector
@@ -387,8 +376,8 @@ def mc_estimates(
     while done < samples:
         b = min(chunk, samples - done)
         w = np.conj(np.swapaxes(_haar_batch(rng, b, d), -1, -2))
-        w2 = np.swapaxes(_restricted_power(w, suffix_levels), -1, -2)
-        amps = np.sum(bra * (_restricted_power(w, prefix_levels) @ ket @ w2), axis=(1, 2))
+        power = _restricted_power(w, levels)
+        amps = np.sum(bra * (power @ ket @ np.swapaxes(power, -1, -2)), axis=(1, 2))
         total = np.abs(amps) ** 2
         fid = total * np.abs(w[:, d - 1, d - 1]) ** 2
         sums += (fid.sum(), total.sum())
@@ -397,5 +386,4 @@ def mc_estimates(
     means = sums / samples
     variances = (sq_sums - sums**2 / samples) / (samples - 1)
     stderrs = np.sqrt(np.maximum(variances, 0.0) / samples)
-    fid, total = (MCEstimate(float(a), float(b)) for a, b in zip(means, stderrs))
-    return fid, total
+    return tuple(MCEstimate(float(a), float(b)) for a, b in zip(means, stderrs))

@@ -11,7 +11,9 @@ and float helpers (the fidelity quotient, the pure-state trace distance)
 that the tests check the construction with.  reference_build and its
 companions are the exact layer as written in Fractions, the oracle for the
 integer-arithmetic CoeffTable.build, dim_ratio_check and fidelity sums.  interlaces and
-is_valid_chain are the pairwise chain checks that young.as_chain replaced.
+is_valid_chain are the pairwise chain checks that young.as_chain replaced, and
+_prefix_levels is the prefix tree rebuilt from a letter matrix that the
+simulator's sector now grows as it generates the strings.
 """
 
 import math
@@ -131,6 +133,26 @@ def transfer(
                 image = s[:site] + (a,) + s[site + 1 :]
                 mat[target[image], col] += 1.0
     return mat
+
+
+def _prefix_levels(
+    letters: np.ndarray, d: int
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """The distinct prefixes of the rows of a letter matrix, one length at a time.
+
+    Returns each row's position among the distinct rows (sorted) and, per
+    prefix length k, each distinct length-k prefix's position among the
+    length-(k-1) prefixes and its last letter.
+    """
+    parents = np.zeros(1, dtype=int)
+    codes = np.zeros(len(letters), dtype=int)
+    levels = []
+    for column in letters.T:
+        codes = codes * d + column
+        level, at = np.unique(codes, return_inverse=True)
+        levels.append((np.searchsorted(parents, level // d), level % d))
+        parents = level
+    return at, levels
 
 
 def weight_sector(d: int, n: int, content: tuple[int, ...]) -> list[int]:

@@ -13,8 +13,10 @@ from gtprobe import simulator
 from gtprobe.coeffs import CoeffTable, f_squared
 from gtprobe.fidelity import expected_fidelity
 from gtprobe.simulator import (
+    _MC_CHUNK_BUDGET,
     CapacityError,
     ExtractionError,
+    GTVectorSet,
     _covariant_buckets,
     _entry_bound,
     _haar_batch,
@@ -34,6 +36,7 @@ from gtprobe.young import (
     weyl_dimension,
 )
 from oracles import (
+    _prefix_levels,
     apply_tensor_power,
     full_null_space_buckets,
     full_space_mc,
@@ -57,7 +60,7 @@ def reference_mc(d, n, samples, seed, vs, probe=None):
     )
     weights = f * np.sqrt(dims)
     rng = np.random.default_rng(seed)
-    chunk = max(1, min(2048, 4_000_000 // d**n))
+    chunk = max(1, min(2048, _MC_CHUNK_BUDGET // d**n))
     fids, totals = [], []
     done = 0
     while done < samples:
@@ -76,6 +79,12 @@ def reference_mc(d, n, samples, seed, vs, probe=None):
         (float(x.mean()), float(x.std(ddof=1) / math.sqrt(samples)))
         for x in (np.concatenate(fids), np.concatenate(totals))
     ]
+
+
+def zero_vector_set(d, n):
+    """A vector set of zeros for (d, n), which need not have n = 2dL."""
+    L = n // (2 * d)
+    return GTVectorSet(d, n, np.zeros((L + 1, d**n), dtype=complex), (0,) * (L + 1), (1,) * (L + 1))
 
 
 def reference_cg_projections(d, n, pick, vs=None):
@@ -162,13 +171,23 @@ def sector_args(draw):
     return d, n, tuple(content)
 
 
+def level_lists(levels):
+    return [(parent.tolist(), letter.tolist()) for parent, letter in levels]
+
+
 def assert_sector_matches_oracle(d, n, content):
-    codes, letters = _sector(d, n, content)
+    codes, letters, levels = _sector(d, n, content)
     strings = sector_strings(d, n, content)
     assert codes.dtype == letters.dtype == np.int64
     assert codes.tolist() == weight_sector(d, n, content)
     assert letters.shape == (len(strings), n)
     assert [tuple(row) for row in letters.tolist()] == strings
+    # The sector holds every arrangement of its content, so its distinct
+    # length-k prefixes and suffixes are one set: the tree's first k levels.
+    assert len(levels) == n
+    for k in range(1, n + 1):
+        for part in (letters[:, :k], letters[:, n - k :]):
+            assert level_lists(levels[:k]) == level_lists(_prefix_levels(part, d)[1])
 
 
 def sector_peak_bytes(d, n, content):
@@ -193,19 +212,25 @@ class TestWeightSector:
         assert_sector_matches_oracle(*args)
 
     def test_sector_never_builds_all_strings(self):
-        peak, (codes, _) = sector_peak_bytes(2, 16, (4, 12))
+        peak, (codes, _, _) = sector_peak_bytes(2, 16, (4, 12))
         assert len(codes) == comb(16, 4)
         assert peak < 2_000_000  # the 2^16 x 16 letter matrix alone is 8.4 MB
 
     def test_sector_beyond_any_dense_space(self):
-        peak, (codes, letters) = sector_peak_bytes(2, 40, (2, 38))
+        peak, (codes, letters, _) = sector_peak_bytes(2, 40, (2, 38))
         assert len(codes) == comb(40, 2)
         assert codes.tolist() == weight_sector(2, 40, (2, 38))
         assert letters.sum(axis=1).tolist() == [38] * comb(40, 2)
         assert peak < 2_000_000
 
+    @pytest.mark.parametrize("d,n", [(3, 12), (2, 20), (5, 10)])
+    def test_half_levels_index_prefixes_and_suffixes(self, d, n):
+        _, letters, levels = _sector(d, n, gamma_content(d, n // (2 * d)))
+        for part in (letters[:, : n // 2], letters[:, n // 2 :]):
+            assert level_lists(levels[: n // 2]) == level_lists(_prefix_levels(part, d)[1])
+
     def test_codes_at_the_int64_edge(self):
-        codes, _ = _sector(2, 63, (1, 62))
+        codes, _, _ = _sector(2, 63, (1, 62))
         assert codes.tolist() == weight_sector(2, 63, (1, 62))
         assert codes[-1] == 2**63 - 2
 
@@ -564,6 +589,25 @@ class TestCGEmbedding:
             vs = extract_gt_vectors(3, 6, pick=pick)
             assert verify_cg_embedding(3, 6, vectors=vs) == verify_cg_embedding(3, 6, pick=pick)
 
+    def test_rejects_weight_outside_the_sector(self):
+        vs = extract_gt_vectors(2, 4)
+        vectors = vs.vectors.copy()
+        vectors[1, 0] = 1e-3  # |0000> has content (4, 0), not (1, 3)
+        planted = dataclasses.replace(vs, vectors=vectors)
+        with pytest.raises(ValueError, match=r"norm 0\.001 .* d=2 n=4"):
+            verify_cg_embedding(2, 4, vectors=planted)
+        # The projections read the sector only: without the check, vectors
+        # of norm 5.10 would give residuals at rounding level.
+        vs = extract_gt_vectors(2, 8)
+        vectors = vs.vectors.copy()
+        vectors[:, 0] = 5.0
+        with pytest.raises(ValueError, match=r"norm 8\.66 outside the weight sector at d=2 n=8"):
+            verify_cg_embedding(2, 8, vectors=dataclasses.replace(vs, vectors=vectors))
+
+    def test_rejects_n_not_a_multiple_of_2d(self):
+        with pytest.raises(ValueError, match=r"multiple of 2d=4, got 5"):
+            verify_cg_embedding(2, 5, vectors=zero_vector_set(2, 5))
+
     def test_rejects_mismatched_vectors(self):
         with pytest.raises(ValueError, match="does not match"):
             verify_cg_embedding(2, 8, vectors=extract_gt_vectors(2, 4))
@@ -698,6 +742,10 @@ class TestMonteCarlo:
         planted = dataclasses.replace(vs, vectors=vectors)
         with pytest.raises(ValueError, match=r"norm 0\.001 .* d=2 n=4"):
             mc_estimates(2, 4, 100, seed=0, vectors=planted)
+
+    def test_rejects_n_not_a_multiple_of_2d(self):
+        with pytest.raises(ValueError, match=r"multiple of 2d=4, got 5"):
+            mc_estimates(2, 5, 100, seed=0, vectors=zero_vector_set(2, 5))
 
 
 class TestIsotypicStructure:
