@@ -221,8 +221,11 @@ def cmd_plan(args: argparse.Namespace) -> int:
     d, eps = args.d, args.eps
     n = fidelity.plan_queries(d, eps)
     L = n // (2 * d)
-    infid = fidelity.closed_form_infidelity(d, L)
-    target, heisenberg, classical = eps**2 / 100, d**1.5 / eps, d / eps**2
+    infid, target = fidelity.closed_form_infidelity(d, L), eps**2 / 100
+    try:
+        heisenberg, classical = d**1.5 / eps, d / eps**2
+    except OverflowError:  # d or d^1.5 beyond the float range
+        heisenberg = classical = math.inf
     if not (math.isfinite(heisenberg) and math.isfinite(classical)):
         raise ValueError(f"ref d^1.5/eps or d/eps^2 at d={d} eps={eps} exceeds the float range")
     guarantee = f"trace distance <= {eps} with probability >= 2/3"

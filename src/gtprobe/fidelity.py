@@ -81,7 +81,10 @@ def closed_form_infidelity(d: int, L: int) -> Fraction:
 def bound_ratio(d: int, n: int) -> float:
     """Closed-form infidelity divided by the scaling envelope d^3/(n(n+d^2))."""
     L = query_count_params(d, n)
-    return float(closed_form_infidelity(d, L)) * n * (n + d * d) / d**3
+    infidelity = float(closed_form_infidelity(d, L))
+    if infidelity < sys.float_info.min:
+        raise ValueError(f"closed-form infidelity at d={d} n={n} underflows the normal float range")
+    return infidelity * n * (n + d * d) / d**3
 
 
 def protocol_probe(d: int, L: int) -> np.ndarray:

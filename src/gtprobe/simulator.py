@@ -12,6 +12,7 @@ recovered by Monte Carlo integration over Haar-random measurement outcomes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -107,12 +108,44 @@ def _lagrange(apply, values, keep: int, v: np.ndarray) -> tuple[np.ndarray, int]
     return v, math.prod(keep - r for r in others)
 
 
+@dataclass(frozen=True)
+class GTVectorSet:
+    """The probe basis vectors v_0..v_L in (C^d)^n, held on their weight sector:
+    codes and levels are its ascending base-d codes and prefix tree (see
+    _sector), and row i of sector is v_i at those codes, v_i being zero off them.
+
+    Each v_i carries the i-th probe vector tensored with an arbitrary unit
+    multiplicity vector; all consumed quantities are invariant to that
+    choice.  casimir_values are the exact integer Casimir eigenvalues and
+    sector_dims the multiplicity-space dimensions of each bucket.
+    """
+
+    d: int
+    n: int
+    codes: np.ndarray
+    levels: list
+    sector: np.ndarray
+    casimir_values: tuple[int, ...]
+    sector_dims: tuple[int, ...]
+
+    @property
+    def L(self) -> int:
+        return self.n // (2 * self.d)
+
+    @functools.cached_property
+    def vectors(self) -> np.ndarray:
+        """The v_i as a dense complex (L+1, d^n) array, built on first read."""
+        vectors = np.zeros((len(self.sector), self.d**self.n), dtype=complex)
+        vectors[:, self.codes] = self.sector
+        return vectors
+
+
 def _covariant_buckets(
     d: int, n: int, content: tuple, shapes: list, pick: str, null_tol: float, casimir_tol: float
-):
-    """The sector's codes, one certified unit vector per shape in its
-    subgroup-covariant part (ker M, M = sum_{a != b <= d-1} E_ba E_ab, split
-    by the Casimir C), and project(k, v) = P_0 P_k v as numerator and
+) -> tuple[GTVectorSet, object]:
+    """The vector set of the sector, one certified unit vector per shape in
+    its subgroup-covariant part (ker M, M = sum_{a != b <= d-1} E_ba E_ab,
+    split by the Casimir C), and project(k, v) = P_0 P_k v as numerator and
     denominator, P_0 and P_k the Lagrange projectors onto ker M and value k.
 
     C and M commute with each other and with every site permutation, and the
@@ -126,7 +159,7 @@ def _covariant_buckets(
     for name, tol in (("null_tol", null_tol), ("casimir_tol", casimir_tol)):
         if not 0 < tol < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {tol}")
-    codes, letters, _ = _sector(d, n, content)
+    codes, letters, levels = _sector(d, n, content)
     m = len(codes)
     if not m:
         raise ExtractionError(f"empty weight sector for content {content}")
@@ -165,18 +198,18 @@ def _covariant_buckets(
     e_x = (np.arange(m) == x).astype(np.int64)
     if np.any(sub(_lagrange(sub, null_values, 0, e_x)[0])):
         raise ExtractionError(f"M has eigenvalues outside {null_values} {where}")
-    vectors = np.zeros((len(shapes), m))
+    sector, dims = np.zeros((len(shapes), m)), tuple(map(hook_length_dimension, shapes))
     for k, (shape, value) in enumerate(zip(shapes, expected)):
         u, den = project(k, e_x)
         if k == 0 and np.any(casimir(u) - value * u):
             raise ExtractionError(f"covariant Casimir values lie outside {expected} {where}")
-        dim, want = Fraction(m * int(u[x]), den), hook_length_dimension(shape)
-        if dim != want:
+        dim = Fraction(m * int(u[x]), den)
+        if dim != dims[k]:
             raise ExtractionError(
                 f"bucket for shape {shape} has dimension {dim}, "
-                f"expected hook-length dimension {want} {where}"
+                f"expected hook-length dimension {dims[k]} {where}"
             )
-        vectors[k] = v = u / math.sqrt(int(u[x]) * den)
+        sector[k] = v = u / math.sqrt(int(u[x]) * den)
         for label, op, e, name, tol, scale in (
             ("M", sub, 0, "null_tol", null_tol, max(1, null_values[-1])),
             ("C", casimir, value, "casimir_tol", casimir_tol, max(expected)),
@@ -187,28 +220,7 @@ def _covariant_buckets(
                     f"bucket {k} {where}: |{label} v - {e} v| = {residual:.3g} exceeds {name}"
                     f" {tol:g} times the scale {scale}, so v matches 0 expected values"
                 )
-    return codes, vectors, project
-
-
-@dataclass(frozen=True)
-class GTVectorSet:
-    """Dense realizations v_0..v_L of the probe basis vectors in (C^d)^n.
-
-    Each v_i carries the i-th probe vector tensored with an arbitrary unit
-    multiplicity vector; all consumed quantities are invariant to that
-    choice.  casimir_values are the exact integer Casimir eigenvalues and
-    sector_dims the multiplicity-space dimensions of each bucket.
-    """
-
-    d: int
-    n: int
-    vectors: np.ndarray
-    casimir_values: tuple[int, ...]
-    sector_dims: tuple[int, ...]
-
-    @property
-    def L(self) -> int:
-        return self.n // (2 * self.d)
+    return GTVectorSet(d, n, codes, levels, sector, tuple(expected), dims), project
 
 
 def extract_gt_vectors(
@@ -226,25 +238,14 @@ def extract_gt_vectors(
     L = query_count_params(d, n)
     _check_capacity(d, n)
     shapes = [gamma_shape(GammaParams(d, L, i)) for i in range(L + 1)]
-    content = gamma_content(d, L)
-    codes, sector, _ = _covariant_buckets(d, n, content, shapes, pick, null_tol, casimir_tol)
-    vectors = np.zeros((L + 1, d**n), dtype=complex)
-    vectors[:, codes] = sector
-    casimir_values = tuple(casimir_eigenvalue(s, d) for s in shapes)
-    return GTVectorSet(d, n, vectors, casimir_values, tuple(map(hook_length_dimension, shapes)))
+    return _covariant_buckets(d, n, gamma_content(d, L), shapes, pick, null_tol, casimir_tol)[0]
 
 
-def _checked_sector(d: int, n: int, vs: GTVectorSet) -> tuple[np.ndarray, np.ndarray, list]:
-    """The weight sector of (d, n) (see _sector), once vs is checked to be a
-    vector set of that system with no weight outside the sector."""
-    L = query_count_params(d, n)
+def _check_system(d: int, n: int, vs: GTVectorSet) -> None:
+    """Raise ValueError unless n is a multiple of 2d and vs is a vector set of (d, n)."""
+    query_count_params(d, n)
     if vs.d != d or vs.n != n:
         raise ValueError("vector set does not match the requested system")
-    sector = _sector(d, n, gamma_content(d, L))
-    off = float(np.linalg.norm(np.delete(vs.vectors, sector[0], axis=1)))
-    if off > 0:
-        raise ValueError(f"vector set has norm {off:.3g} outside the weight sector at d={d} n={n}")
-    return sector
 
 
 @dataclass(frozen=True)
@@ -275,20 +276,18 @@ def verify_cg_embedding(
     """
     _check_capacity(d, n + 1)
     vs = vectors if vectors is not None else extract_gt_vectors(d, n, pick, null_tol, casimir_tol)
-    _checked_sector(d, n, vs)
-    if np.any(vs.vectors.imag):
-        imag = math.sqrt(float(np.sum(vs.vectors.imag**2)))
-        raise ValueError(f"vector set has imaginary part of norm {imag:.3g} at d={d} n={n}")
+    _check_system(d, n, vs)
     L = vs.L
     content = gamma_content(d, L)
     shapes_plus = [gamma_plus_shape(GammaParams(d, L, i)) for i in range(L + 1)]
-    plus, _, project = _covariant_buckets(
+    plus, project = _covariant_buckets(
         d, n + 1, content[:-1] + (content[-1] + 1,), shapes_plus, "first", null_tol, casimir_tol
     )
-    # v_i tensor |d> has entry v_i[k] at index k*d + d-1 and zeros elsewhere.
-    grown = np.where(plus % d == d - 1, vs.vectors.real[:, plus // d], 0.0)
+    # v_i tensor |d> is v_i on the grown strings ending in d-1, in the sector's order.
+    grown = np.zeros((L + 1, len(plus.codes)), dtype=vs.sector.dtype)
+    grown[:, plus.codes % d == d - 1] = vs.sector
     # weights[k][i] is the squared norm of v_i tensor |d> in grown bucket k.
-    weights = [np.sum(np.divide(*project(k, grown.T)) ** 2, axis=0) for k in range(L + 1)]
+    weights = [np.sum(np.abs(np.divide(*project(k, grown.T))) ** 2, axis=0) for k in range(L + 1)]
     weights += [np.zeros(L + 1)]
     out: list[CGResidual] = []
     for i in range(L + 1):
@@ -342,7 +341,7 @@ def mc_estimates(
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
     vs = vectors if vectors is not None else extract_gt_vectors(d, n)
-    indices, _, levels = _checked_sector(d, n, vs)
+    _check_system(d, n, vs)
     L = vs.L
     if probe is None:
         f = protocol_probe(d, L)
@@ -361,11 +360,12 @@ def mc_estimates(
     # distinct halves.  The sector holds every arrangement of its content and
     # n = 2dL is even, so both halves range over the prefix tree's level n/2.
     half = d ** (n // 2)
-    at = tuple(np.unique(part, return_inverse=True)[1] for part in divmod(indices, half))
-    levels = levels[: n // 2]
+    at = tuple(np.unique(part, return_inverse=True)[1] for part in divmod(vs.codes, half))
+    levels = vs.levels[: n // 2]
     ket = np.zeros((len(levels[-1][1]),) * 2, dtype=complex)
     bra = np.zeros_like(ket)
-    sector = vs.vectors[:, indices]
+    # Complex and column-major: the layout sets the summation order, so the last digits.
+    sector = np.asfortranarray(vs.sector, dtype=complex)
     ket[at] = (f * np.sqrt(dims)) @ sector
     bra[at] = sector.sum(axis=0).conj()
 

@@ -214,6 +214,19 @@ class TestSimulateCommand:
         assert calls == [(3, 6)]
         assert code == 0 and len(json.loads(out)["cg_residuals"]) == 4
 
+    def test_check_cg_builds_each_sector_once(self, capsys, monkeypatch):
+        calls = []
+        sector = simulator._sector
+
+        def counted(d, n, content):
+            calls.append((d, n))
+            return sector(d, n, content)
+
+        monkeypatch.setattr(simulator, "_sector", counted)
+        argv = ["simulate", "--d", "2", "--n", "8", "--samples", "100", "--check-cg"]
+        code, _, _ = run(capsys, argv)
+        assert code == 0 and calls == [(2, 8), (2, 9)]
+
     def test_capacity_exit_code(self, capsys):
         code, _, err = run(capsys, ["simulate", "--d", "5", "--n", "10", "--samples", "500"])
         assert code == 3
@@ -296,6 +309,11 @@ class TestExitCodes:
             (
                 ["simulate", "--d", "2", "--n", "4", "--samples", "200", "--null-tol", "-1"],
                 "null_tol must be positive and finite, got -1.0",
+            ),
+            (["plan", "--d", str(10**309), "--eps", "0.5"], f"d={10**309} eps=0.5"),
+            (
+                ["plan", "--d", str(10**309), "--eps", "0.5", "--format", "json"],
+                f"d={10**309} eps=0.5",
             ),
         ],
     )

@@ -71,6 +71,12 @@ class TestBoundRatio:
             assert r < 2.0
             assert abs(r - 2 * (d - 1) / d) < 0.1
 
+    def test_underflowing_infidelity_raises(self):
+        # The ratio is about 1 here, but the infidelity alone is below 1e-308.
+        assert bound_ratio(2, 4 * 10**150) == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError, match=rf"at d=2 n={4 * 10**200} underflows"):
+            bound_ratio(2, 4 * 10**200)
+
 
 class TestRayleighQuotient:
     def test_protocol_probe_matches_exact_value(self):

@@ -82,9 +82,10 @@ def reference_mc(d, n, samples, seed, vs, probe=None):
 
 
 def zero_vector_set(d, n):
-    """A vector set of zeros for (d, n), which need not have n = 2dL."""
+    """A vector set of zeros on an empty sector for (d, n), which need not have n = 2dL."""
     L = n // (2 * d)
-    return GTVectorSet(d, n, np.zeros((L + 1, d**n), dtype=complex), (0,) * (L + 1), (1,) * (L + 1))
+    empty = np.zeros(0, dtype=int)
+    return GTVectorSet(d, n, empty, [], np.zeros((L + 1, 0)), (0,) * (L + 1), (1,) * (L + 1))
 
 
 def reference_cg_projections(d, n, pick, vs=None):
@@ -190,12 +191,12 @@ def assert_sector_matches_oracle(d, n, content):
             assert level_lists(levels[:k]) == level_lists(_prefix_levels(part, d)[1])
 
 
-def sector_peak_bytes(d, n, content):
-    """Peak traced allocation of one _sector call; numpy traces its data
-    buffers under tracemalloc."""
+def peak_bytes(fn, *args):
+    """Peak traced allocation of one call fn(*args), and its result; numpy
+    traces its data buffers under tracemalloc."""
     tracemalloc.start()
     try:
-        result = _sector(d, n, content)
+        result = fn(*args)
         return tracemalloc.get_traced_memory()[1], result
     finally:
         tracemalloc.stop()
@@ -212,12 +213,12 @@ class TestWeightSector:
         assert_sector_matches_oracle(*args)
 
     def test_sector_never_builds_all_strings(self):
-        peak, (codes, _, _) = sector_peak_bytes(2, 16, (4, 12))
+        peak, (codes, _, _) = peak_bytes(_sector, 2, 16, (4, 12))
         assert len(codes) == comb(16, 4)
         assert peak < 2_000_000  # the 2^16 x 16 letter matrix alone is 8.4 MB
 
     def test_sector_beyond_any_dense_space(self):
-        peak, (codes, letters, _) = sector_peak_bytes(2, 40, (2, 38))
+        peak, (codes, letters, _) = peak_bytes(_sector, 2, 40, (2, 38))
         assert len(codes) == comb(40, 2)
         assert codes.tolist() == weight_sector(2, 40, (2, 38))
         assert letters.sum(axis=1).tolist() == [38] * comb(40, 2)
@@ -325,6 +326,21 @@ class TestExtraction:
         support = set(weight_sector(3, 6, gamma_content(3, 1)))
         for v in vs.vectors:
             assert set(np.nonzero(v)[0]) <= support
+
+    @pytest.mark.parametrize("d,n", [(2, 4), (2, 8), (3, 6), (2, 12), (4, 8), (2, 16)])
+    @pytest.mark.parametrize("pick", ["first", "last"])
+    def test_dense_vectors_are_the_sector_built_once(self, d, n, pick):
+        vs = extract_gt_vectors(d, n, pick=pick)
+        dense = vs.vectors
+        assert dense.shape == (vs.L + 1, d**n) and dense.dtype == complex
+        assert not np.any(np.delete(dense, vs.codes, axis=1))
+        assert np.array_equal(dense[:, vs.codes], vs.sector)
+        assert vs.vectors is dense
+
+    def test_extraction_builds_no_dense_array(self):
+        peak, vs = peak_bytes(extract_gt_vectors, 4, 8)
+        assert vs.sector.shape == (2, 336)
+        assert peak < 1_000_000  # the dense (2, 4^8) complex array alone is 2.1 MB
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
@@ -589,21 +605,6 @@ class TestCGEmbedding:
             vs = extract_gt_vectors(3, 6, pick=pick)
             assert verify_cg_embedding(3, 6, vectors=vs) == verify_cg_embedding(3, 6, pick=pick)
 
-    def test_rejects_weight_outside_the_sector(self):
-        vs = extract_gt_vectors(2, 4)
-        vectors = vs.vectors.copy()
-        vectors[1, 0] = 1e-3  # |0000> has content (4, 0), not (1, 3)
-        planted = dataclasses.replace(vs, vectors=vectors)
-        with pytest.raises(ValueError, match=r"norm 0\.001 .* d=2 n=4"):
-            verify_cg_embedding(2, 4, vectors=planted)
-        # The projections read the sector only: without the check, vectors
-        # of norm 5.10 would give residuals at rounding level.
-        vs = extract_gt_vectors(2, 8)
-        vectors = vs.vectors.copy()
-        vectors[:, 0] = 5.0
-        with pytest.raises(ValueError, match=r"norm 8\.66 outside the weight sector at d=2 n=8"):
-            verify_cg_embedding(2, 8, vectors=dataclasses.replace(vs, vectors=vectors))
-
     def test_rejects_n_not_a_multiple_of_2d(self):
         with pytest.raises(ValueError, match=r"multiple of 2d=4, got 5"):
             verify_cg_embedding(2, 5, vectors=zero_vector_set(2, 5))
@@ -613,14 +614,22 @@ class TestCGEmbedding:
             verify_cg_embedding(2, 8, vectors=extract_gt_vectors(2, 4))
 
     @pytest.mark.parametrize("d,n", [(2, 4), (2, 8), (3, 6)])
-    def test_rejects_complex_vectors(self, d, n):
-        # A global phase leaves every v_i valid, but the projections are
-        # real; dropping the imaginary part would report zero weights.
+    def test_phases_leave_weights_and_estimates_unchanged(self, d, n):
+        # Each v_i is valid under any phase, global or its own; dropping the
+        # imaginary part would report zero weights.
         vs = extract_gt_vectors(d, n)
-        rotated = dataclasses.replace(vs, vectors=1j * vs.vectors)
-        norm = math.sqrt(vs.L + 1)
-        with pytest.raises(ValueError, match=rf"imaginary part of norm {norm:.3g} at d={d} n={n}"):
-            verify_cg_embedding(d, n, vectors=rotated)
+        records = verify_cg_embedding(d, n, vectors=vs)
+        estimates = mc_estimates(d, n, 300, 11, vs)
+        phases = np.exp(1j * np.arange(1, vs.L + 2))[:, None]
+        for sector in (1j * vs.sector, phases * vs.sector):
+            rotated = dataclasses.replace(vs, sector=sector)
+            for got, want in zip(verify_cg_embedding(d, n, vectors=rotated), records):
+                assert got.i == want.i
+                for a, b in zip(dataclasses.astuple(got)[1:], dataclasses.astuple(want)[1:]):
+                    assert a == pytest.approx(b, rel=0, abs=1e-12)
+            for got, want in zip(mc_estimates(d, n, 300, 11, rotated), estimates):
+                assert got.mean == pytest.approx(want.mean, rel=1e-13, abs=0)
+                assert got.stderr == pytest.approx(want.stderr, rel=1e-13, abs=0)
 
     def test_capacity_covers_grown_system(self):
         with pytest.raises(CapacityError):
@@ -734,14 +743,6 @@ class TestMonteCarlo:
         fid, tot = mc_estimates(d, n, samples, seed=42)
         got = (fid.mean, fid.stderr, tot.mean, tot.stderr)
         assert got == pytest.approx(pinned, rel=1e-13, abs=0.0)
-
-    def test_rejects_weight_outside_the_sector(self):
-        vs = extract_gt_vectors(2, 4)
-        vectors = vs.vectors.copy()
-        vectors[1, 0] = 1e-3  # |0000> has content (4, 0), not (1, 3)
-        planted = dataclasses.replace(vs, vectors=vectors)
-        with pytest.raises(ValueError, match=r"norm 0\.001 .* d=2 n=4"):
-            mc_estimates(2, 4, 100, seed=0, vectors=planted)
 
     def test_rejects_n_not_a_multiple_of_2d(self):
         with pytest.raises(ValueError, match=r"multiple of 2d=4, got 5"):
