@@ -14,14 +14,7 @@ from fractions import Fraction
 from math import prod
 from typing import Iterable, Sequence
 
-from .young import (
-    GammaParams,
-    as_chain,
-    gamma_plus_shape,
-    gamma_shape,
-    row,
-    weyl_dimension,
-)
+from .young import GammaParams, as_chain, gamma_plus_shape, gamma_shape, weyl_dimension
 
 
 class ConsistencyError(ValueError):
@@ -96,39 +89,31 @@ def cg_add_box(chain: Sequence[Iterable[int]]) -> list[tuple[int, Fraction]]:
 
     Given the interlacing chain of a semistandard tableau over alphabet
     [d], returns (k, C_k^2) for every row k where adding a box filled
-    with d yields a valid tableau:
+    with d yields a valid tableau.  With the shifted rows t_j = lam_j - j
+    of the top diagram lam and s_j = mu_j - j of the diagram mu below it,
 
-        C_k^2 = |prod_{j=1}^{d-1} (chain[d-1]_j - j - lam_k + k - 1)|
-              / |prod_{j != k}    (lam_j - j - lam_k + k)|
+        C_k^2 = |prod_{j=1}^{d-1} (s_j - t_k - 1)| / |prod_{j != k} (t_j - t_k)|.
 
-    with lam the top diagram.  Rows whose extension is invalid are
-    omitted; the surviving squares sum to 1.
+    Rows whose extension is invalid are omitted; the surviving squares
+    sum to 1.
     """
     diagrams = as_chain(chain)
     d = len(diagrams)
     lam = diagrams[-1]
-    sub = diagrams[-2] if d >= 2 else ()
+    mu = diagrams[-2] if d >= 2 else ()
+    t = [r - j for j, r in enumerate(lam + (0,) * (d - len(lam)))]
+    s = [r - j for j, r in enumerate(mu + (0,) * (d - 1 - len(mu)))]
     out: list[tuple[int, Fraction]] = []
-    for k in range(1, d + 1):
-        # Row k accepts a largest-letter box iff the box above it (if any)
-        # was already present before the last letter: sub_{k-1} >= lam_k + 1.
-        if k >= 2 and row(sub, k - 1) < row(lam, k) + 1:
+    for k, tk in enumerate(t):
+        # Row k (0-based) accepts a largest-letter box iff the box above it (if
+        # any) was already present before the last letter: mu[k-1] >= lam[k] + 1,
+        # which on the shifted rows reads s[k-1] - t[k] >= 2.
+        if k and s[k - 1] - tk < 2:
             continue
-        num = 1
-        for j in range(1, d):
-            num *= row(sub, j) - j - row(lam, k) + k - 1
-        den = 1
-        for j in range(1, d + 1):
-            if j != k:
-                den *= row(lam, j) - j - row(lam, k) + k
-        out.append((k, Fraction(abs(num), abs(den))))
+        num = prod([sj - tk - 1 for sj in s])
+        den = prod([tj - tk for tj in t if tj != tk])  # shifted rows are distinct
+        out.append((k + 1, Fraction(abs(num), abs(den))))
     return out
-
-
-def _products_equal(lhs: Sequence[Fraction | int], rhs: Sequence[Fraction | int]) -> bool:
-    """prod(lhs) == prod(rhs), cross-multiplied in integers (denominators are positive)."""
-    left = prod(q.numerator for q in lhs) * prod(q.denominator for q in rhs)
-    return left == prod(q.numerator for q in rhs) * prod(q.denominator for q in lhs)
 
 
 def _dim_ratios_hold(
@@ -139,12 +124,14 @@ def _dim_ratios_hold(
     dim(gamma_{i-1}), alpha_i, beta_{i-1}, x_i^2 and y_i^2; the two values
     at i - 1 are unused at i = 0."""
     d, L, N, i = p.d, p.L, p.N, p.i
-    s = L + N + d - 2 * i  # dim/dim_plus == u/v is checked as dim * v == dim_plus * u
+    s = L + N + d - 2 * i  # a/b == u/v is checked as a * v == b * u (denominators are positive)
     ok = dim * s * (N + d - i - 1) == dim_plus * (s - 1) * (N - i + 1)
-    ok = ok and _products_equal((alpha, alpha, dim), (x_sq, dim_plus))
+    an, ad = alpha.numerator, alpha.denominator
+    ok = ok and an * an * dim * x_sq.denominator == x_sq.numerator * dim_plus * ad * ad
     if i >= 1:
+        bn, bd = beta_prev.numerator, beta_prev.denominator
         ok = ok and dim_prev * s * (L - i + 1) == dim_plus * (s + 1) * (L + d - i - 1)
-        ok = ok and _products_equal((beta_prev, beta_prev, dim_prev), (y_sq, dim_plus))
+        ok = ok and bn * bn * dim_prev * y_sq.denominator == y_sq.numerator * dim_plus * bd * bd
     return ok
 
 
@@ -228,11 +215,16 @@ class CoeffTable:
             gi = g_coeff(i, d, L)
             fs = f_squared(i, d, L)
             ri = shared_radicand(i, d, L)
-            if not _products_equal((fs, xs), ((gi * (N - i + 1)) ** 2, ri)):
+            # f_i^2 x_i^2 == (g_i (N-i+1))^2 R_i and f_{i-1}^2 y_i^2 == (g_{i-1} (L+d-i-1))^2 R_i,
+            # cross-multiplied over the positive denominators.
+            rn, rd = ri.numerator, ri.denominator
+            fx = fs.numerator * xs.numerator * rd
+            if fx != (gi * (N - i + 1)) ** 2 * rn * fs.denominator * xs.denominator:
                 raise ConsistencyError(
                     f"shared radicand mismatch for f_i*x_i at d={d} L={L} i={i}"
                 )
-            if not _products_equal((prev_f, ys), ((prev_g * (L + d - i - 1)) ** 2, ri)):
+            fy = prev_f.numerator * ys.numerator * rd
+            if fy != (prev_g * (L + d - i - 1)) ** 2 * rn * prev_f.denominator * ys.denominator:
                 raise ConsistencyError(
                     f"shared radicand mismatch for f_(i-1)*y_i at d={d} L={L} i={i}"
                 )

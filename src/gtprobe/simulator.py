@@ -108,7 +108,7 @@ def _lagrange(apply, values, keep: int, v: np.ndarray) -> tuple[np.ndarray, int]
     return v, math.prod(keep - r for r in others)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GTVectorSet:
     """The probe basis vectors v_0..v_L in (C^d)^n, held on their weight sector:
     codes and levels are its ascending base-d codes and prefix tree (see

@@ -9,8 +9,9 @@ alphabet ``[d]`` is identified with its chain of d interlacing diagrams
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from math import factorial
+from itertools import combinations, product, starmap
+from math import factorial, prod
+from operator import ge, index, sub
 from typing import Iterable
 
 Diagram = tuple[int, ...]
@@ -21,16 +22,15 @@ def as_diagram(rows: Iterable[int]) -> Diagram:
     """Validate and canonicalize integral row lengths (no trailing zeros stored)."""
     given = tuple(rows)
     try:
-        rows = tuple(int(r) for r in given)
-    except (OverflowError, ValueError):  # int() of inf or nan
+        rows = tuple(map(int, given))
+    except (OverflowError, TypeError, ValueError):  # int() of inf, nan, None or complex
         rows = None
     if rows != given:
         raise ValueError(f"row lengths must be integers, got {given}")
     while rows and rows[-1] == 0:
         rows = rows[:-1]
-    for a, b in zip(rows, rows[1:]):
-        if a < b:
-            raise ValueError(f"row lengths must be weakly decreasing, got {rows}")
+    if not all(map(ge, rows, rows[1:])):
+        raise ValueError(f"row lengths must be weakly decreasing, got {rows}")
     if rows and rows[-1] < 0:
         raise ValueError(f"row lengths must be nonnegative, got {rows}")
     return rows
@@ -48,39 +48,43 @@ def as_chain(chain: Iterable[Iterable[int]]) -> Chain:
     next one lam: lam_1 >= mu_1 >= lam_2 >= mu_2 >= ... (missing rows read
     0), so the k-th diagram has at most k rows.
     """
-    diagrams = tuple(as_diagram(c) for c in chain)
+    diagrams = tuple(map(as_diagram, chain))
     mu: Diagram = ()
     for lam in diagrams:
         if not (
             len(mu) <= len(lam) <= len(mu) + 1
-            and all(a >= b for a, b in zip(lam, mu))
-            and all(b >= a for b, a in zip(mu, lam[1:]))
+            and all(map(ge, lam, mu))
+            and all(map(ge, mu, lam[1:]))
         ):
             raise ValueError("not a valid interlacing chain")
         mu = lam
     return diagrams
 
 
+def _require_integer(name: str, value: object) -> None:
+    """Raise ValueError naming the field unless operator.index accepts value."""
+    try:
+        index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def weyl_dimension(lam: Iterable[int], d: int) -> int:
     """Dimension of the unitary-group irrep with highest weight lam.
 
-    Evaluates prod_{1<=i<j<=d} (lam_i - i - lam_j + j)/(j - i) exactly,
-    as one integer quotient of the numerator and denominator products.
-    Diagrams with more than d rows label the zero representation and
-    return 0.
+    With the shifted rows h_k = lam_k - k, this is the Vandermonde product
+    prod_{1<=i<j<=d} (h_i - h_j) over prod_{1<=i<j<=d} (j - i) =
+    prod_{k<d} k!, evaluated exactly as one integer quotient.  Diagrams
+    with more than d rows label the zero representation and return 0.
     """
     lam = as_diagram(lam)
+    _require_integer("d", d)
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
     if len(lam) > d:
         return 0
-    rows = lam + (0,) * (d - len(lam))
-    num = den = 1
-    for i in range(d):
-        for j in range(i + 1, d):
-            num *= rows[i] - rows[j] + j - i
-            den *= j - i
-    dim, rem = divmod(num, den)
+    h = [r - k for k, r in enumerate(lam + (0,) * (d - len(lam)))]
+    dim, rem = divmod(prod(starmap(sub, combinations(h, 2))), prod(map(factorial, range(d))))
     assert rem == 0 and dim > 0
     return dim
 
@@ -149,6 +153,8 @@ class GammaParams:
     i: int
 
     def __post_init__(self) -> None:
+        for name in ("d", "L", "i"):
+            _require_integer(name, getattr(self, name))
         if self.d < 2:
             raise ValueError(f"d must be >= 2, got {self.d}")
         if self.L < 1:

@@ -10,7 +10,9 @@ blocks (tensor powers, weight sectors and generators, single Haar draws)
 and float helpers (the fidelity quotient, the pure-state trace distance)
 that the tests check the construction with.  reference_build and its
 companions are the exact layer as written in Fractions, the oracle for the
-integer-arithmetic CoeffTable.build, dim_ratio_check and fidelity sums.  interlaces and
+integer-arithmetic CoeffTable.build, dim_ratio_check and fidelity sums, and
+reference_cg_add_box is the row-by-row Clebsch-Gordan loop that the
+shifted-row cg_add_box replaced.  interlaces and
 is_valid_chain are the pairwise chain checks that young.as_chain replaced, and
 _prefix_levels is the prefix tree rebuilt from a letter matrix that the
 simulator's sector now grows as it generates the strings.
@@ -43,6 +45,7 @@ from gtprobe.simulator import (
 from gtprobe.young import (
     Diagram,
     GammaParams,
+    as_chain,
     as_diagram,
     gamma_plus_shape,
     gamma_shape,
@@ -428,6 +431,28 @@ def reference_build(d: int, L: int) -> CoeffTable:
         f_sq=tuple(f_sq),
         shared_radicand=tuple(rad),
     )
+
+
+def reference_cg_add_box(chain) -> list[tuple[int, Fraction]]:
+    """Squared Clebsch-Gordan coefficients (k, C_k^2) for appending the
+    largest letter, each factor read from the unshifted rows with row()."""
+    diagrams = as_chain(chain)
+    d = len(diagrams)
+    lam = diagrams[-1]
+    sub = diagrams[-2] if d >= 2 else ()
+    out = []
+    for k in range(1, d + 1):
+        if k >= 2 and row(sub, k - 1) < row(lam, k) + 1:
+            continue
+        num = 1
+        for j in range(1, d):
+            num *= row(sub, j) - j - row(lam, k) + k - 1
+        den = 1
+        for j in range(1, d + 1):
+            if j != k:
+                den *= row(lam, j) - j - row(lam, k) + k
+        out.append((k, Fraction(abs(num), abs(den))))
+    return out
 
 
 def reference_expected_fidelity(tab: CoeffTable) -> Fraction:

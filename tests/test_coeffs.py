@@ -31,6 +31,7 @@ from gtprobe.young import (
 )
 from oracles import (
     reference_build,
+    reference_cg_add_box,
     reference_dim_ratio_check,
     reference_expected_fidelity,
     reference_infidelity_sum_form,
@@ -156,6 +157,22 @@ class TestClebschGordan:
         with pytest.raises(ValueError):
             cg_add_box(((2,), (1,)))
 
+    @pytest.mark.parametrize("bad", [None, 1j])
+    def test_rejects_rows_int_cannot_convert(self, bad):
+        with pytest.raises(ValueError, match="must be integers"):
+            cg_add_box([[bad]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(chain_strategy(max_d=12, max_part=10**4))
+    @example(gamma_chain(GammaParams(10, 40, 0)))
+    @example(gamma_chain(GammaParams(10, 40, 17)))
+    @example(gamma_chain(GammaParams(10, 40, 40)))
+    def test_matches_row_by_row_reference(self, chain):
+        got = cg_add_box(chain)
+        assert got == reference_cg_add_box(chain)
+        assert type(got) is list
+        assert all(type(k) is int and type(c) is Fraction for k, c in got)
+
     @given(chain_strategy())
     @settings(max_examples=200)
     def test_unitarity(self, chain):
@@ -245,6 +262,12 @@ class TestCoeffTable:
         with pytest.raises(ConsistencyError) as err:
             CoeffTable.build(2, 1)
         assert "i=1" in str(err.value)
+
+    def test_non_integral_f_squared_fires(self, monkeypatch):
+        # f_1^2 + 1/2 agrees with the identity in its integer part only.
+        _wrap(monkeypatch, "f_squared", lambda f, i, d, L: f(i, d, L) + Fraction(i == 1, 2))
+        with pytest.raises(ConsistencyError, match=r"for f_i\*x_i at d=3 L=2 i=1$"):
+            CoeffTable.build(3, 2)
 
     @pytest.mark.parametrize("shape_of", [gamma_shape, gamma_plus_shape])
     def test_wrong_weyl_dimension_fires(self, monkeypatch, shape_of):

@@ -337,6 +337,12 @@ class TestExtraction:
         assert np.array_equal(dense[:, vs.codes], vs.sector)
         assert vs.vectors is dense
 
+    def test_sets_compare_and_hash_by_identity(self):
+        first, second = extract_gt_vectors(2, 4), extract_gt_vectors(2, 4)
+        assert first == first and second == second
+        assert first != second
+        assert len({first, second, first}) == 2
+
     def test_extraction_builds_no_dense_array(self):
         peak, vs = peak_bytes(extract_gt_vectors, 4, 8)
         assert vs.sector.shape == (2, 336)

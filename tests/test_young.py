@@ -140,6 +140,13 @@ class TestDiagramBasics:
         with pytest.raises(ValueError, match="must be integers"):
             as_diagram([3, bad])
 
+    @pytest.mark.parametrize("bad", [None, 1j, 2 + 0j, object()])
+    def test_as_diagram_rejects_rows_int_cannot_convert(self, bad):
+        for rows in ([bad], [3, bad]):
+            for call in (as_diagram, lambda r: as_chain([r]), lambda r: weyl_dimension(r, 2)):
+                with pytest.raises(ValueError, match="must be integers"):
+                    call(rows)
+
     def test_as_diagram_accepts_integral_values(self):
         rows = as_diagram([np.int64(3), 2.0, Fraction(4, 2), np.int32(1), 0.0])
         assert rows == (3, 2, 2, 1)
@@ -246,6 +253,9 @@ class TestWeylDimension:
     @example(((3, 1), 1))
     @example(((), 16))
     @example(((10**4,) * 17, 16))
+    @example((gamma_shape(GammaParams(10, 40, 0)), 10))
+    @example((gamma_shape(GammaParams(10, 40, 17)), 10))
+    @example((gamma_shape(GammaParams(10, 40, 40)), 10))
     def test_matches_fraction_product(self, case):
         lam, d = case
         dim = weyl_dimension(lam, d)
@@ -255,6 +265,15 @@ class TestWeylDimension:
     def test_rejects_nonpositive_d(self):
         with pytest.raises(ValueError):
             weyl_dimension((1,), 0)
+
+    @pytest.mark.parametrize("d", [2.0, 2.5, "2", None])
+    def test_rejects_non_integer_d(self, d):
+        with pytest.raises(ValueError) as err:
+            weyl_dimension((3, 1), d)
+        assert str(err.value) == f"d must be an integer, got {d!r}"
+
+    def test_accepts_numpy_integer_d(self):
+        assert weyl_dimension((3, 1), np.int64(2)) == weyl_dimension((3, 1), 2) == 3
 
     def test_matches_ssyt_count(self):
         for d in (2, 3):
@@ -346,6 +365,20 @@ class TestGammaFamily:
             GammaParams(2, 0, 0)
         with pytest.raises(ValueError):
             GammaParams(2, 1, 2)
+
+    @pytest.mark.parametrize(
+        "args,field,value",
+        [((2.5, 1, 0), "d", 2.5), ((2, 1.5, 0), "L", 1.5), ((2, 1, 0.0), "i", 0.0),
+         ((2, "1", 0), "L", "1"), ((2, 1, None), "i", None)],
+    )
+    def test_params_must_be_integers(self, args, field, value):
+        with pytest.raises(ValueError) as err:
+            GammaParams(*args)
+        assert str(err.value) == f"{field} must be an integer, got {value!r}"
+
+    def test_params_accept_numpy_integers(self):
+        p = GammaParams(np.int64(3), np.int32(2), np.int64(1))
+        assert gamma_shape(p) == gamma_shape(GammaParams(3, 2, 1)) == (9, 2, 1)
 
     def test_derived_quantities(self):
         p = GammaParams(3, 2, 1)
