@@ -3,8 +3,8 @@
 Every scalar the protocol needs (branching weights alpha/beta, amplitude
 transfer factors x/y, probe coefficients f expressed through the integers
 g) is kept squared so the whole pipeline stays inside exact rationals.
-All identities the construction relies on are re-derivable here and are
-enforced as hard errors when a coefficient table is built.
+Building a coefficient table raises on the dimension ratios, both shared
+radicands and beta_L = 0; `gtprobe verify` checks the remaining identities.
 """
 
 from __future__ import annotations
@@ -178,10 +178,9 @@ def telescoping_check(a: Fraction, b: Fraction, k: int) -> bool:
 class CoeffTable:
     """All protocol scalars for one (d, L), indexed by i = 0..L.
 
-    Building the table re-derives every coefficient along two independent
-    routes (definitions vs. dimension ratios vs. Clebsch-Gordan) and
-    raises ConsistencyError on any exact mismatch, so a table in hand
-    certifies the probe-shape construction at its parameters.
+    Building it checks the dimension ratios behind x_i and y_i and both shared
+    radicands at every i, then beta_L = 0, raising ConsistencyError on any exact
+    mismatch; `gtprobe verify` checks the CG, telescoping and g-increment ones.
     """
 
     d: int

@@ -36,6 +36,7 @@ def expected_fidelity(tab: CoeffTable) -> Fraction:
     sum_i f_i^2 at the protocol's coefficients.  Each squared term is
     rational because f_i x_i and f_{i-1} y_i share the radicand R_i:
     the term at index i equals (g_i (N-i+1) + g_{i-1} (L+d-i-1))^2 R_i.
+    Raises ConsistencyError unless 1 - F equals both closed forms below.
     """
     L, d, N = tab.L, tab.d, tab.N
     # Both sums stay unreduced integer pairs, normalized once; gp is g_{i-1}.
@@ -44,7 +45,14 @@ def expected_fidelity(tab: CoeffTable) -> Fraction:
         term = (gi * (N - i + 1) + gp * (L + d - i - 1)) ** 2 * r.numerator
         num, den = num * r.denominator + term * den, den * r.denominator
         f_num, f_den, gp = f_num * f.denominator + f.numerator * f_den, f_den * f.denominator, gi
-    return Fraction(num * f_den, den * f_num)
+    fid = Fraction(num * f_den, den * f_num)
+    summed, closed = infidelity_sum_form(d, L), closed_form_infidelity(d, L)
+    if not 1 - fid == summed == closed:
+        raise ConsistencyError(
+            f"infidelity routes disagree at d={d} L={L} n={2 * d * L}: "
+            f"1-F={1 - fid} sum-form={summed} closed-form={closed}"
+        )
+    return fid
 
 
 def infidelity_sum_form(d: int, L: int) -> Fraction:
@@ -204,21 +212,13 @@ class FidelityReport:
 
 
 def fidelity_report(d: int, n: int) -> FidelityReport:
-    """Evaluate all fidelity quantities for (d, n), cross-checking the
-    three exact routes to the infidelity against each other."""
+    """Evaluate all fidelity quantities for (d, n) from one table."""
     L = query_count_params(d, n)
     # One table serves both the exact fidelity and the optimizer; it is not
     # kept past this call, so every report re-runs the build's checks.
     tab = CoeffTable.build(d, L)
     fid = expected_fidelity(tab)
     infid = 1 - fid
-    closed = closed_form_infidelity(d, L)
-    summed = infidelity_sum_form(d, L)
-    if infid != closed or infid != summed:
-        raise ConsistencyError(
-            f"infidelity routes disagree at d={d} n={n}: "
-            f"sweep={infid} sum-form={summed} closed-form={closed}"
-        )
     vec, lam = optimal_probe(tab)
     if lam < float(fid) - 1e-12 or lam > 1.0 + 1e-10:
         raise ConsistencyError(
@@ -230,7 +230,7 @@ def fidelity_report(d: int, n: int) -> FidelityReport:
         L=L,
         fidelity_exact=fid,
         infidelity_exact=infid,
-        closed_form=closed,
+        closed_form=infid,
         bound_ratio=bound_ratio(d, n),
         optimal_rayleigh=lam,
         optimal_f=tuple(float(v) for v in vec),

@@ -3,11 +3,12 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from gtprobe import cli, coeffs, simulator
+from gtprobe import cli, coeffs, fidelity, simulator, young
 
 
 def run(capsys, argv):
@@ -143,6 +144,36 @@ class TestSweepCommand:
         assert code == 2 and "range" in err
 
 
+VERIFY_FAMILIES = (
+    "infidelity-chain", "dimension-ratios", "cg-branch-weights", "g-increments",
+    "telescoping", "branching-sums", "amplitude-reduction",
+)
+CHAIN_3_2_1 = young.gamma_chain(young.GammaParams(3, 2, 1))
+
+# One planted defect per (d, L) family: (module, function, wrong(true function,
+# *args), the families that must fail, the parameters each failure names).
+PLANTS = {
+    "weyl-dimension": (
+        coeffs, "weyl_dimension", lambda f, lam, d: f(lam, d) + (tuple(lam) == (9, 2, 1)),
+        {"infidelity-chain", "dimension-ratios"}, "d=3 L=2 i=1",
+    ),
+    "sum-form": (
+        fidelity, "infidelity_sum_form", lambda f, d, L: f(d, L) + ((d, L) == (3, 2)),
+        {"infidelity-chain"}, "d=3 L=2",
+    ),
+    "cg-add-box": (
+        coeffs, "cg_add_box",
+        lambda f, chain: [(k, c + (chain == CHAIN_3_2_1)) for k, c in f(chain)],
+        {"cg-branch-weights"}, "d=3 L=2 i=1",
+    ),
+    "shared-radicand": (
+        coeffs, "shared_radicand",
+        lambda f, i, d, L: f(i, d, L) * (2 if (d, L, i) == (3, 2, 1) else 1),
+        {"infidelity-chain", "dimension-ratios"}, "d=3 L=2 i=1",
+    ),
+}
+
+
 class TestVerifyCommand:
     def test_full_suite_passes(self, capsys):
         code, out, _ = run(capsys, ["verify", "--max-d", "4", "--max-L", "6"])
@@ -173,6 +204,30 @@ class TestVerifyCommand:
     def test_rejects_bad_bounds(self, capsys):
         code, _, _ = run(capsys, ["verify", "--max-d", "1", "--max-L", "4"])
         assert code == 2
+
+    @pytest.mark.parametrize("plant", PLANTS, ids=list(PLANTS))
+    def test_planted_failure_fails_only_its_families(self, capsys, monkeypatch, plant):
+        module, name, wrong, failing, names = PLANTS[plant]
+        true_fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: wrong(true_fn, *args))
+        code, out, _ = run(capsys, ["verify", "--max-d", "3", "--max-L", "3"])
+        assert code == 1
+        for family in VERIFY_FAMILIES:
+            if family in failing:
+                line = next(row for row in out.splitlines() if row.startswith(f"[FAIL] {family}: "))
+                assert all(re.search(rf"\b{part}\b", line) for part in names.split()), line
+            else:
+                assert f"[PASS] {family} (" in out, family
+        assert f"{len(failing)} of 7 identity families failed" in out
+
+    def test_does_not_call_dim_ratio_check(self, capsys, monkeypatch):
+        # A table that builds has already held the dimension ratios at every i.
+        def fail(p):
+            raise AssertionError("dim_ratio_check called")
+
+        monkeypatch.setattr(coeffs, "dim_ratio_check", fail)
+        code, out, _ = run(capsys, ["verify", "--max-d", "4", "--max-L", "5"])
+        assert code == 0 and "all 7 identity families passed" in out
 
 
 class TestSimulateCommand:
@@ -264,6 +319,12 @@ class TestSimulateCommand:
             outs.append(done.stdout)
         assert outs[0] == outs[1]
         assert json.loads(outs[0])["pass"] is True
+
+    def test_wrong_closed_form_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(fidelity, "closed_form_infidelity", lambda d, L: Fraction(1, 7))
+        code, _, err = run(capsys, ["simulate", "--d", "2", "--n", "4", "--samples", "100"])
+        assert code == 1
+        assert "infidelity routes disagree at d=2 L=1 n=4: " in err
 
     def test_too_few_samples(self, capsys):
         code, _, _ = run(capsys, ["simulate", "--d", "2", "--n", "4", "--samples", "10"])

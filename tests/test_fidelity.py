@@ -4,7 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gtprobe import cli
 from gtprobe.coeffs import CoeffTable, ConsistencyError
@@ -57,6 +57,21 @@ class TestInfidelityForms:
         for d, L in product(range(2, 5), range(1, 7)):
             swept = 1 - expected_fidelity(CoeffTable.build(d, L))
             assert swept == infidelity_sum_form(d, L) == closed_form_infidelity(d, L)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(2, 30), st.integers(1, 120))
+    @example(30, 120)
+    def test_expected_fidelity_checks_the_routes_beyond_the_grid(self, d, L):
+        expected_fidelity(CoeffTable.build(d, L))  # raises unless the three routes agree
+
+    @pytest.mark.parametrize("route", ["infidelity_sum_form", "closed_form_infidelity"])
+    def test_expected_fidelity_raises_on_a_wrong_route(self, monkeypatch, route):
+        from gtprobe import fidelity as fmod
+
+        true_fn = getattr(fmod, route)
+        monkeypatch.setattr(fmod, route, lambda d, L: true_fn(d, L) + Fraction(1, 7))
+        with pytest.raises(ConsistencyError, match=r"disagree at d=3 L=2 n=12: "):
+            expected_fidelity(CoeffTable.build(3, 2))
 
 
 class TestBoundRatio:
