@@ -51,8 +51,12 @@ class ExtractionError(RuntimeError):
 
 
 def _check_capacity(d: int, n: int) -> None:
-    if d**n > CAPACITY:
-        raise CapacityError(f"d^n = {d}^{n} = {d**n} exceeds the simulator capacity of {CAPACITY}")
+    # 2^17 > CAPACITY, so for d >= 2 a larger n exceeds it too: d^n is formed
+    # only for d <= CAPACITY and n <= 17, and so never holds thousands of digits.
+    short = n <= CAPACITY.bit_length() and d <= CAPACITY
+    if not short or d**n > CAPACITY:
+        size = f" = {d**n}" if short else ""
+        raise CapacityError(f"d^n = {d}^{n}{size} exceeds the simulator capacity of {CAPACITY}")
 
 
 def _sector(d: int, n: int, content: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, list]:
@@ -108,6 +112,44 @@ def _lagrange(apply, values, keep: int, v: np.ndarray) -> tuple[np.ndarray, int]
     return v, math.prod(keep - r for r in others)
 
 
+def _swap_tables(d: int, content: tuple[int, ...], codes: np.ndarray, letters: np.ndarray):
+    """Two (k, m) tables: column x lists, for the site pairs s < t in lex order
+    whose letters differ (in the second, both below d-1), the position in codes
+    of string x with those letters swapped.  codes is lex-ordered, so strings
+    that share their first n//2 letters form a run holding every arrangement
+    of the letters left in lex order: a position is a run start plus a rank."""
+    m, n = letters.shape
+    half = d ** (n - n // 2)
+    head, tail = np.divmod(codes, half)
+    start = np.searchsorted(head, np.arange(d ** (n // 2)))
+    rank = np.zeros(half, dtype=np.intp)
+    rank[tail] = np.arange(m) - start[head]
+    s, t = np.triu_indices(n, 1)
+    shift = d ** (n - 1 - s) - d ** (n - 1 - t)
+    sq, low = sum(c * c for c in content), sum(content[:-1])
+    widths = (n * n - sq) // 2, (low * low - sq + content[-1] ** 2) // 2
+    tables = [np.empty((k, m), dtype=np.intp) for k in widths]
+    letters = letters.astype(np.int8)
+    rows = 1 + 2**18 // (n * n)  # strings per block, which bounds the temporaries
+    for first in range(0, m, rows):
+        block = slice(first, first + rows)
+        at_s, at_t = np.take(letters[block], s, axis=1), np.take(letters[block], t, axis=1)
+        step = at_t - at_s
+        moved = step != 0
+        for table, keep in zip(tables, (moved, moved & (np.maximum(at_s, at_t) < d - 1))):
+            pair = np.flatnonzero(keep)
+            swapped = codes[block].repeat(len(table)) + step.ravel()[pair] * shift[pair % len(s)]
+            head, tail = np.divmod(swapped, half)
+            table[:, block] = (start[head] + rank[tail]).reshape(len(at_s), -1).T
+    return tables
+
+
+def _swap_operator(diag: int, table: np.ndarray):
+    """v -> diag v + 2 sum_j v[table[j]], for a (k, m) table from _swap_tables:
+    the leading-axis sum adds each string's images in the table's order."""
+    return lambda v: diag * v + 2 * np.take(v, table, axis=0).sum(axis=0)
+
+
 @dataclass(frozen=True, eq=False)
 class GTVectorSet:
     """The probe basis vectors v_0..v_L in (C^d)^n, held on their weight sector:
@@ -145,8 +187,9 @@ def _covariant_buckets(
 ) -> tuple[GTVectorSet, object]:
     """The vector set of the sector, one certified unit vector per shape in
     its subgroup-covariant part (ker M, M = sum_{a != b <= d-1} E_ba E_ab,
-    split by the Casimir C), and project(k, v) = P_0 P_k v as numerator and
-    denominator, P_0 and P_k the Lagrange projectors onto ker M and value k.
+    split by the Casimir C), and project(v), which yields P_0 v and then each
+    P_0 P_k v as numerator and denominator, P_0 and P_k the Lagrange
+    projectors onto ker M and value k.
 
     C and M commute with each other and with every site permutation, and the
     sector is one orbit of those, so p(C, M) e_x = 0 gives p(C, M) = 0 and
@@ -175,32 +218,25 @@ def _covariant_buckets(
     # the letters a at s and b at t otherwise.  So C = sum_{a,b} E_ba E_ab is
     # (d-1) n + sum_a c_a^2 on the diagonal plus 2 per swap of two distinct
     # letters, and M is (d-2) per letter below d-1 plus 2 per swap of two of
-    # them.  Every string has as many swaps: a table of images, row by row.
-    s, t = np.triu_indices(n, 1)
-    at_s, at_t = letters[:, s], letters[:, t]
-    moved = at_s != at_t
-    place = d ** np.arange(n - 1, -1, -1)
-    image = np.searchsorted(codes, (codes[:, None] + (at_t - at_s) * (place[s] - place[t]))[moved])
-    low = (np.maximum(at_s, at_t) < d - 1)[moved]
+    # them.  Every string has as many swaps, so each is a table of images.
+    swaps, low_swaps = _swap_tables(d, content, codes, letters)
+    casimir = _swap_operator((d - 1) * n + sum(c * c for c in content), swaps)
+    sub = _swap_operator((d - 2) * sum(content[:-1]), low_swaps)
 
-    def operator(diag: int, images: np.ndarray):
-        return lambda v: diag * v + 2 * v[images].sum(axis=1)
-
-    casimir = operator((d - 1) * n + sum(c * c for c in content), image.reshape(m, -1))
-    sub = operator((d - 2) * sum(content[:-1]), image[low].reshape(m, -1))
-
-    def project(k: int, v: np.ndarray) -> tuple[np.ndarray, int]:
+    def project(v: np.ndarray):
+        """Yield P_0 v, then P_0 P_k v for each bucket k, as numerator and denominator."""
         kernel, d0 = _lagrange(sub, null_values, 0, v)
-        u, dk = _lagrange(casimir, expected, expected[k], kernel)
-        return u, d0 * dk
+        yield kernel, d0
+        for value in expected:
+            u, dk = _lagrange(casimir, expected, value, kernel)
+            yield u, d0 * dk
 
     x = 0 if pick == "first" else m - 1
-    e_x = (np.arange(m) == x).astype(np.int64)
-    if np.any(sub(_lagrange(sub, null_values, 0, e_x)[0])):
+    buckets = project((np.arange(m) == x).astype(np.int64))
+    if np.any(sub(next(buckets)[0])):
         raise ExtractionError(f"M has eigenvalues outside {null_values} {where}")
     sector, dims = np.zeros((len(shapes), m)), tuple(map(hook_length_dimension, shapes))
-    for k, (shape, value) in enumerate(zip(shapes, expected)):
-        u, den = project(k, e_x)
+    for k, (shape, value, (u, den)) in enumerate(zip(shapes, expected, buckets)):
         if k == 0 and np.any(casimir(u) - value * u):
             raise ExtractionError(f"covariant Casimir values lie outside {expected} {where}")
         dim = Fraction(m * int(u[x]), den)
@@ -287,7 +323,8 @@ def verify_cg_embedding(
     grown = np.zeros((L + 1, len(plus.codes)), dtype=vs.sector.dtype)
     grown[:, plus.codes % d == d - 1] = vs.sector
     # weights[k][i] is the squared norm of v_i tensor |d> in grown bucket k.
-    weights = [np.sum(np.abs(np.divide(*project(k, grown.T))) ** 2, axis=0) for k in range(L + 1)]
+    _, *buckets = project(grown.T)
+    weights = [np.sum(np.abs(np.divide(u, den)) ** 2, axis=0) for u, den in buckets]
     weights += [np.zeros(L + 1)]
     out: list[CGResidual] = []
     for i in range(L + 1):
@@ -307,10 +344,14 @@ def _haar_batch(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
 def _restricted_power(w: np.ndarray, levels: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """W^{otimes k} restricted to the strings x, y of the last level, for a
     batch of W: entry [x, y] is prod_j W[x_j, y_j], one site per level."""
-    power = np.ones((len(w), 1, 1), dtype=complex)
-    for parent, letter in levels:
-        power = power[:, parent[:, None], parent] * w[:, letter[:, None], letter]
-    return power
+    b, d = w.shape[:2]
+    power, flat, size = np.ones((b, 1), dtype=complex), w.reshape(b, d * d), 1
+    for parent, letter in levels:  # gathers on the flattened (b, size^2) and (b, d^2)
+        prefix = (parent[:, None] * size + parent).ravel()
+        site = (letter[:, None] * d + letter).ravel()
+        power = np.take(power, prefix, axis=1) * np.take(flat, site, axis=1)
+        size = len(parent)
+    return power.reshape(b, size, size)
 
 
 @dataclass(frozen=True)
@@ -346,7 +387,10 @@ def mc_estimates(
     if probe is None:
         f = protocol_probe(d, L)
     else:
-        f = np.asarray(probe, dtype=float)
+        f = np.asarray(probe)
+        if np.any(np.imag(f)):
+            raise ValueError(f"probe must be real, got imaginary parts {np.imag(f)}")
+        f = np.asarray(np.real(f), dtype=float)
         if f.shape != (L + 1,) or not np.any(f) or not np.all(np.isfinite(f)):
             raise ValueError(f"probe must be a finite nonzero vector of length {L + 1}")
         f = f / np.abs(f).max()  # so huge entries cannot overflow the norm

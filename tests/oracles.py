@@ -15,7 +15,11 @@ reference_cg_add_box is the row-by-row Clebsch-Gordan loop that the
 shifted-row cg_add_box replaced.  interlaces and
 is_valid_chain are the pairwise chain checks that young.as_chain replaced, and
 _prefix_levels is the prefix tree rebuilt from a letter matrix that the
-simulator's sector now grows as it generates the strings.
+simulator's sector now grows as it generates the strings.  reference_swap_tables,
+reference_swap_operator and reference_restricted_power are the binary-search
+site-swap tables, their row-major matvec and the fancy-indexed tensor power
+that the position lookup, the swap-major tables and the flat gathers replaced;
+reference_cg_embedding runs the CG check on them.
 """
 
 import math
@@ -37,9 +41,13 @@ from gtprobe.simulator import (
     _MC_CHUNK_BUDGET,
     CASIMIR_TOL,
     NULL_SPACE_TOL,
+    CGResidual,
     ExtractionError,
     _check_capacity,
     _haar_batch,
+    _lagrange,
+    _null_values,
+    _sector,
     casimir_eigenvalue,
 )
 from gtprobe.young import (
@@ -47,6 +55,7 @@ from gtprobe.young import (
     GammaParams,
     as_chain,
     as_diagram,
+    gamma_content,
     gamma_plus_shape,
     gamma_shape,
     hook_length_dimension,
@@ -478,3 +487,59 @@ def reference_infidelity_sum_form(d: int, L: int) -> Fraction:
         num += Fraction((gi - gp) ** 2, L + N + d - 2 * i) * prods
         den += Fraction(gi**2 - gp**2, d - 1) * prods
     return num / den
+
+
+def reference_swap_tables(d: int, codes: np.ndarray, letters: np.ndarray):
+    """The site-swap image tables by binary search: every swapped code of every
+    string, formed at once as int64 over all n(n-1)/2 site pairs and found in
+    codes with np.searchsorted.  Row x lists string x's images in (s, t) order,
+    so these are the (m, k) transposes of simulator._swap_tables."""
+    m, n = letters.shape
+    s, t = np.triu_indices(n, 1)
+    at_s, at_t = letters[:, s], letters[:, t]
+    moved = at_s != at_t
+    place = d ** np.arange(n - 1, -1, -1)
+    image = np.searchsorted(codes, (codes[:, None] + (at_t - at_s) * (place[s] - place[t]))[moved])
+    low = (np.maximum(at_s, at_t) < d - 1)[moved]
+    return image.reshape(m, -1), image[low].reshape(m, -1)
+
+
+def reference_swap_operator(diag: int, images: np.ndarray):
+    """The row-major matvec on an (m, k) image table: diag v + 2 sum_j v[images[:, j]]."""
+    return lambda v: diag * v + 2 * v[images].sum(axis=1)
+
+
+def reference_restricted_power(w: np.ndarray, levels) -> np.ndarray:
+    """W^{otimes k} on the last level's strings, fancy-indexing the (b, h, h) power."""
+    power = np.ones((len(w), 1, 1), dtype=complex)
+    for parent, letter in levels:
+        power = power[:, parent[:, None], parent] * w[:, letter[:, None], letter]
+    return power
+
+
+def reference_cg_embedding(d: int, n: int, vs) -> list[CGResidual]:
+    """verify_cg_embedding's records for the vector set vs, from the binary-search
+    tables and the row-major matvec, running the M-kernel product again for
+    every grown bucket."""
+    L = vs.L
+    content = gamma_content(d, L)
+    content = content[:-1] + (content[-1] + 1,)
+    codes, letters, _ = _sector(d, n + 1, content)
+    swaps, low_swaps = reference_swap_tables(d, codes, letters)
+    casimir = reference_swap_operator((d - 1) * (n + 1) + sum(c * c for c in content), swaps)
+    sub = reference_swap_operator((d - 2) * sum(content[:-1]), low_swaps)
+    values = [casimir_eigenvalue(gamma_plus_shape(GammaParams(d, L, i)), d) for i in range(L + 1)]
+    grown = np.zeros((L + 1, len(codes)), dtype=vs.sector.dtype)
+    grown[:, codes % d == d - 1] = vs.sector
+    weights = []
+    for value in values:
+        kernel, d0 = _lagrange(sub, _null_values(d, content), 0, grown.T)
+        u, dk = _lagrange(casimir, values, value, kernel)
+        weights.append(np.sum(np.abs(np.divide(u, d0 * dk)) ** 2, axis=0))
+    weights.append(np.zeros(L + 1))
+    out = []
+    for i in range(L + 1):
+        alpha, beta = (float(w) for w in alpha_beta(GammaParams(d, L, i)))
+        a, b = float(weights[i][i]), float(weights[i + 1][i])
+        out.append(CGResidual(i, a, b, abs(a - alpha), abs(b - beta)))
+    return out

@@ -287,6 +287,12 @@ class TestSimulateCommand:
         assert code == 3
         assert "capacity" in err and "100000" in err
 
+    def test_capacity_error_for_a_huge_n(self, capsys):
+        # 2^20000 has more digits than int-to-str conversion allows.
+        code, out, err = run(capsys, ["simulate", "--d", "2", "--n", "20000", "--samples", "100"])
+        assert code == 3 and out == ""
+        assert err == "error: d^n = 2^20000 exceeds the simulator capacity of 100000\n"
+
     def test_check_cg_capacity_fails_before_any_work(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("work started before the capacity check")

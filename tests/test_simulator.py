@@ -21,7 +21,10 @@ from gtprobe.simulator import (
     _entry_bound,
     _haar_batch,
     _null_values,
+    _restricted_power,
     _sector,
+    _swap_operator,
+    _swap_tables,
     casimir_eigenvalue,
     extract_gt_vectors,
     mc_estimates,
@@ -41,6 +44,10 @@ from oracles import (
     full_null_space_buckets,
     full_space_mc,
     haar_unitary,
+    reference_cg_embedding,
+    reference_restricted_power,
+    reference_swap_operator,
+    reference_swap_tables,
     sector_strings,
     weight_operator,
     weight_sector,
@@ -522,6 +529,84 @@ class TestExactCertificate:
         assert np.max(np.abs(gram - np.eye(vs.L + 1))) < 1e-14
 
 
+def assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_tables_match(d, n, content):
+    codes, letters, _ = _sector(d, n, content)
+    for table, images in zip(_swap_tables(d, content, codes, letters),
+                             reference_swap_tables(d, codes, letters)):
+        assert_bitwise(table, np.ascontiguousarray(images.T))
+
+
+class TestSwapTables:
+    @pytest.mark.parametrize(
+        "d,n", [(2, n) for n in range(1, 10)] + [(3, n) for n in range(1, 7)] + [(4, n) for n in range(1, 6)]
+    )
+    def test_lookup_matches_binary_search_on_every_content(self, d, n):
+        for content in product(range(n + 1), repeat=d):
+            if sum(content) == n:
+                assert_tables_match(d, n, content)
+
+    @pytest.mark.parametrize(
+        "d,n,grown", list(admitted_sizes()) + [(3, 12, False), (5, 10, False), (2, 20, False)]
+    )
+    def test_lookup_matches_binary_search_on_certified_sectors(self, d, n, grown):
+        sites, content, _ = certified_sector(d, n, grown)
+        assert_tables_match(d, sites, content)
+
+    @pytest.mark.parametrize("d,n,grown", list(admitted_sizes()))
+    def test_operator_matches_row_major_matvec(self, d, n, grown):
+        sites, content, _ = certified_sector(d, n, grown)
+        codes, letters, _ = _sector(d, sites, content)
+        rng = np.random.default_rng(sites)
+        floats, ints = rng.standard_normal((len(codes), 3)), rng.integers(-2**40, 2**40, len(codes))
+        for table, images in zip(_swap_tables(d, content, codes, letters),
+                                 reference_swap_tables(d, codes, letters)):
+            got, want = _swap_operator(sites, table), reference_swap_operator(sites, images)
+            assert_bitwise(got(floats), want(floats))
+            for v in (ints, ints[:, None] * [1, -3]):
+                assert_bitwise(got(v), want(v))
+
+    @pytest.mark.parametrize("d,n", [(d, n) for d, n, grown in admitted_sizes() if not grown])
+    def test_restricted_power_matches_fancy_indexing(self, d, n):
+        _, _, levels = _sector(d, n, gamma_content(d, n // (2 * d)))
+        w = _haar_batch(np.random.default_rng(n), 5, d)
+        power = _restricted_power(w, levels[: n // 2])
+        assert power.flags.c_contiguous
+        assert_bitwise(power, reference_restricted_power(w, levels[: n // 2]))
+
+    @pytest.mark.parametrize("d,n", [(2, 12), (3, 6)])
+    @pytest.mark.parametrize("pick", ["first", "last"])
+    def test_cg_embedding_matches_binary_search_oracle(self, d, n, pick):
+        vs = extract_gt_vectors(d, n, pick=pick)
+        assert verify_cg_embedding(d, n, vectors=vs) == reference_cg_embedding(d, n, vs)
+
+    def test_kernel_product_runs_once_per_input(self, monkeypatch):
+        # Casimir values are positive, so keep = 0 marks the M-kernel product.
+        kernels = []
+        lagrange = simulator._lagrange
+
+        def counted(apply, values, keep, v):
+            kernels.append(keep == 0)
+            return lagrange(apply, values, keep, v)
+
+        monkeypatch.setattr(simulator, "_lagrange", counted)
+        verify_cg_embedding(3, 6, vectors=extract_gt_vectors(3, 6))
+        # e_x of the 6-site and of the 7-site sector, then the grown vectors:
+        # one kernel product each, then one Casimir product per bucket.
+        assert kernels == [True, False, False] * 3
+
+    def test_tables_never_form_all_pair_codes(self):
+        content = gamma_content(2, 4)
+        codes, letters, _ = _sector(2, 16, content)
+        peak, (swaps, low_swaps) = peak_bytes(_swap_tables, 2, content, codes, letters)
+        assert swaps.shape == (48, comb(16, 4)) and low_swaps.shape == (0, comb(16, 4))
+        assert peak < 5_000_000  # the binary-search tables peaked at 7.3 MB
+
+
 class TestHaar:
     def test_unitarity(self):
         for d in (2, 3, 6):
@@ -641,6 +726,12 @@ class TestCGEmbedding:
         with pytest.raises(CapacityError):
             verify_cg_embedding(4, 8)  # 4^9 exceeds the dense cap
 
+    @pytest.mark.parametrize("d,n", [(3, 6000), (2, 20000), (10**6, 2 * 10**6)])
+    def test_capacity_message_never_prints_a_huge_power(self, d, n):
+        message = rf"d\^n = {d}\^{n + 1} exceeds the simulator capacity of 100000$"
+        with pytest.raises(CapacityError, match=message):
+            verify_cg_embedding(d, n)
+
 
 class TestMonteCarlo:
     def test_qubit_agreement(self):
@@ -690,6 +781,16 @@ class TestMonteCarlo:
     def test_rejects_non_finite_probe(self, bad):
         with pytest.raises(ValueError, match="finite nonzero vector of length 2"):
             mc_estimates(2, 4, 100, seed=0, probe=[bad, 1.0])
+
+    def test_rejects_complex_probe(self):
+        with pytest.raises(ValueError, match=r"probe must be real, got imaginary parts \[1\. 0\.\]"):
+            mc_estimates(2, 4, 100, seed=0, probe=np.array([1 + 1j, 0.5]))
+
+    def test_complex_probe_with_zero_imaginary_parts_is_its_real_part(self):
+        probe = np.array([0.3 + 0j, -0.7 + 0j])
+        assert mc_estimates(2, 4, 100, seed=0, probe=probe) == mc_estimates(
+            2, 4, 100, seed=0, probe=probe.real
+        )
 
     def test_huge_probe_matches_its_direction(self):
         # 1e308 squared overflows; the estimates depend on the direction only.
