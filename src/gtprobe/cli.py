@@ -189,7 +189,7 @@ def _report_fields(report: fidelity.FidelityReport) -> dict:
         "fidelity_float": float(report.fidelity_exact),
         "infidelity": report.infidelity_exact,
         "infidelity_float": float(report.infidelity_exact),
-        "closed_form": report.closed_form,
+        "closed_form": report.infidelity_exact,
         "bound_ratio": report.bound_ratio,
         "optimal_rayleigh": report.optimal_rayleigh,
         "optimal_infidelity": report.optimal_infidelity,

@@ -99,6 +99,8 @@ def cg_add_box(chain: Sequence[Iterable[int]]) -> list[tuple[int, Fraction]]:
     """
     diagrams = as_chain(chain)
     d = len(diagrams)
+    if not d:
+        raise ValueError("chain must hold at least one diagram")
     lam = diagrams[-1]
     mu = diagrams[-2] if d >= 2 else ()
     t = [r - j for j, r in enumerate(lam + (0,) * (d - len(lam)))]
@@ -114,44 +116,6 @@ def cg_add_box(chain: Sequence[Iterable[int]]) -> list[tuple[int, Fraction]]:
         den = prod([tj - tk for tj in t if tj != tk])  # shifted rows are distinct
         out.append((k + 1, Fraction(abs(num), abs(den))))
     return out
-
-
-def _dim_ratios_hold(
-    p: GammaParams, dim: int, dim_plus: int, dim_prev: int,
-    alpha: Fraction, beta_prev: Fraction | int, x_sq: Fraction, y_sq: Fraction,
-) -> bool:
-    """The identities of dim_ratio_check, given dim(gamma_i), dim(gamma_i^+),
-    dim(gamma_{i-1}), alpha_i, beta_{i-1}, x_i^2 and y_i^2; the two values
-    at i - 1 are unused at i = 0."""
-    d, L, N, i = p.d, p.L, p.N, p.i
-    s = L + N + d - 2 * i  # a/b == u/v is checked as a * v == b * u (denominators are positive)
-    ok = dim * s * (N + d - i - 1) == dim_plus * (s - 1) * (N - i + 1)
-    an, ad = alpha.numerator, alpha.denominator
-    ok = ok and an * an * dim * x_sq.denominator == x_sq.numerator * dim_plus * ad * ad
-    if i >= 1:
-        bn, bd = beta_prev.numerator, beta_prev.denominator
-        ok = ok and dim_prev * s * (L - i + 1) == dim_plus * (s + 1) * (L + d - i - 1)
-        ok = ok and bn * bn * dim_prev * y_sq.denominator == y_sq.numerator * dim_plus * bd * bd
-    return ok
-
-
-def dim_ratio_check(p: GammaParams) -> bool:
-    """Exact check of the dimension-ratio identities behind x and y.
-
-    dim(gamma_i)/dim(gamma_i^+)     = (L+N+d-2i-1)(N-i+1) / ((L+N+d-2i)(N+d-i-1))
-    dim(gamma_{i-1})/dim(gamma_i^+) = (L+N+d-2i+1)(L+d-i-1) / ((L+N+d-2i)(L-i+1))
-
-    and, squared, x_i^2 = alpha_i^2 dim(gamma_i)/dim(gamma_i^+) and
-    y_i^2 = beta_{i-1}^2 dim(gamma_{i-1})/dim(gamma_i^+).
-    """
-    d, dim_prev, beta_prev = p.d, 0, 0
-    if p.i >= 1:
-        prev = GammaParams(d, p.L, p.i - 1)
-        dim_prev, beta_prev = weyl_dimension(gamma_shape(prev), d), alpha_beta(prev)[1]
-    dim, dim_plus = weyl_dimension(gamma_shape(p), d), weyl_dimension(gamma_plus_shape(p), d)
-    return _dim_ratios_hold(
-        p, dim, dim_plus, dim_prev, alpha_beta(p)[0], beta_prev, *xy_squared(p)
-    )
 
 
 def telescoping_check(a: Fraction, b: Fraction, k: int) -> bool:
@@ -178,9 +142,15 @@ def telescoping_check(a: Fraction, b: Fraction, k: int) -> bool:
 class CoeffTable:
     """All protocol scalars for one (d, L), indexed by i = 0..L.
 
-    Building it checks the dimension ratios behind x_i and y_i and both shared
-    radicands at every i, then beta_L = 0, raising ConsistencyError on any exact
-    mismatch; `gtprobe verify` checks the CG, telescoping and g-increment ones.
+    Building it checks, at every i, the dimension ratios behind x_i and y_i,
+
+        dim(gamma_i)/dim(gamma_i^+)     = (L+N+d-2i-1)(N-i+1) / ((L+N+d-2i)(N+d-i-1)),
+        dim(gamma_{i-1})/dim(gamma_i^+) = (L+N+d-2i+1)(L+d-i-1) / ((L+N+d-2i)(L-i+1)),
+
+    x_i^2 = alpha_i^2 dim(gamma_i)/dim(gamma_i^+) and y_i^2 = beta_{i-1}^2
+    dim(gamma_{i-1})/dim(gamma_i^+) (those with gamma_{i-1} from i = 1 on), then both
+    shared radicands and beta_L = 0, raising ConsistencyError on any exact mismatch;
+    `gtprobe verify` checks the CG, telescoping and g-increment identities.
     """
 
     d: int
@@ -207,10 +177,16 @@ class CoeffTable:
             xs, ys = xy_squared(p)
             dim = weyl_dimension(gamma_shape(p), d)
             dim_plus = weyl_dimension(gamma_plus_shape(p), d)
-            if not _dim_ratios_hold(p, dim, dim_plus, prev_dim, a, prev_b, xs, ys):
-                raise ConsistencyError(
-                    f"dimension-ratio identity failed at d={d} L={L} i={i}"
-                )
+            # The dimension ratios, cross-multiplied over the positive denominators.
+            s, an, ad = L + N + d - 2 * i, a.numerator, a.denominator
+            ok = dim * s * (N + d - i - 1) == dim_plus * (s - 1) * (N - i + 1)
+            ok = ok and an * an * dim * xs.denominator == xs.numerator * dim_plus * ad * ad
+            if i:
+                bn, bd = prev_b.numerator, prev_b.denominator
+                ok = ok and prev_dim * s * (L - i + 1) == dim_plus * (s + 1) * (L + d - i - 1)
+                ok = ok and bn * bn * prev_dim * ys.denominator == ys.numerator * dim_plus * bd * bd
+            if not ok:
+                raise ConsistencyError(f"dimension-ratio identity failed at d={d} L={L} i={i}")
             gi = g_coeff(i, d, L)
             fs = f_squared(i, d, L)
             ri = shared_radicand(i, d, L)

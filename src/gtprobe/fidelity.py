@@ -18,10 +18,13 @@ from fractions import Fraction
 import numpy as np
 
 from .coeffs import CoeffTable, ConsistencyError, f_squared, g_coeff
+from .young import _require_integer
 
 
 def query_count_params(d: int, n: int) -> int:
     """Validate that n is a positive multiple of 2d and return L = n/(2d)."""
+    _require_integer("d", d)
+    _require_integer("n", n)
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
     if n <= 0 or n % (2 * d) != 0:
@@ -98,6 +101,8 @@ def bound_ratio(d: int, n: int) -> float:
 def protocol_probe(d: int, L: int) -> np.ndarray:
     """The protocol's probe coefficients f_0..f_L, normalized to unit norm
     (the f_i^2 that CoeffTable.build stores, read without building a table)."""
+    if d < 2 or L < 1:
+        raise ValueError(f"need d >= 2 and L >= 1, got d={d} L={L}")
     f_sq = [f_squared(i, d, L) for i in range(L + 1)]
     total = sum(f_sq)
     return np.sqrt([float(v / total) for v in f_sq])
@@ -196,7 +201,6 @@ class FidelityReport:
     L: int
     fidelity_exact: Fraction
     infidelity_exact: Fraction
-    closed_form: Fraction
     bound_ratio: float
     optimal_rayleigh: float
     optimal_f: tuple[float, ...]
@@ -208,7 +212,7 @@ class FidelityReport:
     @property
     def gap_ratio(self) -> float:
         """Optimal infidelity relative to the protocol's; reported as data."""
-        return self.optimal_infidelity / float(self.closed_form)
+        return self.optimal_infidelity / float(self.infidelity_exact)
 
 
 def fidelity_report(d: int, n: int) -> FidelityReport:
@@ -230,7 +234,6 @@ def fidelity_report(d: int, n: int) -> FidelityReport:
         L=L,
         fidelity_exact=fid,
         infidelity_exact=infid,
-        closed_form=infid,
         bound_ratio=bound_ratio(d, n),
         optimal_rayleigh=lam,
         optimal_f=tuple(float(v) for v in vec),

@@ -24,6 +24,7 @@ from .fidelity import protocol_probe, query_count_params
 from .young import (
     Diagram,
     GammaParams,
+    _require_integer,
     gamma_content,
     gamma_plus_shape,
     gamma_shape,
@@ -379,6 +380,7 @@ def mc_estimates(
     integrand |A|^2, whose exact mean is one.  probe overrides the protocol's
     coefficient vector f_0..f_L (normalized internally).  Returns (fidelity, total).
     """
+    _require_integer("samples", samples)
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
     vs = vectors if vectors is not None else extract_gt_vectors(d, n)

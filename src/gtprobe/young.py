@@ -103,20 +103,12 @@ def branching_restrictions(lam: Iterable[int], d: int) -> list[Diagram]:
 
 
 def hook_length_dimension(lam: Iterable[int]) -> int:
-    """Number of standard tableaux of shape lam (hook length formula)."""
+    """Number of standard tableaux of shape lam, by the Frobenius formula
+    n! prod_{i<j} (h_i - h_j) / prod_k h_k! over the shifted rows h_k = lam_k + r - k
+    of its r rows: the Vandermonde product of weyl_dimension, as one integer quotient."""
     lam = as_diagram(lam)
-    n = sum(lam)
-    conj = _conjugate(lam)
-    hooks = 1
-    for r, length in enumerate(lam):
-        for c in range(length):
-            hooks *= (length - c) + (conj[c] - r) - 1
-    return factorial(n) // hooks
-
-
-def _conjugate(lam: Diagram) -> Diagram:
-    width = lam[0] if lam else 0
-    return tuple(sum(1 for r in lam if r > c) for c in range(width))
+    h = [part + len(lam) - 1 - k for k, part in enumerate(lam)]
+    return factorial(sum(lam)) * prod(starmap(sub, combinations(h, 2))) // prod(map(factorial, h))
 
 
 def partitions(n: int, max_rows: int | None = None) -> list[Diagram]:

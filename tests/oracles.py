@@ -10,9 +10,10 @@ blocks (tensor powers, weight sectors and generators, single Haar draws)
 and float helpers (the fidelity quotient, the pure-state trace distance)
 that the tests check the construction with.  reference_build and its
 companions are the exact layer as written in Fractions, the oracle for the
-integer-arithmetic CoeffTable.build, dim_ratio_check and fidelity sums, and
-reference_cg_add_box is the row-by-row Clebsch-Gordan loop that the
-shifted-row cg_add_box replaced.  interlaces and
+integer-arithmetic CoeffTable.build, with its dimension-ratio checks, and the
+fidelity sums; reference_cg_add_box is the row-by-row Clebsch-Gordan loop that
+the shifted-row cg_add_box replaced, and reference_hook_length_dimension the
+product over hooks that the Frobenius hook_length_dimension replaced.  interlaces and
 is_valid_chain are the pairwise chain checks that young.as_chain replaced, and
 _prefix_levels is the prefix tree rebuilt from a letter matrix that the
 simulator's sector now grows as it generates the strings.  reference_swap_tables,
@@ -365,6 +366,17 @@ def full_null_space_buckets(
             )
         buckets.append(null_basis @ evecs2[:, chosen])
     return np.array([string_index(s, d) for s in strings]), buckets
+
+
+def reference_hook_length_dimension(lam) -> int:
+    """Number of standard tableaux of shape lam: n! over the product of its hook lengths."""
+    lam = as_diagram(lam)
+    conj = [sum(1 for r in lam if r > c) for c in range(lam[0] if lam else 0)]
+    hooks = 1
+    for r, length in enumerate(lam):
+        for c in range(length):
+            hooks *= (length - c) + (conj[c] - r) - 1
+    return math.factorial(sum(lam)) // hooks
 
 
 # The exact layer as it was written in Fractions, before CoeffTable.build

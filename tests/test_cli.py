@@ -220,15 +220,6 @@ class TestVerifyCommand:
                 assert f"[PASS] {family} (" in out, family
         assert f"{len(failing)} of 7 identity families failed" in out
 
-    def test_does_not_call_dim_ratio_check(self, capsys, monkeypatch):
-        # A table that builds has already held the dimension ratios at every i.
-        def fail(p):
-            raise AssertionError("dim_ratio_check called")
-
-        monkeypatch.setattr(coeffs, "dim_ratio_check", fail)
-        code, out, _ = run(capsys, ["verify", "--max-d", "4", "--max-L", "5"])
-        assert code == 0 and "all 7 identity families passed" in out
-
 
 class TestSimulateCommand:
     def test_report_and_determinism(self, capsys):

@@ -14,7 +14,6 @@ from gtprobe.coeffs import (
     ConsistencyError,
     alpha_beta,
     cg_add_box,
-    dim_ratio_check,
     f_squared,
     g_coeff,
     shared_radicand,
@@ -29,6 +28,7 @@ from gtprobe.young import (
     gamma_shape,
     weyl_dimension,
 )
+import oracles
 from oracles import (
     reference_build,
     reference_cg_add_box,
@@ -39,8 +39,8 @@ from oracles import (
 
 
 def _wrap(monkeypatch, name, wrapper):
-    """Replace coeffs.<name>, as CoeffTable.build and dim_ratio_check see it,
-    by wrapper(true_function, *args)."""
+    """Replace coeffs.<name>, as CoeffTable.build sees it, by
+    wrapper(true_function, *args)."""
     true_fn = getattr(coeffs, name)
     monkeypatch.setattr(coeffs, name, lambda *args: wrapper(true_fn, *args))
 
@@ -157,6 +157,10 @@ class TestClebschGordan:
         with pytest.raises(ValueError):
             cg_add_box(((2,), (1,)))
 
+    def test_empty_chain_rejected(self):
+        with pytest.raises(ValueError, match="at least one diagram"):
+            cg_add_box([])
+
     @pytest.mark.parametrize("bad", [None, 1j])
     def test_rejects_rows_int_cannot_convert(self, bad):
         with pytest.raises(ValueError, match="must be integers"):
@@ -191,14 +195,16 @@ class TestClebschGordan:
 
 
 class TestDimensionRatios:
+    """CoeffTable.build raises unless the dimension ratios hold at every i."""
+
     def test_base_case_dimensions(self):
         assert weyl_dimension((4,), 2) == 5
         assert weyl_dimension((5,), 2) == 6
-        assert dim_ratio_check(GammaParams(2, 1, 0))
+        CoeffTable.build(2, 1)
 
     def test_spot_checks(self):
-        assert dim_ratio_check(GammaParams(3, 2, 1))
-        assert dim_ratio_check(GammaParams(2, 1, 1))
+        CoeffTable.build(3, 2)
+        CoeffTable.build(2, 1)
 
     def test_x_equals_alpha_scaled_ratio(self):
         p = GammaParams(2, 1, 1)
@@ -208,8 +214,7 @@ class TestDimensionRatios:
 
     def test_grid(self):
         for d, L in product(range(2, 6), range(1, 6)):
-            for i in range(L + 1):
-                assert dim_ratio_check(GammaParams(d, L, i))
+            CoeffTable.build(d, L)
 
 
 class TestTelescoping:
@@ -322,8 +327,8 @@ class TestCoeffTable:
 
 
 class TestAgainstFractionReference:
-    """The integer-arithmetic build, dimension-ratio check and fidelity sums
-    against the same code written in Fractions (tests/oracles.py)."""
+    """The integer-arithmetic build, with its dimension-ratio checks, and the
+    fidelity sums against the same code written in Fractions (tests/oracles.py)."""
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(2, 12), st.integers(1, 60))
@@ -342,14 +347,18 @@ class TestAgainstFractionReference:
         summed, want_summed = infidelity_sum_form(d, L), reference_infidelity_sum_form(d, L)
         assert summed == want_summed and type(summed) is Fraction
         for i in range(L + 1):
-            p = GammaParams(d, L, i)
-            assert dim_ratio_check(p) is reference_dim_ratio_check(p) is True, i
+            assert reference_dim_ratio_check(GammaParams(d, L, i)) is True, i
 
     def test_dim_ratio_check_sees_a_wrong_dimension(self, monkeypatch):
-        p = GammaParams(3, 4, 2)
-        wrong = gamma_shape(GammaParams(3, 4, 1))  # dim(gamma_{i-1}) at i = 2
+        # A wrong dim(gamma_1) fails the build and its Fraction reference at the same i.
+        wrong = gamma_shape(GammaParams(3, 4, 1))
         _wrap(monkeypatch, "weyl_dimension", lambda f, lam, d: f(lam, d) + (lam == wrong))
-        assert not dim_ratio_check(p)
+        monkeypatch.setattr(oracles, "weyl_dimension", coeffs.weyl_dimension)
+        for build in (CoeffTable.build, reference_build):
+            with pytest.raises(
+                ConsistencyError, match=r"^dimension-ratio identity failed at d=3 L=4 i=1$"
+            ):
+                build(3, 4)
 
 
 def test_exact_layer_imports_only_the_standard_library():

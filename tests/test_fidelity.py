@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -38,6 +39,23 @@ class TestExpectedFidelity:
             query_count_params(2, 0)
         with pytest.raises(ValueError):
             query_count_params(1, 4)
+
+    @pytest.mark.parametrize("d,n,message", [
+        (2, 4.0, "n must be an integer, got 4.0"),
+        (2.0, 4, "d must be an integer, got 2.0"),
+        (2, "4", "n must be an integer, got '4'"),
+    ])
+    def test_rejects_non_integer_sizes(self, d, n, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            query_count_params(d, n)
+
+    def test_numpy_integers_pass(self):
+        assert query_count_params(np.int64(3), np.int32(12)) == 2
+
+    @pytest.mark.parametrize("entry", [bound_ratio, fidelity_report])
+    def test_entry_points_reject_a_float_n(self, entry):
+        with pytest.raises(ValueError, match="n must be an integer, got 4.0"):
+            entry(2, 4.0)
 
 
 class TestInfidelityForms:
@@ -123,6 +141,11 @@ class TestRayleighQuotient:
 
 
 class TestProtocolProbe:
+    @pytest.mark.parametrize("d,L", [(2, 0), (1, 2)])
+    def test_rejects_invalid_sizes(self, d, L):
+        with pytest.raises(ValueError, match=rf"need d >= 2 and L >= 1, got d={d} L={L}$"):
+            protocol_probe(d, L)
+
     def test_large_d_stays_finite(self):
         # f_sq at d=100 exceeds the float range; normalizing first avoids it.
         f = protocol_probe(100, 2)
@@ -282,13 +305,12 @@ class TestFidelityReport:
         rep = fidelity_report(2, 4)
         assert rep.fidelity_exact == Fraction(7, 8)
         assert rep.infidelity_exact == Fraction(1, 8)
-        assert rep.closed_form == Fraction(1, 8)
         assert rep.fidelity_exact + rep.infidelity_exact == 1
         assert rep.bound_ratio == pytest.approx(0.5, abs=1e-12)
         assert rep.optimal_rayleigh >= 0.875
         assert len(rep.optimal_f) == rep.L + 1
         assert rep.gap_ratio == pytest.approx(
-            rep.optimal_infidelity / float(rep.closed_form), rel=1e-12
+            rep.optimal_infidelity / float(rep.infidelity_exact), rel=1e-12
         )
 
     def test_consistency_guard_fires_on_broken_sum(self, monkeypatch):

@@ -363,6 +363,10 @@ class TestExtraction:
         with pytest.raises(ValueError):
             extract_gt_vectors(2, 5)
 
+    def test_rejects_a_float_n(self):
+        with pytest.raises(ValueError, match="n must be an integer, got 4.0"):
+            extract_gt_vectors(2, 4.0)
+
     def test_rejects_bad_tolerances(self):
         with pytest.raises(ValueError, match="null_tol must be positive and finite, got -1"):
             extract_gt_vectors(2, 4, null_tol=-1.0)
@@ -776,6 +780,10 @@ class TestMonteCarlo:
     def test_rejects_few_samples(self):
         with pytest.raises(ValueError):
             mc_estimates(2, 4, 99, seed=0)
+
+    def test_rejects_non_integer_samples(self):
+        with pytest.raises(ValueError, match="samples must be an integer, got 100.5"):
+            mc_estimates(2, 4, 100.5, 0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_probe(self, bad):

@@ -20,7 +20,7 @@ from gtprobe.young import (
     row,
     weyl_dimension,
 )
-from oracles import interlaces, is_valid_chain
+from oracles import interlaces, is_valid_chain, reference_hook_length_dimension
 
 
 def count_ssyt(shape, d):
@@ -341,6 +341,23 @@ class TestHookLengths:
         assert hook_length_dimension((3, 1)) == 3
         assert hook_length_dimension((2, 1)) == 2
         assert hook_length_dimension(()) == 1
+
+    def test_equals_hook_product_on_every_partition_up_to_30(self):
+        for n in range(31):
+            for lam in partitions(n):
+                assert hook_length_dimension(lam) == reference_hook_length_dimension(lam), lam
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 60), max_size=12))
+    def test_equals_hook_product_on_random_shapes(self, parts):
+        lam = tuple(sorted(parts, reverse=True))
+        assert hook_length_dimension(lam) == reference_hook_length_dimension(lam)
+
+    def test_equals_hook_product_on_the_probe_shapes(self):
+        for i in range(41):
+            p = GammaParams(10, 40, i)
+            for lam in (gamma_shape(p), gamma_plus_shape(p)):
+                assert hook_length_dimension(lam) == reference_hook_length_dimension(lam), lam
 
     def test_square_sum_is_factorial(self):
         for n in range(1, 9):
