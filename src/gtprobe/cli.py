@@ -292,12 +292,19 @@ def _verify_families(max_d: int, max_L: int, seed: int):
             yield from [None] * (L + 1)
 
     def cg_branch_weights():
-        for d, L, i in indexed:
-            p = young.GammaParams(d, L, i)
-            got = coeffs.cg_add_box(young.gamma_chain(p))
-            alpha, beta = coeffs.alpha_beta(p)
-            want = [(1, alpha)] + ([(d, beta)] if i < L else [])
-            yield None if got == want else f"d={d} L={L} i={i}: {got} != {want}"
+        for d, L in grid:
+            # gamma_i's chain is gamma_0's with i boxes of the top diagram moved from
+            # row 1 to row d. For 0 <= i <= L the top (N+L-i, L, ..., L, i) still
+            # interlaces the rectangle (L, ..., L) below it, as N+L-i >= L >= i. So
+            # the one chain check, made by cg_add_box at i = 0, covers every i, and
+            # i >= 1 steps the shifted rows of the top.
+            chain = young.gamma_chain(young.GammaParams(d, L, 0))
+            t, s = young._shifted_rows(chain[-1], d), young._shifted_rows(chain[-2], d - 1)
+            for i in range(L + 1):
+                got = coeffs._cg_core(young._gamma_rows(t, i), s) if i else coeffs.cg_add_box(chain)
+                alpha, beta = coeffs.alpha_beta(i, d, L)
+                want = [(1, alpha)] + ([(d, beta)] if i < L else [])
+                yield None if got == want else f"d={d} L={L} i={i}: {got} != {want}"
 
     def g_increments():
         for d, L, i in indexed:

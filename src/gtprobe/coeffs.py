@@ -11,34 +11,46 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 from typing import Iterable, Sequence
 
-from .young import GammaParams, as_chain, gamma_plus_shape, gamma_shape, weyl_dimension
+from .young import GammaParams, as_chain, gamma_shape
+from .young import _gamma_rows, _require_integer, _shifted_rows, _weyl_core
 
 
 class ConsistencyError(ValueError):
     """An exact algebraic cross-check failed; the construction is broken."""
 
 
-def alpha_beta(p: GammaParams) -> tuple[Fraction, Fraction]:
+def _check_index(i: int, d: int, L: int, lo: int = 0) -> None:
+    """Raise ValueError unless i, d and L are integers and lo <= i <= L."""
+    if not type(i) is type(d) is type(L) is int:  # plain ints skip the three calls
+        for name, value in (("i", i), ("d", d), ("L", L)):
+            _require_integer(name, value)
+    if not lo <= i <= L:
+        raise ValueError(f"index i must satisfy {lo} <= i <= L={L}, got {i}")
+
+
+def alpha_beta(i: int, d: int, L: int) -> tuple[Fraction, Fraction]:
     """Squared weights of the two branches of the probe shape after one box.
 
     alpha_i = (N+d-i-1)/(L+N+d-2i-1),  beta_i = (L-i)/(L+N+d-2i-1).
     """
-    d, L, N, i = p.d, p.L, p.N, p.i
+    _check_index(i, d, L)
+    N = (d + 1) * L
     den = L + N + d - 2 * i - 1
     assert (N + d - i - 1) + (L - i) == den  # alpha + beta == 1
     return Fraction(N + d - i - 1, den), Fraction(L - i, den)
 
 
-def xy_squared(p: GammaParams) -> tuple[Fraction, Fraction]:
+def xy_squared(i: int, d: int, L: int) -> tuple[Fraction, Fraction]:
     """Squared transfer amplitudes (x_i^2, y_i^2) at index i.
 
     x_i^2 = (N+d-i-1)(N-i+1) / ((L+N+d-2i-1)(L+N+d-2i))
     y_i^2 = (L-i+1)(L+d-i-1) / ((L+N+d-2i+1)(L+N+d-2i))
     """
-    d, L, N, i = p.d, p.L, p.N, p.i
+    _check_index(i, d, L)
+    N = (d + 1) * L
     s = L + N + d - 2 * i
     x_sq = Fraction((N + d - i - 1) * (N - i + 1), (s - 1) * s)
     y_sq = Fraction((L - i + 1) * (L + d - i - 1), (s + 1) * s)
@@ -47,8 +59,7 @@ def xy_squared(p: GammaParams) -> tuple[Fraction, Fraction]:
 
 def g_coeff(i: int, d: int, L: int) -> int:
     """g_i = (i+1)(L+N+d-i) with g_{-1} = 0."""
-    if not -1 <= i <= L:
-        raise ValueError(f"index i must satisfy -1 <= i <= L={L}, got {i}")
+    _check_index(i, d, L, lo=-1)
     if i == -1:
         return 0
     N = (d + 1) * L
@@ -75,13 +86,27 @@ def shared_radicand(i: int, d: int, L: int) -> Fraction:
     so that (f_i x_i)^2 = (g_i (N-i+1))^2 R_i and
     (f_{i-1} y_i)^2 = (g_{i-1} (L+d-i-1))^2 R_i.
     """
-    if not 0 <= i <= L:
-        raise ValueError(f"index i must satisfy 0 <= i <= L={L}, got {i}")
+    _check_index(i, d, L)
     N = (d + 1) * L
     value = 1
     for j in range(2, d):
         value *= (N + j - i) * (L + d - j - i)
     return Fraction(value, L + N + d - 2 * i)
+
+
+def _cg_core(t: Sequence[int], s: Sequence[int]) -> list[tuple[int, Fraction]]:
+    """cg_add_box on the shifted rows t of the top diagram and s of the one below."""
+    out: list[tuple[int, Fraction]] = []
+    for k, tk in enumerate(t):
+        # Row k (0-based) accepts a largest-letter box iff the box above it (if
+        # any) was already present before the last letter: mu[k-1] >= lam[k] + 1,
+        # which on the shifted rows reads s[k-1] - t[k] >= 2.
+        if k and s[k - 1] - tk < 2:
+            continue
+        num = prod([sj - tk - 1 for sj in s])
+        den = prod([tj - tk for tj in t if tj != tk])  # shifted rows are distinct
+        out.append((k + 1, Fraction(abs(num), abs(den))))
+    return out
 
 
 def cg_add_box(chain: Sequence[Iterable[int]]) -> list[tuple[int, Fraction]]:
@@ -101,21 +126,8 @@ def cg_add_box(chain: Sequence[Iterable[int]]) -> list[tuple[int, Fraction]]:
     d = len(diagrams)
     if not d:
         raise ValueError("chain must hold at least one diagram")
-    lam = diagrams[-1]
     mu = diagrams[-2] if d >= 2 else ()
-    t = [r - j for j, r in enumerate(lam + (0,) * (d - len(lam)))]
-    s = [r - j for j, r in enumerate(mu + (0,) * (d - 1 - len(mu)))]
-    out: list[tuple[int, Fraction]] = []
-    for k, tk in enumerate(t):
-        # Row k (0-based) accepts a largest-letter box iff the box above it (if
-        # any) was already present before the last letter: mu[k-1] >= lam[k] + 1,
-        # which on the shifted rows reads s[k-1] - t[k] >= 2.
-        if k and s[k - 1] - tk < 2:
-            continue
-        num = prod([sj - tk - 1 for sj in s])
-        den = prod([tj - tk for tj in t if tj != tk])  # shifted rows are distinct
-        out.append((k + 1, Fraction(abs(num), abs(den))))
-    return out
+    return _cg_core(_shifted_rows(diagrams[-1], d), _shifted_rows(mu, d - 1))
 
 
 def telescoping_check(a: Fraction, b: Fraction, k: int) -> bool:
@@ -124,6 +136,7 @@ def telescoping_check(a: Fraction, b: Fraction, k: int) -> bool:
     (a+b+k+1) prod_{j=1}^{k}(a+j)(b+j)
         = [prod_{j=1}^{k+1}(a+j)(b+j) - prod_{j=1}^{k+1}(a-1+j)(b-1+j)] / (k+1)
     """
+    _require_integer("k", k)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     a, b = Fraction(a), Fraction(b)
@@ -166,17 +179,20 @@ class CoeffTable:
 
     @classmethod
     def build(cls, d: int, L: int) -> "CoeffTable":
+        h = _shifted_rows(gamma_shape(GammaParams(d, L, 0)), d)  # checks d and L once
         N = (d + 1) * L
+        denominator = prod(map(factorial, range(d)))
         rows = []  # (alpha, beta, x_sq, y_sq, g, f_sq, shared_radicand) per index
         # Each quantity is evaluated once per index; the dimension-ratio
         # identity at i reads dim(gamma_{i-1}) and beta_{i-1} from index i-1.
         prev_dim = prev_b = prev_g = prev_f = 0
         for i in range(L + 1):
-            p = GammaParams(d, L, i)
-            a, b = alpha_beta(p)
-            xs, ys = xy_squared(p)
-            dim = weyl_dimension(gamma_shape(p), d)
-            dim_plus = weyl_dimension(gamma_plus_shape(p), d)
+            t = _gamma_rows(h, i)
+            dim = _weyl_core(t, denominator)
+            t[0] += 1  # gamma_i^+ adds one box to row 1
+            dim_plus = _weyl_core(t, denominator)
+            a, b = alpha_beta(i, d, L)
+            xs, ys = xy_squared(i, d, L)
             # The dimension ratios, cross-multiplied over the positive denominators.
             s, an, ad = L + N + d - 2 * i, a.numerator, a.denominator
             ok = dim * s * (N + d - i - 1) == dim_plus * (s - 1) * (N - i + 1)

@@ -32,6 +32,14 @@ def query_count_params(d: int, n: int) -> int:
     return n // (2 * d)
 
 
+def _require_sizes(d: int, L: int) -> None:
+    """Raise ValueError unless d and L are integers with d >= 2 and L >= 1."""
+    _require_integer("d", d)
+    _require_integer("L", L)
+    if d < 2 or L < 1:
+        raise ValueError(f"need d >= 2 and L >= 1, got d={d} L={L}")
+
+
 def expected_fidelity(tab: CoeffTable) -> Fraction:
     """Exact expected fidelity of the protocol at the table's (d, L).
 
@@ -65,8 +73,7 @@ def infidelity_sum_form(d: int, L: int) -> Fraction:
     sum_i (g_i^2 - g_{i-1}^2)/(d-1) P_i,
     where P_i = prod_{j=1}^{d-1}(N+j-i)(L+j-i).
     """
-    if d < 2 or L < 1:
-        raise ValueError(f"need d >= 2 and L >= 1, got d={d} L={L}")
+    _require_sizes(d, L)
     N = (d + 1) * L
     # num/den is the upper sum, unreduced; total is d-1 times the lower sum.
     num, den, total, gp = 0, 1, 0, 0
@@ -83,8 +90,7 @@ def infidelity_sum_form(d: int, L: int) -> Fraction:
 
 def closed_form_infidelity(d: int, L: int) -> Fraction:
     """Infidelity in closed form: (d-1) / (L + N + d + 2NL/(d+1))."""
-    if d < 2 or L < 1:
-        raise ValueError(f"need d >= 2 and L >= 1, got d={d} L={L}")
+    _require_sizes(d, L)
     N = (d + 1) * L
     return Fraction(d - 1) / (L + N + d + Fraction(2 * N * L, d + 1))
 
@@ -101,8 +107,7 @@ def bound_ratio(d: int, n: int) -> float:
 def protocol_probe(d: int, L: int) -> np.ndarray:
     """The protocol's probe coefficients f_0..f_L, normalized to unit norm
     (the f_i^2 that CoeffTable.build stores, read without building a table)."""
-    if d < 2 or L < 1:
-        raise ValueError(f"need d >= 2 and L >= 1, got d={d} L={L}")
+    _require_sizes(d, L)
     f_sq = [f_squared(i, d, L) for i in range(L + 1)]
     total = sum(f_sq)
     return np.sqrt([float(v / total) for v in f_sq])
@@ -139,6 +144,7 @@ def plan_queries(d: int, eps: float) -> int:
     state with probability at least 2/3.  eps must lie in (0, 1), and
     eps^2/100 must not underflow the normal float range.
     """
+    d = _require_integer("d", d)  # a numpy d would overflow the exact comparison below
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
     if not 0 < eps < 1:

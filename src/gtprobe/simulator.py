@@ -329,7 +329,7 @@ def verify_cg_embedding(
     weights += [np.zeros(L + 1)]
     out: list[CGResidual] = []
     for i in range(L + 1):
-        alpha, beta = (float(w) for w in alpha_beta(GammaParams(d, L, i)))
+        alpha, beta = (float(w) for w in alpha_beta(i, d, L))
         a, b = float(weights[i][i]), float(weights[i + 1][i])
         out.append(CGResidual(i, a, b, abs(a - alpha), abs(b - beta)))
     return out

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations, product, starmap
 from math import factorial, prod
 from operator import ge, index, sub
-from typing import Iterable
+from typing import Iterable, Sequence
 
 Diagram = tuple[int, ...]
 Chain = tuple[Diagram, ...]
@@ -61,12 +61,26 @@ def as_chain(chain: Iterable[Iterable[int]]) -> Chain:
     return diagrams
 
 
-def _require_integer(name: str, value: object) -> None:
-    """Raise ValueError naming the field unless operator.index accepts value."""
+def _require_integer(name: str, value: object) -> int:
+    """Return value as an int; raise ValueError naming the field unless
+    operator.index accepts it."""
     try:
-        index(value)
+        return index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _shifted_rows(lam: Diagram, d: int) -> list[int]:
+    """The d shifted rows h_k = lam_k - k (0-based k, missing rows read 0)."""
+    return [r - k for k, r in enumerate(lam + (0,) * (d - len(lam)))]
+
+
+def _weyl_core(h: Sequence[int], denominator: int) -> int:
+    """Weyl dimension from the d shifted rows h of a diagram with at most d
+    rows: prod_{i<j} (h_i - h_j) over denominator = prod_{k<d} k!."""
+    dim, rem = divmod(prod(starmap(sub, combinations(h, 2))), denominator)
+    assert rem == 0 and dim > 0
+    return dim
 
 
 def weyl_dimension(lam: Iterable[int], d: int) -> int:
@@ -83,10 +97,7 @@ def weyl_dimension(lam: Iterable[int], d: int) -> int:
         raise ValueError(f"d must be positive, got {d}")
     if len(lam) > d:
         return 0
-    h = [r - k for k, r in enumerate(lam + (0,) * (d - len(lam)))]
-    dim, rem = divmod(prod(starmap(sub, combinations(h, 2))), prod(map(factorial, range(d))))
-    assert rem == 0 and dim > 0
-    return dim
+    return _weyl_core(_shifted_rows(lam, d), prod(map(factorial, range(d))))
 
 
 def branching_restrictions(lam: Iterable[int], d: int) -> list[Diagram]:
@@ -168,6 +179,12 @@ def gamma_plus_shape(p: GammaParams) -> Diagram:
     """gamma_shape with one extra box in row 1; n+1 boxes."""
     shape = gamma_shape(p)
     return (shape[0] + 1,) + shape[1:]
+
+
+def _gamma_rows(h: Sequence[int], i: int) -> list[int]:
+    """Shifted rows of gamma_i from the shifted rows h of gamma_0: gamma_i moves
+    i boxes from row 1 to row d, so only the first and the last row change."""
+    return [h[0] - i, *h[1:-1], h[-1] + i]
 
 
 def gamma_chain(p: GammaParams) -> Chain:

@@ -12,8 +12,10 @@ that the tests check the construction with.  reference_build and its
 companions are the exact layer as written in Fractions, the oracle for the
 integer-arithmetic CoeffTable.build, with its dimension-ratio checks, and the
 fidelity sums; reference_cg_add_box is the row-by-row Clebsch-Gordan loop that
-the shifted-row cg_add_box replaced, and reference_hook_length_dimension the
-product over hooks that the Frobenius hook_length_dimension replaced.  interlaces and
+the shifted-row cg_add_box replaced, reference_hook_length_dimension the
+product over hooks that the Frobenius hook_length_dimension replaced, and
+reference_weyl_dimension the factor-by-factor Fraction product behind the
+Vandermonde quotient of weyl_dimension and its core.  interlaces and
 is_valid_chain are the pairwise chain checks that young.as_chain replaced, and
 _prefix_levels is the prefix tree rebuilt from a letter matrix that the
 simulator's sector now grows as it generates the strings.  reference_swap_tables,
@@ -368,6 +370,18 @@ def full_null_space_buckets(
     return np.array([string_index(s, d) for s in strings]), buckets
 
 
+def reference_weyl_dimension(lam, d):
+    """Reference: one Fraction per factor of prod_{i<j} (lam_i - lam_j + j - i)/(j - i)."""
+    if len(lam) > d:
+        return 0
+    dim = Fraction(1)
+    for i in range(1, d + 1):
+        for j in range(i + 1, d + 1):
+            dim *= Fraction(row(lam, i) - row(lam, j) + j - i, j - i)
+    assert dim.denominator == 1 and dim > 0
+    return int(dim)
+
+
 def reference_hook_length_dimension(lam) -> int:
     """Number of standard tableaux of shape lam: n! over the product of its hook lengths."""
     lam = as_diagram(lam)
@@ -390,14 +404,14 @@ def reference_dim_ratio_check(p: GammaParams) -> bool:
     s = L + N + d - 2 * i
     dim_plus = weyl_dimension(gamma_plus_shape(p), d)
     ratio = Fraction(weyl_dimension(gamma_shape(p), d), dim_plus)
-    alpha, _ = alpha_beta(p)
-    x_sq, y_sq = xy_squared(p)
+    alpha, _ = alpha_beta(i, d, L)
+    x_sq, y_sq = xy_squared(i, d, L)
     ok = ratio == Fraction((s - 1) * (N - i + 1), s * (N + d - i - 1))
     ok = ok and alpha**2 * ratio == x_sq
     if i >= 1:
         prev = GammaParams(d, L, i - 1)
         ratio_prev = Fraction(weyl_dimension(gamma_shape(prev), d), dim_plus)
-        beta_prev = alpha_beta(prev)[1]
+        beta_prev = alpha_beta(i - 1, d, L)[1]
         ok = ok and ratio_prev == Fraction((s + 1) * (L + d - i - 1), s * (L - i + 1))
         ok = ok and beta_prev**2 * ratio_prev == y_sq
     return ok
@@ -418,8 +432,8 @@ def reference_build(d: int, L: int) -> CoeffTable:
         p = GammaParams(d, L, i)
         if not reference_dim_ratio_check(p):
             raise ConsistencyError(f"dimension-ratio identity failed at d={d} L={L} i={i}")
-        a, b = alpha_beta(p)
-        xs, ys = xy_squared(p)
+        a, b = alpha_beta(i, d, L)
+        xs, ys = xy_squared(i, d, L)
         gi = g_coeff(i, d, L)
         fs = f_squared(i, d, L)
         ri = reference_shared_radicand(i, d, L)
@@ -551,7 +565,7 @@ def reference_cg_embedding(d: int, n: int, vs) -> list[CGResidual]:
     weights.append(np.zeros(L + 1))
     out = []
     for i in range(L + 1):
-        alpha, beta = (float(w) for w in alpha_beta(GammaParams(d, L, i)))
+        alpha, beta = (float(w) for w in alpha_beta(i, d, L))
         a, b = float(weights[i][i]), float(weights[i + 1][i])
         out.append(CGResidual(i, a, b, abs(a - alpha), abs(b - beta)))
     return out

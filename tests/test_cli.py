@@ -148,13 +148,14 @@ VERIFY_FAMILIES = (
     "infidelity-chain", "dimension-ratios", "cg-branch-weights", "g-increments",
     "telescoping", "branching-sums", "amplitude-reduction",
 )
-CHAIN_3_2_1 = young.gamma_chain(young.GammaParams(3, 2, 1))
+# The shifted rows lam_k - k of gamma_1 = (9, 2, 1) at d=3 L=2.
+ROWS_3_2_1 = (9, 1, -1)
 
 # One planted defect per (d, L) family: (module, function, wrong(true function,
 # *args), the families that must fail, the parameters each failure names).
 PLANTS = {
     "weyl-dimension": (
-        coeffs, "weyl_dimension", lambda f, lam, d: f(lam, d) + (tuple(lam) == (9, 2, 1)),
+        coeffs, "_weyl_core", lambda f, h, den: f(h, den) + (tuple(h) == ROWS_3_2_1),
         {"infidelity-chain", "dimension-ratios"}, "d=3 L=2 i=1",
     ),
     "sum-form": (
@@ -162,8 +163,8 @@ PLANTS = {
         {"infidelity-chain"}, "d=3 L=2",
     ),
     "cg-add-box": (
-        coeffs, "cg_add_box",
-        lambda f, chain: [(k, c + (chain == CHAIN_3_2_1)) for k, c in f(chain)],
+        coeffs, "_cg_core",
+        lambda f, t, s: [(k, c + (tuple(t) == ROWS_3_2_1)) for k, c in f(t, s)],
         {"cg-branch-weights"}, "d=3 L=2 i=1",
     ),
     "shared-radicand": (
@@ -204,6 +205,18 @@ class TestVerifyCommand:
     def test_rejects_bad_bounds(self, capsys):
         code, _, _ = run(capsys, ["verify", "--max-d", "1", "--max-L", "4"])
         assert code == 2
+
+    def test_cg_family_checks_each_chain_once(self, monkeypatch):
+        # gamma_0's chain is checked once per (d, L); the indices step its shifted rows.
+        calls = []
+        true_as_chain = young.as_chain
+        for module in (young, coeffs):
+            monkeypatch.setattr(
+                module, "as_chain", lambda chain: calls.append(chain) or true_as_chain(chain)
+            )
+        cases = dict(cli._verify_families(4, 6, 0))["cg-branch-weights"]
+        assert set(cases) == {None}
+        assert len(calls) == 3 * 6
 
     @pytest.mark.parametrize("plant", PLANTS, ids=list(PLANTS))
     def test_planted_failure_fails_only_its_families(self, capsys, monkeypatch, plant):

@@ -3,12 +3,14 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
+from math import factorial, prod
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gtprobe import coeffs
+from gtprobe import cli, coeffs, young
 from gtprobe.coeffs import (
     CoeffTable,
     ConsistencyError,
@@ -20,9 +22,16 @@ from gtprobe.coeffs import (
     telescoping_check,
     xy_squared,
 )
-from gtprobe.fidelity import expected_fidelity, infidelity_sum_form
+from gtprobe.fidelity import (
+    closed_form_infidelity,
+    expected_fidelity,
+    infidelity_sum_form,
+    plan_queries,
+    protocol_probe,
+)
 from gtprobe.young import (
     GammaParams,
+    _shifted_rows,
     gamma_chain,
     gamma_plus_shape,
     gamma_shape,
@@ -35,7 +44,11 @@ from oracles import (
     reference_dim_ratio_check,
     reference_expected_fidelity,
     reference_infidelity_sum_form,
+    reference_weyl_dimension,
 )
+
+# Every (d, L) of `gtprobe verify --max-d 10 --max-L 40`.
+VERIFY_GRID = [(d, L) for d in range(2, 11) for L in range(1, 41)]
 
 
 def _wrap(monkeypatch, name, wrapper):
@@ -68,28 +81,28 @@ def chain_strategy(draw, max_d=4, max_part=4):
 
 class TestAlphaBeta:
     def test_examples(self):
-        assert alpha_beta(GammaParams(2, 1, 0)) == (Fraction(4, 5), Fraction(1, 5))
-        assert alpha_beta(GammaParams(3, 1, 0)) == (Fraction(6, 7), Fraction(1, 7))
+        assert alpha_beta(0, 2, 1) == (Fraction(4, 5), Fraction(1, 5))
+        assert alpha_beta(0, 3, 1) == (Fraction(6, 7), Fraction(1, 7))
 
     def test_sum_to_one_and_vanishing_tail(self):
         for d, L in product(range(2, 7), range(1, 9)):
             for i in range(L + 1):
-                a, b = alpha_beta(GammaParams(d, L, i))
+                a, b = alpha_beta(i, d, L)
                 assert a + b == 1
                 assert a > 0 and b >= 0
-            assert alpha_beta(GammaParams(d, L, L))[1] == 0
+            assert alpha_beta(L, d, L)[1] == 0
 
 
 class TestXYSquared:
     def test_examples(self):
-        assert xy_squared(GammaParams(2, 1, 0))[0] == Fraction(8, 15)
-        assert xy_squared(GammaParams(2, 1, 1)) == (Fraction(3, 4), Fraction(1, 20))
-        assert xy_squared(GammaParams(3, 1, 1))[1] == Fraction(1, 21)
+        assert xy_squared(0, 2, 1)[0] == Fraction(8, 15)
+        assert xy_squared(1, 2, 1) == (Fraction(3, 4), Fraction(1, 20))
+        assert xy_squared(1, 3, 1)[1] == Fraction(1, 21)
 
     def test_positive(self):
         for d, L in product(range(2, 6), range(1, 6)):
             for i in range(L + 1):
-                x_sq, y_sq = xy_squared(GammaParams(d, L, i))
+                x_sq, y_sq = xy_squared(i, d, L)
                 assert x_sq > 0 and y_sq > 0
 
 
@@ -128,7 +141,7 @@ class TestGAndF:
             N = (d + 1) * L
             for i in range(L + 1):
                 r = shared_radicand(i, d, L)
-                x_sq, y_sq = xy_squared(GammaParams(d, L, i))
+                x_sq, y_sq = xy_squared(i, d, L)
                 assert f_squared(i, d, L) * x_sq == (g_coeff(i, d, L) * (N - i + 1)) ** 2 * r
                 lhs = f_squared(i - 1, d, L) * y_sq
                 rhs = (g_coeff(i - 1, d, L) * (L + d - i - 1)) ** 2 * r
@@ -147,9 +160,8 @@ class TestClebschGordan:
     def test_probe_chain_matches_branch_weights(self):
         for d, L in product(range(2, 7), range(1, 8)):
             for i in range(L + 1):
-                p = GammaParams(d, L, i)
-                got = cg_add_box(gamma_chain(p))
-                alpha, beta = alpha_beta(p)
+                got = cg_add_box(gamma_chain(GammaParams(d, L, i)))
+                alpha, beta = alpha_beta(i, d, L)
                 want = [(1, alpha)] + ([(d, beta)] if i < L else [])
                 assert got == want, (d, L, i)
 
@@ -207,14 +219,110 @@ class TestDimensionRatios:
         CoeffTable.build(2, 1)
 
     def test_x_equals_alpha_scaled_ratio(self):
-        p = GammaParams(2, 1, 1)
-        alpha, _ = alpha_beta(p)
-        x_sq, _ = xy_squared(p)
+        alpha, _ = alpha_beta(1, 2, 1)
+        x_sq, _ = xy_squared(1, 2, 1)
         assert x_sq == alpha**2 * Fraction(3, 4)  # dim(3,1)/dim(4,1) = 3/4 at d=2
 
     def test_grid(self):
         for d, L in product(range(2, 6), range(1, 6)):
             CoeffTable.build(d, L)
+
+
+class TestSteppedRows:
+    """CoeffTable.build and verify's CG family step gamma_0's shifted rows along i
+    and call the cores on them; each stepped call equals the validated route."""
+
+    def test_build_rows_and_weyl_core(self, monkeypatch):
+        seen = []
+        _wrap(monkeypatch, "_weyl_core", lambda f, h, den: seen.append(tuple(h)) or f(h, den))
+        for d, L in VERIFY_GRID:
+            seen.clear()
+            CoeffTable.build(d, L)
+            denominator = prod(map(factorial, range(d)))
+            assert len(seen) == 2 * (L + 1)
+            for i in range(L + 1):
+                p = GammaParams(d, L, i)
+                for lam, h in zip((gamma_shape(p), gamma_plus_shape(p)), seen[2 * i : 2 * i + 2]):
+                    assert h == tuple(_shifted_rows(lam, d)), (d, L, i, lam)
+                    dim = young._weyl_core(h, denominator)
+                    assert dim == weyl_dimension(lam, d) == reference_weyl_dimension(lam, d)
+
+    def test_cg_family_rows_and_cg_core(self, monkeypatch):
+        seen = []
+        true_core = coeffs._cg_core
+        monkeypatch.setattr(
+            coeffs, "_cg_core", lambda t, s: seen.append((tuple(t), tuple(s))) or true_core(t, s)
+        )
+        cases = dict(cli._verify_families(10, 40, 0))["cg-branch-weights"]
+        assert set(cases) == {None}
+        indexed = [(d, L, i) for d, L in VERIFY_GRID for i in range(L + 1)]
+        assert len(seen) == len(indexed)
+        for (d, L, i), (t, s) in zip(indexed, seen):
+            chain = gamma_chain(GammaParams(d, L, i))
+            assert t == tuple(_shifted_rows(chain[-1], d)), (d, L, i)
+            assert s == tuple(_shifted_rows(chain[-2], d - 1)), (d, L, i)
+            assert true_core(t, s) == cg_add_box(chain) == reference_cg_add_box(chain)
+
+    @settings(deadline=None)
+    @given(chain_strategy(max_d=12, max_part=10**4))
+    def test_cg_core_matches_row_by_row_reference(self, chain):
+        d = len(chain)
+        t, s = _shifted_rows(chain[-1], d), _shifted_rows(chain[-2], d - 1)
+        assert coeffs._cg_core(t, s) == reference_cg_add_box(chain)
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_build_validates_once_per_table(self, monkeypatch, d):
+        # Per-index validation would make GammaParams or as_diagram calls grow with L.
+        calls = {"GammaParams": 0, "as_diagram": 0}
+
+        def counted(module, name):
+            true_fn = getattr(module, name)
+
+            def call(*args):
+                calls[name] += 1
+                return true_fn(*args)
+
+            monkeypatch.setattr(module, name, call)
+
+        counted(coeffs, "GammaParams")
+        counted(young, "as_diagram")
+        seen = []
+        for L in (1, 40):
+            calls.update(GammaParams=0, as_diagram=0)
+            CoeffTable.build(d, L)
+            seen.append(dict(calls))
+        assert seen[0]["GammaParams"] == seen[1]["GammaParams"] == 1
+        assert seen[0]["as_diagram"] == seen[1]["as_diagram"]
+
+
+# Each exact entry point names its non-integer size through young._require_integer:
+# (function, arguments with one non-integer size, message, the same sizes as integers).
+NON_INTEGER_SIZES = [
+    (g_coeff, (0, 2.5, 1), "d must be an integer, got 2.5", (0, 2, 1)),
+    (f_squared, (0, 2, 1.5), "L must be an integer, got 1.5", (0, 2, 1)),
+    (shared_radicand, (0, 2, 1.5), "L must be an integer, got 1.5", (0, 2, 1)),
+    (alpha_beta, (0.0, 2, 1), "i must be an integer, got 0.0", (0, 2, 1)),
+    (xy_squared, (1, 2, 1.0), "L must be an integer, got 1.0", (1, 2, 1)),
+    (telescoping_check, (1, 1, 1.5), "k must be an integer, got 1.5", (1, 1, 2)),
+    (CoeffTable.build, (2, 1.5), "L must be an integer, got 1.5", (2, 1)),
+    (closed_form_infidelity, (2, 1.5), "L must be an integer, got 1.5", (2, 1)),
+    (infidelity_sum_form, (2, 1.5), "L must be an integer, got 1.5", (2, 1)),
+    (protocol_probe, (2, 1.5), "L must be an integer, got 1.5", (2, 1)),
+    (plan_queries, (2.5, 0.1), "d must be an integer, got 2.5", (3, 0.1)),
+]
+NON_INTEGER_IDS = [case[0].__name__ for case in NON_INTEGER_SIZES]
+
+
+class TestNonIntegerSizes:
+    @pytest.mark.parametrize("fn,args,message,_", NON_INTEGER_SIZES, ids=NON_INTEGER_IDS)
+    def test_raises_value_error_naming_the_field(self, fn, args, message, _):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fn(*args)
+
+    @pytest.mark.parametrize("fn,_,__,sizes", NON_INTEGER_SIZES, ids=NON_INTEGER_IDS)
+    def test_numpy_integers_pass(self, fn, _, __, sizes):
+        numpy_sizes = [np.int64(a) if type(a) is int else a for a in sizes]
+        assert np.all(fn(*numpy_sizes) == fn(*sizes))
 
 
 class TestTelescoping:
@@ -277,10 +385,8 @@ class TestCoeffTable:
     @pytest.mark.parametrize("shape_of", [gamma_shape, gamma_plus_shape])
     def test_wrong_weyl_dimension_fires(self, monkeypatch, shape_of):
         d, L = 3, 4
-        wrong = shape_of(GammaParams(d, L, 1))
-        _wrap(
-            monkeypatch, "weyl_dimension", lambda f, lam, dd: f(lam, dd) + (lam == wrong)
-        )
+        wrong = _shifted_rows(shape_of(GammaParams(d, L, 1)), d)
+        _wrap(monkeypatch, "_weyl_core", lambda f, h, den: f(h, den) + (list(h) == wrong))
         message = r"dimension-ratio identity failed at d=3 L=4 i=1$"
         with pytest.raises(ConsistencyError, match=message):
             CoeffTable.build(d, L)
@@ -288,9 +394,9 @@ class TestCoeffTable:
     @pytest.mark.parametrize("which,fails_at", [(0, 2), (1, 3)])
     def test_wrong_alpha_or_beta_fires(self, monkeypatch, which, fails_at):
         # A wrong alpha_2 breaks x_2; a wrong beta_2 enters the y check at i = 3.
-        def broken(f, p):
-            ab = list(f(p))
-            ab[which] += p.i == 2
+        def broken(f, i, d, L):
+            ab = list(f(i, d, L))
+            ab[which] += i == 2
             return tuple(ab)
 
         _wrap(monkeypatch, "alpha_beta", broken)
@@ -298,7 +404,9 @@ class TestCoeffTable:
             CoeffTable.build(4, 5)
 
     def test_nonvanishing_beta_L_fires(self, monkeypatch):
-        _wrap(monkeypatch, "alpha_beta", lambda f, p: (f(p)[0], f(p)[1] + (p.i == p.L)))
+        _wrap(
+            monkeypatch, "alpha_beta", lambda f, i, d, L: (f(i, d, L)[0], f(i, d, L)[1] + (i == L))
+        )
         with pytest.raises(ConsistencyError, match=r"beta_L must vanish, got 1 at d=2 L=3$"):
             CoeffTable.build(2, 3)
 
@@ -311,7 +419,7 @@ class TestCoeffTable:
 
     @pytest.mark.parametrize("d,L", [(2, 7), (5, 12)])
     def test_evaluates_each_quantity_once_per_index(self, monkeypatch, d, L):
-        calls = {"weyl_dimension": 0, "alpha_beta": 0, "xy_squared": 0}
+        calls = {"_weyl_core": 0, "alpha_beta": 0, "xy_squared": 0}
 
         def counted(name):
             def call(f, *args):
@@ -323,7 +431,7 @@ class TestCoeffTable:
         for name in calls:
             _wrap(monkeypatch, name, counted(name))
         CoeffTable.build(d, L)
-        assert calls == {"weyl_dimension": 2 * (L + 1), "alpha_beta": L + 1, "xy_squared": L + 1}
+        assert calls == {"_weyl_core": 2 * (L + 1), "alpha_beta": L + 1, "xy_squared": L + 1}
 
 
 class TestAgainstFractionReference:
@@ -350,10 +458,16 @@ class TestAgainstFractionReference:
             assert reference_dim_ratio_check(GammaParams(d, L, i)) is True, i
 
     def test_dim_ratio_check_sees_a_wrong_dimension(self, monkeypatch):
-        # A wrong dim(gamma_1) fails the build and its Fraction reference at the same i.
+        # A wrong dim(gamma_1) fails the build and its Fraction reference at the same i:
+        # the build reads it from the Weyl core on gamma_1's shifted rows, the
+        # reference from weyl_dimension on gamma_1.
         wrong = gamma_shape(GammaParams(3, 4, 1))
-        _wrap(monkeypatch, "weyl_dimension", lambda f, lam, d: f(lam, d) + (lam == wrong))
-        monkeypatch.setattr(oracles, "weyl_dimension", coeffs.weyl_dimension)
+        wrong_rows = _shifted_rows(wrong, 3)
+        _wrap(monkeypatch, "_weyl_core", lambda f, h, den: f(h, den) + (list(h) == wrong_rows))
+        true_dim = oracles.weyl_dimension
+        monkeypatch.setattr(
+            oracles, "weyl_dimension", lambda lam, d: true_dim(lam, d) + (lam == wrong)
+        )
         for build in (CoeffTable.build, reference_build):
             with pytest.raises(
                 ConsistencyError, match=r"^dimension-ratio identity failed at d=3 L=4 i=1$"

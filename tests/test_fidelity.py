@@ -21,7 +21,6 @@ from gtprobe.fidelity import (
     protocol_probe,
     query_count_params,
 )
-from gtprobe.young import GammaParams
 from gtprobe.coeffs import xy_squared
 from oracles import rayleigh_quotient, trace_distance_from_overlap
 
@@ -120,8 +119,8 @@ class TestRayleighQuotient:
         # e_0 feeds both the i=0 term and the i=1 cross term.
         f = np.zeros(3)
         f[0] = 1.0
-        x_sq, _ = xy_squared(GammaParams(3, 2, 0))
-        _, y1_sq = xy_squared(GammaParams(3, 2, 1))
+        x_sq, _ = xy_squared(0, 3, 2)
+        _, y1_sq = xy_squared(1, 3, 2)
         want = float(x_sq) + float(y1_sq)
         assert rayleigh_quotient(f, 3, 2) == pytest.approx(want, abs=1e-12)
 
@@ -368,6 +367,6 @@ class TestOneTablePerReport:
         from gtprobe import coeffs
 
         fidelity_report(3, 12)
-        monkeypatch.setattr(coeffs, "xy_squared", lambda p: (Fraction(1, 2), Fraction(1, 3)))
+        monkeypatch.setattr(coeffs, "xy_squared", lambda i, d, L: (Fraction(1, 2), Fraction(1, 3)))
         with pytest.raises(ConsistencyError):
             fidelity_report(3, 12)

@@ -20,7 +20,12 @@ from gtprobe.young import (
     row,
     weyl_dimension,
 )
-from oracles import interlaces, is_valid_chain, reference_hook_length_dimension
+from oracles import (
+    interlaces,
+    is_valid_chain,
+    reference_hook_length_dimension,
+    reference_weyl_dimension,
+)
 
 
 def count_ssyt(shape, d):
@@ -50,18 +55,6 @@ def count_ssyt(shape, d):
         return total
 
     return rec(0, {})
-
-
-def weyl_dimension_fraction(lam, d):
-    """Reference: one Fraction per factor of prod_{i<j} (lam_i - lam_j + j - i)/(j - i)."""
-    if len(lam) > d:
-        return 0
-    dim = Fraction(1)
-    for i in range(1, d + 1):
-        for j in range(i + 1, d + 1):
-            dim *= Fraction(row(lam, i) - row(lam, j) + j - i, j - i)
-    assert dim.denominator == 1 and dim > 0
-    return int(dim)
 
 
 @st.composite
@@ -259,7 +252,7 @@ class TestWeylDimension:
     def test_matches_fraction_product(self, case):
         lam, d = case
         dim = weyl_dimension(lam, d)
-        assert dim == weyl_dimension_fraction(lam, d)
+        assert dim == reference_weyl_dimension(lam, d)
         assert (dim == 0) == (len(lam) > d)
 
     def test_rejects_nonpositive_d(self):
