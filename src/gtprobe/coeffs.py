@@ -22,13 +22,13 @@ class ConsistencyError(ValueError):
     """An exact algebraic cross-check failed; the construction is broken."""
 
 
-def _check_index(i: int, d: int, L: int, lo: int = 0) -> None:
-    """Raise ValueError unless i, d and L are integers and lo <= i <= L."""
+def _check_index(i: int, d: int, L: int, lo: int = 0) -> tuple[int, int, int]:
+    """(i, d, L) as plain ints; raise ValueError unless they are integers and lo <= i <= L."""
     if not type(i) is type(d) is type(L) is int:  # plain ints skip the three calls
-        for name, value in (("i", i), ("d", d), ("L", L)):
-            _require_integer(name, value)
+        i, d, L = (_require_integer(name, v) for name, v in (("i", i), ("d", d), ("L", L)))
     if not lo <= i <= L:
         raise ValueError(f"index i must satisfy {lo} <= i <= L={L}, got {i}")
+    return i, d, L
 
 
 def alpha_beta(i: int, d: int, L: int) -> tuple[Fraction, Fraction]:
@@ -36,7 +36,7 @@ def alpha_beta(i: int, d: int, L: int) -> tuple[Fraction, Fraction]:
 
     alpha_i = (N+d-i-1)/(L+N+d-2i-1),  beta_i = (L-i)/(L+N+d-2i-1).
     """
-    _check_index(i, d, L)
+    i, d, L = _check_index(i, d, L)
     N = (d + 1) * L
     den = L + N + d - 2 * i - 1
     assert (N + d - i - 1) + (L - i) == den  # alpha + beta == 1
@@ -49,7 +49,7 @@ def xy_squared(i: int, d: int, L: int) -> tuple[Fraction, Fraction]:
     x_i^2 = (N+d-i-1)(N-i+1) / ((L+N+d-2i-1)(L+N+d-2i))
     y_i^2 = (L-i+1)(L+d-i-1) / ((L+N+d-2i+1)(L+N+d-2i))
     """
-    _check_index(i, d, L)
+    i, d, L = _check_index(i, d, L)
     N = (d + 1) * L
     s = L + N + d - 2 * i
     x_sq = Fraction((N + d - i - 1) * (N - i + 1), (s - 1) * s)
@@ -59,7 +59,7 @@ def xy_squared(i: int, d: int, L: int) -> tuple[Fraction, Fraction]:
 
 def g_coeff(i: int, d: int, L: int) -> int:
     """g_i = (i+1)(L+N+d-i) with g_{-1} = 0."""
-    _check_index(i, d, L, lo=-1)
+    i, d, L = _check_index(i, d, L, lo=-1)
     if i == -1:
         return 0
     N = (d + 1) * L
@@ -72,6 +72,7 @@ def f_squared(i: int, d: int, L: int) -> Fraction:
     f_i^2 = g_i^2 (L+N+d-2i-1) prod_{j=2}^{d-1}(N+j-i-1) prod_{j=2}^{d-1}(L+d-j-i);
     empty products are 1; g_{-1} = 0 makes f_{-1}^2 = 0.
     """
+    i, d, L = _check_index(i, d, L, lo=-1)
     N = (d + 1) * L
     value = g_coeff(i, d, L) ** 2 * (L + N + d - 2 * i - 1)
     for j in range(2, d):
@@ -86,7 +87,7 @@ def shared_radicand(i: int, d: int, L: int) -> Fraction:
     so that (f_i x_i)^2 = (g_i (N-i+1))^2 R_i and
     (f_{i-1} y_i)^2 = (g_{i-1} (L+d-i-1))^2 R_i.
     """
-    _check_index(i, d, L)
+    i, d, L = _check_index(i, d, L)
     N = (d + 1) * L
     value = 1
     for j in range(2, d):
@@ -136,7 +137,7 @@ def telescoping_check(a: Fraction, b: Fraction, k: int) -> bool:
     (a+b+k+1) prod_{j=1}^{k}(a+j)(b+j)
         = [prod_{j=1}^{k+1}(a+j)(b+j) - prod_{j=1}^{k+1}(a-1+j)(b-1+j)] / (k+1)
     """
-    _require_integer("k", k)
+    k = _require_integer("k", k)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     a, b = Fraction(a), Fraction(b)
@@ -179,7 +180,9 @@ class CoeffTable:
 
     @classmethod
     def build(cls, d: int, L: int) -> "CoeffTable":
-        h = _shifted_rows(gamma_shape(GammaParams(d, L, 0)), d)  # checks d and L once
+        p = GammaParams(d, L, 0)  # checks d and L once and makes them plain ints
+        d, L = p.d, p.L
+        h = _shifted_rows(gamma_shape(p), d)
         N = (d + 1) * L
         denominator = prod(map(factorial, range(d)))
         rows = []  # (alpha, beta, x_sq, y_sq, g, f_sq, shared_radicand) per index

@@ -23,8 +23,7 @@ from .young import _require_integer
 
 def query_count_params(d: int, n: int) -> int:
     """Validate that n is a positive multiple of 2d and return L = n/(2d)."""
-    _require_integer("d", d)
-    _require_integer("n", n)
+    d, n = _require_integer("d", d), _require_integer("n", n)
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
     if n <= 0 or n % (2 * d) != 0:
@@ -32,12 +31,12 @@ def query_count_params(d: int, n: int) -> int:
     return n // (2 * d)
 
 
-def _require_sizes(d: int, L: int) -> None:
-    """Raise ValueError unless d and L are integers with d >= 2 and L >= 1."""
-    _require_integer("d", d)
-    _require_integer("L", L)
+def _require_sizes(d: int, L: int) -> tuple[int, int]:
+    """(d, L) as plain ints; raise ValueError unless they are integers with d >= 2 and L >= 1."""
+    d, L = _require_integer("d", d), _require_integer("L", L)
     if d < 2 or L < 1:
         raise ValueError(f"need d >= 2 and L >= 1, got d={d} L={L}")
+    return d, L
 
 
 def expected_fidelity(tab: CoeffTable) -> Fraction:
@@ -73,7 +72,7 @@ def infidelity_sum_form(d: int, L: int) -> Fraction:
     sum_i (g_i^2 - g_{i-1}^2)/(d-1) P_i,
     where P_i = prod_{j=1}^{d-1}(N+j-i)(L+j-i).
     """
-    _require_sizes(d, L)
+    d, L = _require_sizes(d, L)
     N = (d + 1) * L
     # num/den is the upper sum, unreduced; total is d-1 times the lower sum.
     num, den, total, gp = 0, 1, 0, 0
@@ -90,13 +89,14 @@ def infidelity_sum_form(d: int, L: int) -> Fraction:
 
 def closed_form_infidelity(d: int, L: int) -> Fraction:
     """Infidelity in closed form: (d-1) / (L + N + d + 2NL/(d+1))."""
-    _require_sizes(d, L)
+    d, L = _require_sizes(d, L)
     N = (d + 1) * L
     return Fraction(d - 1) / (L + N + d + Fraction(2 * N * L, d + 1))
 
 
 def bound_ratio(d: int, n: int) -> float:
     """Closed-form infidelity divided by the scaling envelope d^3/(n(n+d^2))."""
+    d, n = _require_integer("d", d), _require_integer("n", n)
     L = query_count_params(d, n)
     infidelity = float(closed_form_infidelity(d, L))
     if infidelity < sys.float_info.min:
@@ -107,7 +107,7 @@ def bound_ratio(d: int, n: int) -> float:
 def protocol_probe(d: int, L: int) -> np.ndarray:
     """The protocol's probe coefficients f_0..f_L, normalized to unit norm
     (the f_i^2 that CoeffTable.build stores, read without building a table)."""
-    _require_sizes(d, L)
+    d, L = _require_sizes(d, L)
     f_sq = [f_squared(i, d, L) for i in range(L + 1)]
     total = sum(f_sq)
     return np.sqrt([float(v / total) for v in f_sq])
@@ -223,6 +223,7 @@ class FidelityReport:
 
 def fidelity_report(d: int, n: int) -> FidelityReport:
     """Evaluate all fidelity quantities for (d, n) from one table."""
+    d, n = _require_integer("d", d), _require_integer("n", n)
     L = query_count_params(d, n)
     # One table serves both the exact fidelity and the optimizer; it is not
     # kept past this call, so every report re-runs the build's checks.

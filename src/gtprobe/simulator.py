@@ -40,7 +40,11 @@ MIN_SAMPLES = 100
 
 # A Monte Carlo chunk is min(2048, _MC_CHUNK_BUDGET // d^n) draws; the chunk size fixes
 # how the seeded stream splits into real and imaginary parts, so it shapes every estimate.
+# A drawn chunk is contracted in blocks of max(_MC_BLOCK_FLOOR, _MC_BLOCK_ENTRIES // s^2)
+# draws, s the distinct half strings, so that the power fits in cache; the block size
+# never touches the stream, and the sums are still taken per chunk.
 _MC_CHUNK_BUDGET = 4_000_000
+_MC_BLOCK_ENTRIES, _MC_BLOCK_FLOOR = 2**16, 64
 
 
 class CapacityError(RuntimeError):
@@ -336,23 +340,41 @@ def verify_cg_embedding(
 
 
 def _haar_batch(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
+    """count Haar unitaries, batch last: [:, :, k] is Q^dagger, Q the unitary factor
+    with positive R diagonal of the k-th Ginibre draw (real parts, then imaginary).
+    Row i of Q^dagger is conjugated column i of the draw less its projections on the
+    rows before it, subtracted twice (Gram-Schmidt run twice gives Q to working
+    precision), then normalized, so R's diagonal is positive by construction."""
     z = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
-    q, r = np.linalg.qr(z / math.sqrt(2.0))
-    diag = np.einsum("bii->bi", r)
-    return q * (diag / np.abs(diag))[:, None, :]
+    w = np.ascontiguousarray(np.conj(z.T))  # w[i, j, k] = conj(z[k, j, i])
+    for i in range(d):
+        row, done = w[i], w[:i]
+        for _ in range(2):
+            row -= (np.sum(np.conj(done) * row, axis=1)[:, None] * done).sum(axis=0)
+        row /= np.sqrt(np.sum(row.real**2 + row.imag**2, axis=0))
+    return w
 
 
-def _restricted_power(w: np.ndarray, levels: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """W^{otimes k} restricted to the strings x, y of the last level, for a
-    batch of W: entry [x, y] is prod_j W[x_j, y_j], one site per level."""
-    b, d = w.shape[:2]
-    power, flat, size = np.ones((b, 1), dtype=complex), w.reshape(b, d * d), 1
-    for parent, letter in levels:  # gathers on the flattened (b, size^2) and (b, d^2)
+def _power_steps(d: int, levels: list[tuple[np.ndarray, np.ndarray]]) -> list:
+    """Per prefix-tree level, the (prefix, site) row gathers that grow a
+    batch-last W^{otimes k} by one site: row x size + y of the power on the
+    level's strings x, y reads its parents' row and W's row x_k d + y_k."""
+    steps, size = [], 1
+    for parent, letter in levels:
         prefix = (parent[:, None] * size + parent).ravel()
-        site = (letter[:, None] * d + letter).ravel()
-        power = np.take(power, prefix, axis=1) * np.take(flat, site, axis=1)
+        steps.append((prefix, (letter[:, None] * d + letter).ravel()))
         size = len(parent)
-    return power.reshape(b, size, size)
+    return steps
+
+
+def _restricted_power(flat: np.ndarray, steps: list) -> np.ndarray:
+    """W^{otimes k} restricted to the strings x, y of the last level, batch last:
+    flat is a (d^2, b) batch with W[a, c] in row a d + c, and row x s + y of
+    the (s^2, b) result is prod_j W[x_j, y_j], one site per step of _power_steps."""
+    power = np.ones((1, flat.shape[1]), dtype=complex)
+    for prefix, site in steps:
+        power = np.take(power, prefix, axis=0) * np.take(flat, site, axis=0)
+    return power
 
 
 @dataclass(frozen=True)
@@ -405,27 +427,49 @@ def mc_estimates(
     # sector string; <bra|W^n|ket> = sum(B * (P @ K @ P^T)), P = W^{n/2} on the
     # distinct halves.  The sector holds every arrangement of its content and
     # n = 2dL is even, so both halves range over the prefix tree's level n/2.
-    half = d ** (n // 2)
-    at = tuple(np.unique(part, return_inverse=True)[1] for part in divmod(vs.codes, half))
-    levels = vs.levels[: n // 2]
-    ket = np.zeros((len(levels[-1][1]),) * 2, dtype=complex)
+    # A half's letter counts, read as one base-(n+1) key, fix its partner's, and
+    # partners' keys sum to the content's: with the halves sorted by key, K and B
+    # are nonzero only on the blocks pairing the j-th key span with the j-th last.
+    halves = np.stack(divmod(vs.codes, d ** (n // 2)))
+    strings, at = np.unique(halves, return_inverse=True)
+    key = ((n + 1) ** (strings[:, None] // d ** np.arange(n // 2) % d)).sum(axis=1)
+    order = np.argsort(key, kind="stable")
+    cuts = [0, *np.flatnonzero(np.diff(key[order])) + 1, len(key)]
+    spans = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+    s = len(key)
+    ket = np.zeros((s, s), dtype=complex)
     bra = np.zeros_like(ket)
     # Complex and column-major: the layout sets the summation order, so the last digits.
     sector = np.asfortranarray(vs.sector, dtype=complex)
+    at = tuple(np.argsort(order)[at.reshape(halves.shape)])
     ket[at] = (f * np.sqrt(dims)) @ sector
     bra[at] = sector.sum(axis=0).conj()
+    blocks = [(u, v, ket[u, v].T, bra[u, v].T) for u, v in zip(spans, spans[::-1])]
+    steps = _power_steps(d, vs.levels[: n // 2])
+    prefix, site = steps[-1]
+    pairs = (order[:, None] * s + order).ravel()  # the last level in key order
+    steps[-1] = prefix[pairs], site[pairs]
 
     rng = np.random.default_rng(seed)
     chunk = max(1, min(2048, _MC_CHUNK_BUDGET // d**n))
+    block = min(chunk, max(_MC_BLOCK_FLOOR, _MC_BLOCK_ENTRIES // s**2))
     sums, sq_sums = np.zeros(2), np.zeros(2)
     done = 0
     while done < samples:
         b = min(chunk, samples - done)
-        w = np.conj(np.swapaxes(_haar_batch(rng, b, d), -1, -2))
-        power = _restricted_power(w, levels)
-        amps = np.sum(bra * (power @ ket @ np.swapaxes(power, -1, -2)), axis=(1, 2))
+        w = _haar_batch(rng, b, d)
+        flat, amps = w.reshape(d * d, b), np.empty(b, dtype=complex)
+        for lo in range(0, b, block):
+            # sum_{x,t} (B^T P K)[x, t] P[x, t], the batch in the GEMMs' columns.
+            p = _restricted_power(flat[:, lo : lo + block], steps).reshape(s, s, -1)
+            pk, q = np.empty_like(p), np.empty_like(p)
+            for u, v, k_t, _ in blocks:
+                np.matmul(k_t, p[:, u], out=pk[:, v])
+            for x, y, _, b_t in blocks:  # q[y] is a run of whole rows, so reshape is a view
+                np.matmul(b_t, pk[x].reshape(len(b_t[0]), -1), out=q[y].reshape(len(b_t), -1))
+            amps[lo : lo + block] = (q * p).reshape(s * s, -1).sum(axis=0)
         total = np.abs(amps) ** 2
-        fid = total * np.abs(w[:, d - 1, d - 1]) ** 2
+        fid = total * np.abs(w[d - 1, d - 1]) ** 2
         sums += (fid.sum(), total.sum())
         sq_sums += ((fid**2).sum(), (total**2).sum())
         done += b

@@ -92,7 +92,7 @@ def weyl_dimension(lam: Iterable[int], d: int) -> int:
     with more than d rows label the zero representation and return 0.
     """
     lam = as_diagram(lam)
-    _require_integer("d", d)
+    d = _require_integer("d", d)
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
     if len(lam) > d:
@@ -156,8 +156,8 @@ class GammaParams:
     i: int
 
     def __post_init__(self) -> None:
-        for name in ("d", "L", "i"):
-            _require_integer(name, getattr(self, name))
+        for name in ("d", "L", "i"):  # held as plain ints, so numpy sizes cannot overflow
+            object.__setattr__(self, name, _require_integer(name, getattr(self, name)))
         if self.d < 2:
             raise ValueError(f"d must be >= 2, got {self.d}")
         if self.L < 1:

@@ -22,7 +22,9 @@ simulator's sector now grows as it generates the strings.  reference_swap_tables
 reference_swap_operator and reference_restricted_power are the binary-search
 site-swap tables, their row-major matvec and the fancy-indexed tensor power
 that the position lookup, the swap-major tables and the flat gathers replaced;
-reference_cg_embedding runs the CG check on them.
+reference_cg_embedding runs the CG check on them.  reference_haar_batch is the
+LAPACK QR sampler, with the phases of R's diagonal absorbed, that the batch-last
+Gram-Schmidt sampler replaced; haar_unitary and full_space_mc draw from it.
 """
 
 import math
@@ -47,7 +49,6 @@ from gtprobe.simulator import (
     CGResidual,
     ExtractionError,
     _check_capacity,
-    _haar_batch,
     _lagrange,
     _null_values,
     _sector,
@@ -203,14 +204,20 @@ def weight_operator(a: int, b: int, d: int, n: int) -> csr_matrix:
     return coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
 
 
-def haar_unitary(d: int, seed: int) -> np.ndarray:
-    """Haar-distributed d x d unitary, deterministic under the seed.
+def reference_haar_batch(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
+    """count Haar unitaries, batch first: the Q factors of Ginibre draws (real
+    parts, then imaginary) by LAPACK QR, with the R diagonal's phases absorbed
+    so the factorization is the canonical one with positive real diagonal."""
+    z = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
+    q, r = np.linalg.qr(z / math.sqrt(2.0))
+    diag = np.einsum("bii->bi", r)
+    return q * (diag / np.abs(diag))[:, None, :]
 
-    Ginibre draw followed by QR, with the R diagonal's phases absorbed so
-    the factorization is the canonical one with positive real diagonal.
-    """
+
+def haar_unitary(d: int, seed: int) -> np.ndarray:
+    """Haar-distributed d x d unitary, deterministic under the seed."""
     rng = np.random.default_rng(seed)
-    return _haar_batch(rng, 1, d)[0]
+    return reference_haar_batch(rng, 1, d)[0]
 
 
 def apply_tensor_power(mat: np.ndarray, vec: np.ndarray, n: int) -> np.ndarray:
@@ -281,9 +288,9 @@ def full_space_mc(d, n, samples, seed, vs, randomize_target=False, probe=None):
     done = 0
     while done < samples:
         b = min(chunk, samples - done)
-        w = np.conj(np.swapaxes(_haar_batch(rng, b, d), -1, -2))
+        w = np.conj(np.swapaxes(reference_haar_batch(rng, b, d), -1, -2))
         if randomize_target:
-            w = w @ _haar_batch(rng, b, d)
+            w = w @ reference_haar_batch(rng, b, d)
         totals.append(np.abs(apply_tensor_power(w, ket, n) @ bra) ** 2)
         fids.append(totals[-1] * np.abs(w[:, d - 1, d - 1]) ** 2)
         done += b

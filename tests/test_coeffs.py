@@ -324,6 +324,13 @@ class TestNonIntegerSizes:
         numpy_sizes = [np.int64(a) if type(a) is int else a for a in sizes]
         assert np.all(fn(*numpy_sizes) == fn(*sizes))
 
+    @pytest.mark.parametrize("d,L", [(6, 20), (10, 40)])
+    def test_numpy_sizes_build_the_int_table(self, d, L):
+        # int64 products of these sizes overflow; the build computes with plain ints.
+        tab = CoeffTable.build(np.int64(d), np.int64(L))
+        assert tab == CoeffTable.build(d, L)
+        assert type(tab.d) is type(tab.L) is type(tab.N) is type(tab.g[-1]) is int
+
 
 class TestTelescoping:
     def test_trivial(self):

@@ -50,6 +50,14 @@ class TestExpectedFidelity:
 
     def test_numpy_integers_pass(self):
         assert query_count_params(np.int64(3), np.int32(12)) == 2
+        assert type(query_count_params(np.int64(3), np.int32(12))) is int
+
+    @pytest.mark.parametrize("d,n", [(2, 200), (6, 240)])
+    def test_numpy_sizes_report_as_ints(self, d, n):
+        # int64 arithmetic on these sizes overflows inside the exact table.
+        rep = fidelity_report(np.int64(d), np.int64(n))
+        assert rep == fidelity_report(d, n)
+        assert type(rep.d) is type(rep.n) is type(rep.L) is int
 
     @pytest.mark.parametrize("entry", [bound_ratio, fidelity_report])
     def test_entry_points_reject_a_float_n(self, entry):

@@ -21,6 +21,7 @@ from gtprobe.simulator import (
     _entry_bound,
     _haar_batch,
     _null_values,
+    _power_steps,
     _restricted_power,
     _sector,
     _swap_operator,
@@ -45,6 +46,7 @@ from oracles import (
     full_space_mc,
     haar_unitary,
     reference_cg_embedding,
+    reference_haar_batch,
     reference_restricted_power,
     reference_swap_operator,
     reference_swap_tables,
@@ -72,7 +74,7 @@ def reference_mc(d, n, samples, seed, vs, probe=None):
     done = 0
     while done < samples:
         b = min(chunk, samples - done)
-        w = np.conj(np.swapaxes(_haar_batch(rng, b, d), -1, -2))
+        w = np.conj(np.swapaxes(reference_haar_batch(rng, b, d), -1, -2))
         amps = np.zeros(b, dtype=complex)
         for i in range(L + 1):
             out = np.repeat(vs.vectors[i][None, :], b, axis=0)
@@ -578,9 +580,10 @@ class TestSwapTables:
     def test_restricted_power_matches_fancy_indexing(self, d, n):
         _, _, levels = _sector(d, n, gamma_content(d, n // (2 * d)))
         w = _haar_batch(np.random.default_rng(n), 5, d)
-        power = _restricted_power(w, levels[: n // 2])
+        power = _restricted_power(w.reshape(d * d, 5), _power_steps(d, levels[: n // 2]))
         assert power.flags.c_contiguous
-        assert_bitwise(power, reference_restricted_power(w, levels[: n // 2]))
+        want = reference_restricted_power(np.moveaxis(w, -1, 0), levels[: n // 2])
+        assert_bitwise(power, np.moveaxis(want, 0, -1).reshape(-1, 5))
 
     @pytest.mark.parametrize("d,n", [(2, 12), (3, 6)])
     @pytest.mark.parametrize("pick", ["first", "last"])
@@ -616,6 +619,16 @@ class TestHaar:
         for d in (2, 3, 6):
             u = haar_unitary(d, 11)
             assert np.max(np.abs(u.conj().T @ u - np.eye(d))) < 1e-10
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_gram_schmidt_matches_lapack_qr(self, d):
+        # The same 10^4 Ginibre draws: batch-last Q^dagger against LAPACK's Q factor.
+        w = _haar_batch(np.random.default_rng(d), 10_000, d)
+        q = reference_haar_batch(np.random.default_rng(d), 10_000, d)
+        assert w.shape == (d, d, 10_000) and w.flags.c_contiguous
+        assert np.max(np.abs(w - np.conj(q.T))) < 1e-12
+        gram = np.einsum("ijk,ljk->kil", w, w.conj())
+        assert np.max(np.abs(gram - np.eye(d))) < 1e-14
 
     def test_deterministic(self):
         assert np.array_equal(haar_unitary(4, 5), haar_unitary(4, 5))
@@ -840,6 +853,22 @@ class TestMonteCarlo:
             for est, (mean, stderr) in zip(got, want):
                 assert est.mean == pytest.approx(mean, rel=1e-12)
                 assert est.stderr == pytest.approx(stderr, rel=1e-12)
+
+    @pytest.mark.parametrize("d,n", [(2, 4), (2, 8), (3, 6)])
+    def test_block_size_leaves_the_estimates(self, d, n, monkeypatch):
+        # One draw per block, the default blocks and the whole chunk as one block,
+        # over two chunks of the same stream.
+        vs = extract_gt_vectors(d, n)
+        runs = []
+        for entries, floor in ((1, 1), (simulator._MC_BLOCK_ENTRIES, simulator._MC_BLOCK_FLOOR),
+                               (0, 10**9)):
+            monkeypatch.setattr(simulator, "_MC_BLOCK_ENTRIES", entries)
+            monkeypatch.setattr(simulator, "_MC_BLOCK_FLOOR", floor)
+            runs.append(mc_estimates(d, n, 2_500, 11, vs))
+        for one, *others in zip(*runs):
+            for other in others:
+                assert one.mean == pytest.approx(other.mean, rel=1e-13, abs=0.0)
+                assert one.stderr == pytest.approx(other.stderr, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize(
         "d,n,samples,pinned",
