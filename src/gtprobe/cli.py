@@ -52,56 +52,44 @@ def _text(value, column: str, head: dict | None) -> str:
 
 
 def _json(value):
-    """JSON value: Fraction as {"num", "den"} decimal strings, anything else as is."""
+    """json.dumps hook: Fraction as {"num", "den"} decimal strings."""
     if isinstance(value, Fraction):
         return {"num": str(value.numerator), "den": str(value.denominator)}
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _shape_str(shape: tuple[int, ...]) -> str:
     return "(" + ",".join(str(r) for r in shape) + ")"
 
 
-def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+def _print(fmt: str, head: dict | None = None, columns=None, rows=(), obj=None) -> None:
+    """Print rows of typed values in the chosen format.
 
-
-def _render(
-    fmt: str,
-    head: dict | None,
-    columns: list[str],
-    rows: list[list],
-    json_rows: list[dict] | None = None,
-) -> None:
-    """Print rows of typed values under columns.
-
-    table: the head line (if any), then aligned cells from _text.
+    table: the head line (if any), then aligned cells under columns, or with
+    columns None one "name value" line per (name, value) row; cells from _text,
+    all formatted before anything prints.
     csv: a header line, then str of each value.
-    json: each row as a dict over columns (or json_rows in their place), with
-    _json values; wrapped as {**head, "rows": [...]}, or a bare list without head.
+    json: obj if given; else each row as a dict over columns, wrapped as
+    {**head, "rows": [...]}, or a bare list without head; Fractions via _json.
     """
     if fmt == "json":
-        if json_rows is None:
-            json_rows = [dict(zip(columns, row)) for row in rows]
-        objs = [{key: _json(value) for key, value in r.items()} for r in json_rows]
-        _print_json(objs if head is None else {**head, "rows": objs})
+        if obj is None:
+            obj = [dict(zip(columns, row)) for row in rows]
+            obj = obj if head is None else {**head, "rows": obj}
+        print(json.dumps(obj, indent=2, default=_json))
     elif fmt == "csv":
-        print(",".join(columns))
-        for row in rows:
-            print(",".join(str(value) for value in row))
+        for line in [columns, *rows]:
+            print(",".join(map(str, line)))
     else:
-        cells = [[_text(v, c, head) for c, v in zip(columns, row)] for row in rows]
-        widths = [max(map(len, column)) for column in zip(columns, *cells)]
+        if columns is None:
+            lines = [f"{name:<20}{_text(value, name, head)}" for name, value in rows]
+        else:
+            cells = [[_text(v, c, head) for c, v in zip(columns, row)] for row in rows]
+            widths = [max(map(len, column)) for column in zip(columns, *cells)]
+            lines = ["  ".join(map(str.ljust, line, widths)).rstrip() for line in [columns, *cells]]
         if head is not None:
             print(_head_line(head))
-        for line in [columns, *cells]:
-            print("  ".join(s.ljust(w) for s, w in zip(line, widths)).rstrip())
-
-
-def _print_pairs(head: dict, pairs: list[tuple[str, object]]) -> None:
-    print(_head_line(head))
-    for name, value in pairs:
-        print(f"{name:<20}{_text(value, name, head)}")
+        print(*lines, sep="\n")
 
 
 def _parse_range(text: str) -> range:
@@ -153,7 +141,7 @@ def cmd_dims(args: argparse.Namespace) -> int:
             ]
         )
     columns = ["i", "shape", "shape_plus", "weyl_dim", "weyl_dim_plus", "hook_dim", "casimir"]
-    _render(args.format, {"d": d, "n": n, "L": L, "N": (d + 1) * L}, columns, rows)
+    _print(args.format, {"d": d, "n": n, "L": L, "N": (d + 1) * L}, columns, rows)
     return 0
 
 
@@ -162,21 +150,20 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
     tab = coeffs.CoeffTable.build(args.d, n // (2 * args.d))
     columns = [f.name for f in dataclasses.fields(tab) if f.name not in ("d", "L", "N")]
     rows = [[i, *values] for i, values in enumerate(zip(*(getattr(tab, c) for c in columns)))]
-    _render(args.format, {"d": tab.d, "n": n, "L": tab.L, "N": tab.N}, ["i", *columns], rows)
+    _print(args.format, {"d": tab.d, "n": n, "L": tab.L, "N": tab.N}, ["i", *columns], rows)
     return 0
 
 
 def cmd_infidelity(args: argparse.Namespace) -> int:
     n = _rounded_n(args.d, args.n)
     report = fidelity.fidelity_report(args.d, n)
+    if args.format == "csv":
+        _print("csv", None, SWEEP_COLUMNS, [_sweep_row(report)])
+        return 0
     fields = _report_fields(report)
-    if args.format == "json":
-        _print_json({key: _json(value) for key, value in fields.items()})
-    elif args.format == "csv":
-        _render_reports("csv", [report])
-    else:
-        head = {key: fields.pop(key) for key in ("d", "n", "L")}
-        _print_pairs(head, [(k, v) for k, v in fields.items() if not k.endswith("_float")])
+    head = {key: fields[key] for key in ("d", "n", "L")}
+    pairs = [(k, v) for k, v in fields.items() if k not in head and not k.endswith("_float")]
+    _print(args.format, head, None, pairs, fields)
     return 0
 
 
@@ -198,23 +185,11 @@ def _report_fields(report: fidelity.FidelityReport) -> dict:
     }
 
 
-def _render_reports(fmt: str, reports: list[fidelity.FidelityReport]) -> None:
-    """Reports as SWEEP_COLUMNS rows; JSON shows all their fields instead."""
-    rows = [
-        [
-            r.d,
-            r.n,
-            r.L,
-            r.infidelity_exact.numerator,
-            r.infidelity_exact.denominator,
-            float(r.infidelity_exact),
-            r.bound_ratio,
-            r.optimal_infidelity,
-            r.gap_ratio,
-        ]
-        for r in reports
-    ]
-    _render(fmt, None, SWEEP_COLUMNS, rows, [_report_fields(r) for r in reports])
+def _sweep_row(r: fidelity.FidelityReport) -> list:
+    """A report's values under SWEEP_COLUMNS."""
+    infid = r.infidelity_exact
+    exact = [r.d, r.n, r.L, infid.numerator, infid.denominator]
+    return exact + [float(infid), r.bound_ratio, r.optimal_infidelity, r.gap_ratio]
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
@@ -229,31 +204,19 @@ def cmd_plan(args: argparse.Namespace) -> int:
     if not (math.isfinite(heisenberg) and math.isfinite(classical)):
         raise ValueError(f"ref d^1.5/eps or d/eps^2 at d={d} eps={eps} exceeds the float range")
     guarantee = f"trace distance <= {eps} with probability >= 2/3"
-    if args.format == "json":
-        _print_json(
-            {
-                "d": d,
-                "eps": eps,
-                "n": n,
-                "L": L,
-                "infidelity": _json(infid),
-                "infidelity_float": float(infid),
-                "target_float": target,
-                "ref_heisenberg": heisenberg,
-                "ref_classical": classical,
-                "guarantee": guarantee,
-            }
-        )
-    else:
-        pairs = [
-            ("queries n", n),
-            ("L", L),
-            ("infidelity at n", infid),
-            ("target eps^2/100", target),
-            ("ref d^1.5/eps", heisenberg),
-            ("ref d/eps^2", classical),
-        ]
-        _print_pairs({"d": d, "eps": eps}, pairs)
+    fields = [  # (table label or None for JSON only, JSON key, value)
+        ("queries n", "n", n),
+        ("L", "L", L),
+        ("infidelity at n", "infidelity", infid),
+        (None, "infidelity_float", float(infid)),
+        ("target eps^2/100", "target_float", target),
+        ("ref d^1.5/eps", "ref_heisenberg", heisenberg),
+        ("ref d/eps^2", "ref_classical", classical),
+    ]
+    head = {"d": d, "eps": eps}
+    obj = {**head, **{key: value for _, key, value in fields}, "guarantee": guarantee}
+    _print(args.format, head, None, [(label, v) for label, _, v in fields if label], obj)
+    if args.format == "table":
         print(f"guarantee: {guarantee}")
     return 0
 
@@ -268,7 +231,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for n in n_range:
             if n > 0 and n % (2 * d) == 0:
                 reports.append(fidelity.fidelity_report(d, n))
-    _render_reports(args.format, reports)
+    rows, objs = [_sweep_row(r) for r in reports], [_report_fields(r) for r in reports]
+    _print(args.format, None, SWEEP_COLUMNS, rows, objs)
     return 0
 
 
@@ -389,9 +353,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     n = _rounded_n(args.d, args.n)
     d = args.d
-    if args.check_cg:  # the CG check's (n+1)-site capacity, before any work
-        for sites in (n, n + 1):
-            simulator._check_capacity(d, sites)
+    if args.check_cg:  # the CG check's (n+1)-site capacity, which covers n sites, before any work
+        simulator._check_capacity(d, n + 1)
     vectors = simulator.extract_gt_vectors(
         d, n, null_tol=args.null_tol, casimir_tol=args.casimir_tol
     )
@@ -419,7 +382,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         passed = passed and all(r < CG_RESIDUAL_LIMIT for r in residuals)
     report["sector_dims"] = list(vectors.sector_dims)
     report["pass"] = passed
-    _print_json(report)
+    _print("json", obj=report)
     return 0 if passed else 1
 
 

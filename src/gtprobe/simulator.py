@@ -204,18 +204,22 @@ def _covariant_buckets(
     (P_0 P_k)[x, x], with float residuals |M v|, |C v - e v| held within
     null_tol and casimir_tol times the spectrum's scale.
     """
-    for name, tol in (("null_tol", null_tol), ("casimir_tol", casimir_tol)):
+    expected = [casimir_eigenvalue(shape, d) for shape in shapes]
+    null_values = _null_values(d, content)
+    scales = max(1, null_values[-1]), max(expected)  # of the residuals |M v| and |C v - e v|
+    limits = tuple(zip(("null_tol", "casimir_tol"), (null_tol, casimir_tol), scales))
+    for name, tol, scale in limits:
         if not 0 < tol < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {tol}")
+        if not math.isfinite(tol * scale):
+            raise ValueError(f"{name} {tol:g} times the scale {scale} exceeds the float range")
     codes, letters, levels = _sector(d, n, content)
     m = len(codes)
     if not m:
         raise ExtractionError(f"empty weight sector for content {content}")
     where = f"at d={d} n={n} (sector of m={m})"
-    expected = [casimir_eigenvalue(shape, d) for shape in shapes]
     if len(set(expected)) != len(expected):
         raise ExtractionError(f"Casimir eigenvalues {expected} are not distinct {where}")
-    null_values = _null_values(d, content)
     bound = _entry_bound(n, content, null_values, expected)
     if bound > np.iinfo(np.int64).max:
         raise ExtractionError(f"certificate entries may reach {bound}, beyond int64, {where}")
@@ -251,10 +255,7 @@ def _covariant_buckets(
                 f"expected hook-length dimension {dims[k]} {where}"
             )
         sector[k] = v = u / math.sqrt(int(u[x]) * den)
-        for label, op, e, name, tol, scale in (
-            ("M", sub, 0, "null_tol", null_tol, max(1, null_values[-1])),
-            ("C", casimir, value, "casimir_tol", casimir_tol, max(expected)),
-        ):
+        for label, op, e, (name, tol, scale) in zip("MC", (sub, casimir), (0, value), limits):
             residual = math.sqrt(float(np.sum((op(v) - e * v) ** 2)))
             if not residual <= tol * scale:
                 raise ExtractionError(

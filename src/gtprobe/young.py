@@ -8,6 +8,7 @@ alphabet ``[d]`` is identified with its chain of d interlacing diagrams
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import combinations, product, starmap
 from math import factorial, prod
@@ -160,6 +161,8 @@ class GammaParams:
             object.__setattr__(self, name, _require_integer(name, getattr(self, name)))
         if self.d < 2:
             raise ValueError(f"d must be >= 2, got {self.d}")
+        if self.d > sys.maxsize:  # gamma_shape holds d rows in a tuple
+            raise ValueError(f"d={self.d} exceeds the longest tuple of rows, {sys.maxsize}")
         if self.L < 1:
             raise ValueError(f"L must be >= 1, got {self.L}")
         if not 0 <= self.i <= self.L:

@@ -286,6 +286,19 @@ class TestSimulateCommand:
         code, _, _ = run(capsys, argv)
         assert code == 0 and calls == [(2, 8), (2, 9)]
 
+    @pytest.mark.parametrize("check_cg", [False, True])
+    def test_report_key_order(self, capsys, check_cg):
+        # Benchmarks and scripts read these keys; the order is part of the output.
+        argv = ["simulate", "--d", "2", "--n", "4", "--samples", "100"]
+        _, out, _ = run(capsys, argv + ["--check-cg"] * check_cg)
+        data = json.loads(out)
+        assert list(data) == [
+            "analytic_fidelity", "mc_mean", "mc_stderr", "samples", "seed",
+            "total_prob_mean", "total_prob_stderr",
+            *["cg_residuals"] * check_cg, "sector_dims", "pass",
+        ]
+        assert list(data["analytic_fidelity"]) == ["num", "den", "float"]
+
     def test_capacity_exit_code(self, capsys):
         code, _, err = run(capsys, ["simulate", "--d", "5", "--n", "10", "--samples", "500"])
         assert code == 3
@@ -341,6 +354,9 @@ class TestSimulateCommand:
         assert code == 2
 
 
+HUGE_D = f"d={10**20} exceeds the longest tuple of rows, {sys.maxsize}"
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "argv,message",
@@ -386,6 +402,19 @@ class TestExitCodes:
                 ["plan", "--d", str(10**309), "--eps", "0.5", "--format", "json"],
                 f"d={10**309} eps=0.5",
             ),
+            (
+                ["simulate", "--d", "3", "--n", "6", "--samples", "100", "--null-tol", "1e308"],
+                "null_tol 1e+308 times the scale 4 exceeds the float range",
+            ),
+            (
+                ["simulate", "--d", "3", "--n", "6", "--samples", "100", "--casimir-tol", "1e308"],
+                "casimir_tol 1e+308 times the scale 36 exceeds the float range",
+            ),
+            *(
+                ([command, "--d", str(10**20), "--n", str(2 * 10**20)], HUGE_D)
+                for command in ("dims", "coeffs", "infidelity")
+            ),
+            (["sweep", "--d-range", str(10**20), "--n-range", str(2 * 10**20)], HUGE_D),
         ],
     )
     def test_usage_error_exits_two_with_one_error_line(self, capsys, argv, message):

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from itertools import product
 from math import factorial
@@ -385,6 +386,13 @@ class TestGammaFamily:
         with pytest.raises(ValueError) as err:
             GammaParams(*args)
         assert str(err.value) == f"{field} must be an integer, got {value!r}"
+
+    def test_params_reject_d_beyond_a_tuple_of_rows(self):
+        # gamma_shape holds d rows in a tuple; a larger d cannot even be repeated.
+        assert GammaParams(sys.maxsize, 1, 0).d == sys.maxsize
+        with pytest.raises(ValueError) as err:
+            GammaParams(10**20, 1, 0)
+        assert str(err.value) == f"d={10**20} exceeds the longest tuple of rows, {sys.maxsize}"
 
     def test_params_accept_numpy_integers(self):
         p = GammaParams(np.int64(3), np.int32(2), np.int64(1))

@@ -8,7 +8,11 @@ metrics) and once with ``--trace 1`` (per-layer metrics), for the
 ``run_seconds`` of ``BENCHMARK.json``.  It then times the checkout's tier-1
 suite, writes the medians and interquartile ranges to ``BENCH_<pr>.json``
 at the root of this repository and prints the delta against the newest
-``BENCH_*.json`` of an earlier PR there.
+``BENCH_*.json`` of an earlier PR there.  The file records the checkout's
+HEAD commit and, when ``src``, ``tests`` or ``perfbench`` differ from it,
+``dirty: true`` and ``diff_sha256``, the sha256 of
+``git diff HEAD -- src tests perfbench``, so a file measured on a working
+tree names the tree and not only its parent commit.
 
 ``--checkout`` measures another tree, such as a clean clone of a parent
 commit, while the file still lands here.  A delta is a pair of medians,
@@ -17,6 +21,7 @@ ROADMAP.md, Standing rules).
 """
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -72,16 +77,21 @@ def tier1(checkout: Path) -> dict:
 
 
 def git_state(checkout: Path) -> dict:
-    """HEAD of the checkout, and whether src/, tests/ or perfbench/ differ from it."""
+    """HEAD of the checkout, whether src/, tests/ or perfbench/ differ from it,
+    and, if they do, the sha256 of their diff against HEAD (untracked files
+    mark the tree dirty but are not in the hash)."""
 
     def git(*args: str) -> subprocess.CompletedProcess:
         return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
 
+    paths = ("--", "src", "tests", "perfbench")
     head = git("rev-parse", "HEAD")
     if head.returncode:
-        return {"commit": None, "dirty": None}
-    status = git("status", "--porcelain", "--", "src", "tests", "perfbench")
-    return {"commit": head.stdout.strip(), "dirty": bool(status.stdout.strip())}
+        return {"commit": None, "dirty": None, "diff_sha256": None}
+    dirty = bool(git("status", "--porcelain", *paths).stdout.strip())
+    diff = git("diff", "HEAD", *paths).stdout if dirty else None
+    digest = None if diff is None else hashlib.sha256(diff.encode()).hexdigest()
+    return {"commit": head.stdout.strip(), "dirty": dirty, "diff_sha256": digest}
 
 
 def previous_bench(pr: int) -> dict | None:
