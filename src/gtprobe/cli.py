@@ -93,10 +93,12 @@ def _print(fmt: str, head: dict | None = None, columns=None, rows=(), obj=None) 
 
 
 def _parse_range(text: str) -> range:
-    parts = text.split(":")
-    if not 1 <= len(parts) <= 3:
+    try:
+        nums = [int(p) for p in text.split(":")]
+    except ValueError:  # a part int() cannot read
+        nums = []
+    if not 1 <= len(nums) <= 3:
         raise ValueError(f"range must look like LO:HI or LO:HI:STEP, got {text!r}")
-    nums = [int(p) for p in parts]
     lo = nums[0]
     hi = nums[1] if len(nums) >= 2 else lo
     step = nums[2] if len(nums) == 3 else 1
@@ -239,7 +241,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _verify_families(max_d: int, max_L: int, seed: int):
     """Yield (name, cases) pairs; cases yields None or a failure message per case."""
     grid = [(d, L) for d in range(2, max_d + 1) for L in range(1, max_L + 1)]
-    indexed = [(d, L, i) for d, L in grid for i in range(L + 1)]
     built = set()  # each (d, L) whose table built, so held the dimension ratios at every i
 
     def infidelity_chain():
@@ -271,10 +272,11 @@ def _verify_families(max_d: int, max_L: int, seed: int):
                 yield None if got == want else f"d={d} L={L} i={i}: {got} != {want}"
 
     def g_increments():
-        for d, L, i in indexed:
-            diff = coeffs.g_coeff(i, d, L) - coeffs.g_coeff(i - 1, d, L)
+        for d, L in grid:
             N = (d + 1) * L
-            yield None if diff == L + N + d - 2 * i else f"d={d} L={L} i={i}: increment {diff}"
+            for i in range(L + 1):
+                diff = coeffs.g_coeff(i, d, L) - coeffs.g_coeff(i - 1, d, L)
+                yield None if diff == L + N + d - 2 * i else f"d={d} L={L} i={i}: increment {diff}"
 
     def telescoping():
         rnd = random.Random(seed)
@@ -285,27 +287,39 @@ def _verify_families(max_d: int, max_L: int, seed: int):
             yield None if coeffs.telescoping_check(a, b, k) else f"a={a} b={b} k={k}"
 
     def branching_sums():
+        # The Weyl core on the canonical rows these return, with each d's denominators.
         for d in range(2, max_d + 1):
+            den, den_below = (math.prod(map(math.factorial, range(k))) for k in (d, d - 1))
             for boxes in range(0, 11):
                 for lam in young.partitions(boxes, d):
                     total = sum(
-                        young.weyl_dimension(mu, d - 1)
+                        young._weyl_core(young._shifted_rows(mu, d - 1), den_below)
                         for mu in young.branching_restrictions(lam, d)
                     )
-                    yield None if total == young.weyl_dimension(lam, d) else f"d={d} lambda={lam}"
+                    want = young._weyl_core(young._shifted_rows(lam, d), den)
+                    yield None if total == want else f"d={d} lambda={lam}"
 
     def amplitude_reduction():
+        # Cases are drawn one by one from the seeded stream and checked one dimension at a
+        # time, each group dropped once checked; failures are reported in the order drawn.
         rng = np.random.default_rng(seed)
+        groups = {}  # dim -> [(case number, psi, phi, diagonal of proj)]
         for case in range(1000):
             dim = int(rng.integers(2, 17))
-            psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            phi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            z = rng.standard_normal(4 * dim)  # the stream of four draws of dim normals
+            psi, phi = z[:dim] + 1j * z[dim : 2 * dim], z[2 * dim : 3 * dim] + 1j * z[3 * dim :]
             psi /= np.linalg.norm(psi)
             phi /= np.linalg.norm(phi)
-            proj = np.diag(rng.integers(0, 2, dim).astype(float))
-            lhs, rhs = fidelity.amplitude_reduction_check(psi, phi, proj)
-            bad = lhs > rhs + 1e-10
-            yield f"case {case}: d={dim} lhs={lhs!r} rhs={rhs!r}" if bad else None
+            groups.setdefault(dim, []).append((case, psi, phi, rng.integers(0, 2, dim)))
+        failures = {}  # case number -> message
+        for dim in sorted(groups):
+            numbers, psi, phi, diag = zip(*groups.pop(dim))
+            proj = np.array(diag)[..., None] * np.eye(dim, dtype=complex)
+            lhs, rhs = fidelity.amplitude_reduction_check(np.array(psi), np.array(phi), proj)
+            for case, left, right in zip(numbers, lhs.tolist(), rhs.tolist()):
+                if left > right + 1e-10:
+                    failures[case] = f"case {case}: d={dim} lhs={left!r} rhs={right!r}"
+        yield from map(failures.get, range(1000))
 
     yield "infidelity-chain", infidelity_chain()
     yield "dimension-ratios", dimension_ratios()

@@ -31,68 +31,51 @@ def _check_index(i: int, d: int, L: int, lo: int = 0) -> tuple[int, int, int]:
     return i, d, L
 
 
-def alpha_beta(i: int, d: int, L: int) -> tuple[Fraction, Fraction]:
-    """Squared weights of the two branches of the probe shape after one box.
-
-    alpha_i = (N+d-i-1)/(L+N+d-2i-1),  beta_i = (L-i)/(L+N+d-2i-1).
-    """
-    i, d, L = _check_index(i, d, L)
-    N = (d + 1) * L
-    den = L + N + d - 2 * i - 1
-    assert (N + d - i - 1) + (L - i) == den  # alpha + beta == 1
-    return Fraction(N + d - i - 1, den), Fraction(L - i, den)
-
-
-def xy_squared(i: int, d: int, L: int) -> tuple[Fraction, Fraction]:
-    """Squared transfer amplitudes (x_i^2, y_i^2) at index i.
-
-    x_i^2 = (N+d-i-1)(N-i+1) / ((L+N+d-2i-1)(L+N+d-2i))
-    y_i^2 = (L-i+1)(L+d-i-1) / ((L+N+d-2i+1)(L+N+d-2i))
-    """
-    i, d, L = _check_index(i, d, L)
+def _alpha_beta_g(i: int, d: int, L: int) -> tuple[int, int, int, int]:
+    """(a, b, s-1, g) at index i (plain ints, 0 <= i <= L), with N = (d+1)L and
+    s = L+N+d-2i: alpha_i = a/(s-1), beta_i = b/(s-1) and g_i, see alpha_beta and g_coeff."""
     N = (d + 1) * L
     s = L + N + d - 2 * i
-    x_sq = Fraction((N + d - i - 1) * (N - i + 1), (s - 1) * s)
-    y_sq = Fraction((L - i + 1) * (L + d - i - 1), (s + 1) * s)
-    return x_sq, y_sq
+    return N + d - i - 1, L - i, s - 1, (i + 1) * (s + i)
+
+
+def _terms(i: int, d: int, L: int) -> tuple[int, ...]:
+    """Every closed form at index i (plain ints, 0 <= i <= L), unreduced.
+
+    Returns the integers (a, b, s-1, xn, xd, yn, yd, g, f, rn, s): those of
+    _alpha_beta_g, x_i^2 = xn/xd, y_i^2 = yn/yd, f_i^2 = f and the shared radicand R_i = rn/s,
+
+        x_i^2 = (N+d-i-1)(N-i+1) / ((s-1)s),  y_i^2 = (L-i+1)(L+d-i-1) / ((s+1)s),
+        f_i^2 = g_i^2 (s-1) prod_{j=2}^{d-1}(N+j-i-1) prod_{j=2}^{d-1}(L+d-j-i),
+        R_i = prod_{j=2}^{d-1}(N+j-i) prod_{j=2}^{d-1}(L+d-j-i) / s,
+
+    so that (f_i x_i)^2 = (g_i (N-i+1))^2 R_i and (f_{i-1} y_i)^2 = (g_{i-1} (L+d-i-1))^2 R_i.
+    """
+    a, b, ad, g = _alpha_beta_g(i, d, L)
+    N, s = (d + 1) * L, ad + 1
+    q = prod(range(b + 1, L + d - i - 1))  # prod_{j=2}^{d-1}(L+d-j-i), shared by f^2 and R
+    f = g * g * ad * prod(range(N - i + 1, a)) * q
+    xn, yn = a * (N - i + 1), (b + 1) * (L + d - i - 1)
+    return a, b, ad, xn, ad * s, yn, (s + 1) * s, g, f, prod(range(N - i + 2, a + 1)) * q, s
+
+
+def alpha_beta(i: int, d: int, L: int) -> tuple[Fraction, Fraction]:
+    """Squared branch weights alpha_i = (N+d-i-1)/(s-1), beta_i = (L-i)/(s-1), s = L+N+d-2i."""
+    a, b, den, _ = _alpha_beta_g(*_check_index(i, d, L))
+    assert a + b == den  # alpha + beta == 1
+    return Fraction(a, den), Fraction(b, den)
 
 
 def g_coeff(i: int, d: int, L: int) -> int:
     """g_i = (i+1)(L+N+d-i) with g_{-1} = 0."""
     i, d, L = _check_index(i, d, L, lo=-1)
-    if i == -1:
-        return 0
-    N = (d + 1) * L
-    return (i + 1) * (L + N + d - i)
+    return _alpha_beta_g(i, d, L)[3] if i >= 0 else 0
 
 
 def f_squared(i: int, d: int, L: int) -> Fraction:
-    """Squared probe coefficient before normalization.
-
-    f_i^2 = g_i^2 (L+N+d-2i-1) prod_{j=2}^{d-1}(N+j-i-1) prod_{j=2}^{d-1}(L+d-j-i);
-    empty products are 1; g_{-1} = 0 makes f_{-1}^2 = 0.
-    """
+    """f_i^2 = g_i^2 (s-1) prod_{j=2}^{d-1}(N+j-i-1)(L+d-j-i), not normalized; f_{-1}^2 = 0."""
     i, d, L = _check_index(i, d, L, lo=-1)
-    N = (d + 1) * L
-    value = g_coeff(i, d, L) ** 2 * (L + N + d - 2 * i - 1)
-    for j in range(2, d):
-        value *= (N + j - i - 1) * (L + d - j - i)
-    return Fraction(value)
-
-
-def shared_radicand(i: int, d: int, L: int) -> Fraction:
-    """Common rational factor under the square roots of f_i x_i and f_{i-1} y_i.
-
-    R_i = prod_{j=2}^{d-1}(N+j-i) prod_{j=2}^{d-1}(L+d-j-i) / (L+N+d-2i),
-    so that (f_i x_i)^2 = (g_i (N-i+1))^2 R_i and
-    (f_{i-1} y_i)^2 = (g_{i-1} (L+d-i-1))^2 R_i.
-    """
-    i, d, L = _check_index(i, d, L)
-    N = (d + 1) * L
-    value = 1
-    for j in range(2, d):
-        value *= (N + j - i) * (L + d - j - i)
-    return Fraction(value, L + N + d - 2 * i)
+    return Fraction(_terms(i, d, L)[8] if i >= 0 else 0)
 
 
 def _cg_core(t: Sequence[int], s: Sequence[int]) -> list[tuple[int, Fraction]]:
@@ -135,21 +118,20 @@ def telescoping_check(a: Fraction, b: Fraction, k: int) -> bool:
     """Exact check of the product-difference identity used by the infidelity sums.
 
     (a+b+k+1) prod_{j=1}^{k}(a+j)(b+j)
-        = [prod_{j=1}^{k+1}(a+j)(b+j) - prod_{j=1}^{k+1}(a-1+j)(b-1+j)] / (k+1)
+        = [prod_{j=1}^{k+1}(a+j)(b+j) - prod_{j=1}^{k+1}(a-1+j)(b-1+j)] / (k+1),
+
+    in integers: with a = p/q and b = r/t (q, t > 0), both sides times (k+1)(qt)^(k+1).
     """
     k = _require_integer("k", k)
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    a, b = Fraction(a), Fraction(b)
-    lhs = a + b + k + 1
-    for j in range(1, k + 1):
-        lhs *= (a + j) * (b + j)
-    upper = Fraction(1)
-    shifted = Fraction(1)
-    for j in range(1, k + 2):
-        upper *= (a + j) * (b + j)
-        shifted *= (a - 1 + j) * (b - 1 + j)
-    return lhs == (upper - shifted) / (k + 1)
+    (p, q), (r, t) = Fraction(a).as_integer_ratio(), Fraction(b).as_integer_ratio()
+
+    def window(lo: int, hi: int) -> int:  # (qt)^(hi-lo+1) prod_{j=lo}^{hi}(a+j)(b+j)
+        return prod((p + j * q) * (r + j * t) for j in range(lo, hi + 1))
+
+    lhs = (k + 1) * (p * t + r * q + (k + 1) * q * t) * window(1, k)
+    return lhs == window(1, k + 1) - window(0, k)
 
 
 @dataclass(frozen=True)
@@ -186,44 +168,38 @@ class CoeffTable:
         N = (d + 1) * L
         denominator = prod(map(factorial, range(d)))
         rows = []  # (alpha, beta, x_sq, y_sq, g, f_sq, shared_radicand) per index
-        # Each quantity is evaluated once per index; the dimension-ratio
-        # identity at i reads dim(gamma_{i-1}) and beta_{i-1} from index i-1.
-        prev_dim = prev_b = prev_g = prev_f = 0
+        # Each index makes one _terms call and its two Weyl dimensions; the identities
+        # at i read dim(gamma_{i-1}), beta_{i-1}, g_{i-1} and f_{i-1}^2 from index i-1.
+        prev_dim = prev_b = prev_bd = prev_g = prev_f = 0
         for i in range(L + 1):
             t = _gamma_rows(h, i)
             dim = _weyl_core(t, denominator)
             t[0] += 1  # gamma_i^+ adds one box to row 1
             dim_plus = _weyl_core(t, denominator)
-            a, b = alpha_beta(i, d, L)
-            xs, ys = xy_squared(i, d, L)
-            # The dimension ratios, cross-multiplied over the positive denominators.
-            s, an, ad = L + N + d - 2 * i, a.numerator, a.denominator
+            a, b, ad, xn, xd, yn, yd, g, f, rn, rd = _terms(i, d, L)
+            # Every identity is cross-multiplied over its positive denominators.
+            s = L + N + d - 2 * i
             ok = dim * s * (N + d - i - 1) == dim_plus * (s - 1) * (N - i + 1)
-            ok = ok and an * an * dim * xs.denominator == xs.numerator * dim_plus * ad * ad
+            ok = ok and a * a * dim * xd == xn * dim_plus * ad * ad
             if i:
-                bn, bd = prev_b.numerator, prev_b.denominator
                 ok = ok and prev_dim * s * (L - i + 1) == dim_plus * (s + 1) * (L + d - i - 1)
-                ok = ok and bn * bn * prev_dim * ys.denominator == ys.numerator * dim_plus * bd * bd
+                ok = ok and prev_b * prev_b * prev_dim * yd == yn * dim_plus * prev_bd * prev_bd
             if not ok:
                 raise ConsistencyError(f"dimension-ratio identity failed at d={d} L={L} i={i}")
-            gi = g_coeff(i, d, L)
-            fs = f_squared(i, d, L)
-            ri = shared_radicand(i, d, L)
-            # f_i^2 x_i^2 == (g_i (N-i+1))^2 R_i and f_{i-1}^2 y_i^2 == (g_{i-1} (L+d-i-1))^2 R_i,
-            # cross-multiplied over the positive denominators.
-            rn, rd = ri.numerator, ri.denominator
-            fx = fs.numerator * xs.numerator * rd
-            if fx != (gi * (N - i + 1)) ** 2 * rn * fs.denominator * xs.denominator:
+            # f_i^2 x_i^2 == (g_i (N-i+1))^2 R_i and f_{i-1}^2 y_i^2 == (g_{i-1} (L+d-i-1))^2 R_i.
+            if f * xn * rd != (g * (N - i + 1)) ** 2 * rn * xd:
                 raise ConsistencyError(
                     f"shared radicand mismatch for f_i*x_i at d={d} L={L} i={i}"
                 )
-            fy = prev_f.numerator * ys.numerator * rd
-            if fy != (prev_g * (L + d - i - 1)) ** 2 * rn * prev_f.denominator * ys.denominator:
+            if prev_f * yn * rd != (prev_g * (L + d - i - 1)) ** 2 * rn * yd:
                 raise ConsistencyError(
                     f"shared radicand mismatch for f_(i-1)*y_i at d={d} L={L} i={i}"
                 )
-            rows.append((a, b, xs, ys, gi, fs, ri))
-            prev_dim, prev_b, prev_g, prev_f = dim, b, gi, fs
-        if prev_b != 0:
-            raise ConsistencyError(f"beta_L must vanish, got {prev_b} at d={d} L={L}")
+            rows.append(
+                (Fraction(a, ad), Fraction(b, ad), Fraction(xn, xd), Fraction(yn, yd), g,
+                 Fraction(f), Fraction(rn, rd))
+            )
+            prev_dim, prev_b, prev_bd, prev_g, prev_f = dim, b, ad, g, f
+        if prev_b:
+            raise ConsistencyError(f"beta_L must vanish, got {rows[-1][1]} at d={d} L={L}")
         return cls(d, L, N, *zip(*rows))

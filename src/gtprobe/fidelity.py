@@ -172,30 +172,38 @@ def plan_queries(d: int, eps: float) -> int:
 
 def amplitude_reduction_check(
     psi: np.ndarray, phi: np.ndarray, proj: np.ndarray
-) -> tuple[float, float]:
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Both sides of the amplitude-vs-trace-distance inequality.
 
     Returns (lhs, rhs) with
     lhs = |sqrt(<psi|P|psi>) - sqrt(<phi|P|phi>)| and
     rhs = ||psi><psi| - |phi><phi||_1 / sqrt(2); lhs <= rhs must hold.
+    psi and phi may be stacks (..., m) of states with proj a stack (..., m, m)
+    of projectors; lhs and rhs are then arrays over the stack, floats for one case.
     """
-    psi = np.asarray(psi, dtype=complex)
-    phi = np.asarray(phi, dtype=complex)
-    proj = np.asarray(proj, dtype=complex)
+    psi, phi, proj = (np.asarray(a, dtype=complex) for a in (psi, phi, proj))
+    if not psi.ndim or phi.shape != psi.shape or proj.shape != psi.shape + psi.shape[-1:]:
+        raise ValueError(
+            f"psi, phi and proj must have shapes (..., m), (..., m) and (..., m, m), "
+            f"got {psi.shape}, {phi.shape} and {proj.shape}"
+        )
     if not all(np.isfinite(a).all() for a in (psi, phi, proj)):
         raise ValueError("psi, phi and proj must be finite")
     for name, vec in (("psi", psi), ("phi", phi)):
-        if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
+        if np.any(np.abs(np.linalg.norm(vec, axis=-1) - 1.0) > 1e-9):
             raise ValueError(f"{name} is not unit norm")
-    if np.max(np.abs(proj - proj.conj().T)) > 1e-9:
+    if np.any(np.abs(proj - proj.conj().swapaxes(-1, -2)) > 1e-9):
         raise ValueError("projector is not Hermitian")
-    if np.max(np.abs(proj @ proj - proj)) > 1e-9:
+    if np.any(np.abs(proj @ proj - proj) > 1e-9):
         raise ValueError("projector is not idempotent")
-    amp_psi = math.sqrt(max(float((psi.conj() @ proj @ psi).real), 0.0))
-    amp_phi = math.sqrt(max(float((phi.conj() @ proj @ phi).real), 0.0))
-    diff = np.outer(psi, psi.conj()) - np.outer(phi, phi.conj())
-    trace_norm = float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
-    return abs(amp_psi - amp_phi), trace_norm / math.sqrt(2.0)
+    bra_psi, bra_phi = psi.conj()[..., None, :], phi.conj()[..., None, :]
+    amp_psi = np.sqrt(np.maximum((bra_psi @ proj @ psi[..., None]).real, 0.0))
+    amp_phi = np.sqrt(np.maximum((bra_phi @ proj @ phi[..., None]).real, 0.0))
+    diff = psi[..., None] * bra_psi
+    diff -= phi[..., None] * bra_phi  # in place, so a stack holds one (..., m, m) array fewer
+    lhs = np.abs(amp_psi - amp_phi)[..., 0, 0]
+    rhs = np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1) / math.sqrt(2.0)
+    return (float(lhs), float(rhs)) if psi.ndim == 1 else (lhs, rhs)
 
 
 @dataclass(frozen=True)

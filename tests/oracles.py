@@ -25,6 +25,11 @@ that the position lookup, the swap-major tables and the flat gathers replaced;
 reference_cg_embedding runs the CG check on them.  reference_haar_batch is the
 LAPACK QR sampler, with the phases of R's diagonal absorbed, that the batch-last
 Gram-Schmidt sampler replaced; haar_unitary and full_space_mc draw from it.
+xy_squared and shared_radicand are the per-index Fraction closed forms that
+CoeffTable.build now reads, unreduced, from coeffs._terms;
+reference_telescoping_check is the Fraction form of the integer
+telescoping_check, and reference_amplitude_reduction_check the one-case
+amplitude check that the stacked amplitude_reduction_check replaced.
 """
 
 import math
@@ -36,10 +41,10 @@ from scipy.sparse import coo_matrix, csr_matrix
 from gtprobe.coeffs import (
     CoeffTable,
     ConsistencyError,
+    _check_index,
     alpha_beta,
     f_squared,
     g_coeff,
-    xy_squared,
 )
 from gtprobe.fidelity import protocol_probe
 from gtprobe.simulator import (
@@ -424,7 +429,28 @@ def reference_dim_ratio_check(p: GammaParams) -> bool:
     return ok
 
 
-def reference_shared_radicand(i: int, d: int, L: int) -> Fraction:
+def xy_squared(i: int, d: int, L: int) -> tuple[Fraction, Fraction]:
+    """Squared transfer amplitudes (x_i^2, y_i^2) at index i.
+
+    x_i^2 = (N+d-i-1)(N-i+1) / ((L+N+d-2i-1)(L+N+d-2i))
+    y_i^2 = (L-i+1)(L+d-i-1) / ((L+N+d-2i+1)(L+N+d-2i))
+    """
+    i, d, L = _check_index(i, d, L)
+    N = (d + 1) * L
+    s = L + N + d - 2 * i
+    x_sq = Fraction((N + d - i - 1) * (N - i + 1), (s - 1) * s)
+    y_sq = Fraction((L - i + 1) * (L + d - i - 1), (s + 1) * s)
+    return x_sq, y_sq
+
+
+def shared_radicand(i: int, d: int, L: int) -> Fraction:
+    """Common rational factor under the square roots of f_i x_i and f_{i-1} y_i.
+
+    R_i = prod_{j=2}^{d-1}(N+j-i) prod_{j=2}^{d-1}(L+d-j-i) / (L+N+d-2i),
+    so that (f_i x_i)^2 = (g_i (N-i+1))^2 R_i and
+    (f_{i-1} y_i)^2 = (g_{i-1} (L+d-i-1))^2 R_i.
+    """
+    i, d, L = _check_index(i, d, L)
     N = (d + 1) * L
     value = Fraction(1, L + N + d - 2 * i)
     for j in range(2, d):
@@ -443,7 +469,7 @@ def reference_build(d: int, L: int) -> CoeffTable:
         xs, ys = xy_squared(i, d, L)
         gi = g_coeff(i, d, L)
         fs = f_squared(i, d, L)
-        ri = reference_shared_radicand(i, d, L)
+        ri = shared_radicand(i, d, L)
         if fs * xs != Fraction(gi * (N - i + 1)) ** 2 * ri:
             raise ConsistencyError(f"shared radicand mismatch for f_i*x_i at d={d} L={L} i={i}")
         prev_f = f_sq[i - 1] if i >= 1 else Fraction(0)
@@ -520,6 +546,31 @@ def reference_infidelity_sum_form(d: int, L: int) -> Fraction:
         num += Fraction((gi - gp) ** 2, L + N + d - 2 * i) * prods
         den += Fraction(gi**2 - gp**2, d - 1) * prods
     return num / den
+
+
+def reference_telescoping_check(a: Fraction, b: Fraction, k: int) -> bool:
+    """The telescoping identity of coeffs.telescoping_check, in Fractions."""
+    a, b = Fraction(a), Fraction(b)
+    lhs = a + b + k + 1
+    for j in range(1, k + 1):
+        lhs *= (a + j) * (b + j)
+    upper = Fraction(1)
+    shifted = Fraction(1)
+    for j in range(1, k + 2):
+        upper *= (a + j) * (b + j)
+        shifted *= (a - 1 + j) * (b - 1 + j)
+    return lhs == (upper - shifted) / (k + 1)
+
+
+def reference_amplitude_reduction_check(psi, phi, proj) -> tuple[float, float]:
+    """(lhs, rhs) of fidelity.amplitude_reduction_check for one case, with one
+    vector-matrix product per amplitude and one eigvalsh."""
+    psi, phi, proj = (np.asarray(a, dtype=complex) for a in (psi, phi, proj))
+    amp_psi = math.sqrt(max(float((psi.conj() @ proj @ psi).real), 0.0))
+    amp_phi = math.sqrt(max(float((phi.conj() @ proj @ phi).real), 0.0))
+    diff = np.outer(psi, psi.conj()) - np.outer(phi, phi.conj())
+    trace_norm = float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    return abs(amp_psi - amp_phi), trace_norm / math.sqrt(2.0)
 
 
 def reference_swap_tables(d: int, codes: np.ndarray, letters: np.ndarray):

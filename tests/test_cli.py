@@ -6,9 +6,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gtprobe import cli, coeffs, fidelity, simulator, young
+from oracles import reference_amplitude_reduction_check
 
 
 def run(capsys, argv):
@@ -167,9 +169,11 @@ PLANTS = {
         lambda f, t, s: [(k, c + (tuple(t) == ROWS_3_2_1)) for k, c in f(t, s)],
         {"cg-branch-weights"}, "d=3 L=2 i=1",
     ),
-    "shared-radicand": (
-        coeffs, "shared_radicand",
-        lambda f, i, d, L: f(i, d, L) * (2 if (d, L, i) == (3, 2, 1) else 1),
+    "shared-radicand": (  # the numerator of R, the 10th integer of _terms, doubled
+        coeffs, "_terms",
+        lambda f, i, d, L: tuple(
+            v * (2 if (k, d, L, i) == (9, 3, 2, 1) else 1) for k, v in enumerate(f(i, d, L))
+        ),
         {"infidelity-chain", "dimension-ratios"}, "d=3 L=2 i=1",
     ),
 }
@@ -217,6 +221,40 @@ class TestVerifyCommand:
         cases = dict(cli._verify_families(4, 6, 0))["cg-branch-weights"]
         assert set(cases) == {None}
         assert len(calls) == 3 * 6
+
+    def test_amplitude_family_checks_each_dimension_once(self, monkeypatch):
+        calls = []
+        true_check = fidelity.amplitude_reduction_check
+        monkeypatch.setattr(
+            fidelity, "amplitude_reduction_check", lambda *a: calls.append(a) or true_check(*a)
+        )
+        cases = dict(cli._verify_families(10, 40, 0))["amplitude-reduction"]
+        assert list(cases) == [None] * 1000
+        assert 1 <= len(calls) <= 15
+
+    def test_amplitude_family_names_the_first_failing_case_drawn(self, monkeypatch):
+        # Every case of dimension 7 made to fail: the family must name the first one in
+        # the order drawn, with the sides the one-case check gives on that case.
+        true_check = fidelity.amplitude_reduction_check
+
+        def failing_at_7(psi, phi, proj):
+            lhs, rhs = true_check(psi, phi, proj)
+            return lhs + 2 * (psi.shape[-1] == 7), rhs  # rhs <= sqrt(2)
+
+        monkeypatch.setattr(fidelity, "amplitude_reduction_check", failing_at_7)
+        rng = np.random.default_rng(42)
+        for case in range(1000):  # the stream as drawn one normal vector at a time
+            dim = int(rng.integers(2, 17))
+            psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            phi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            psi /= np.linalg.norm(psi)
+            phi /= np.linalg.norm(phi)
+            proj = np.diag(rng.integers(0, 2, dim).astype(float))
+            if dim == 7:
+                break
+        lhs, rhs = reference_amplitude_reduction_check(psi, phi, proj)
+        cases = dict(cli._verify_families(2, 1, 42))["amplitude-reduction"]
+        assert next(c for c in cases if c) == f"case {case}: d=7 lhs={lhs + 2!r} rhs={rhs!r}"
 
     @pytest.mark.parametrize("plant", PLANTS, ids=list(PLANTS))
     def test_planted_failure_fails_only_its_families(self, capsys, monkeypatch, plant):
@@ -415,6 +453,10 @@ class TestExitCodes:
                 for command in ("dims", "coeffs", "infidelity")
             ),
             (["sweep", "--d-range", str(10**20), "--n-range", str(2 * 10**20)], HUGE_D),
+            (
+                ["sweep", "--d-range", "2:2:x", "--n-range", "4"],
+                "range must look like LO:HI or LO:HI:STEP, got '2:2:x'",
+            ),
         ],
     )
     def test_usage_error_exits_two_with_one_error_line(self, capsys, argv, message):

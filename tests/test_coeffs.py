@@ -18,9 +18,7 @@ from gtprobe.coeffs import (
     cg_add_box,
     f_squared,
     g_coeff,
-    shared_radicand,
     telescoping_check,
-    xy_squared,
 )
 from gtprobe.fidelity import (
     closed_form_infidelity,
@@ -44,7 +42,10 @@ from oracles import (
     reference_dim_ratio_check,
     reference_expected_fidelity,
     reference_infidelity_sum_form,
+    reference_telescoping_check,
     reference_weyl_dimension,
+    shared_radicand,
+    xy_squared,
 )
 
 # Every (d, L) of `gtprobe verify --max-d 10 --max-L 40`.
@@ -56,6 +57,23 @@ def _wrap(monkeypatch, name, wrapper):
     wrapper(true_function, *args)."""
     true_fn = getattr(coeffs, name)
     monkeypatch.setattr(coeffs, name, lambda *args: wrapper(true_fn, *args))
+
+
+# Positions in the tuple coeffs._terms returns: (a, b, s-1, xn, xd, yn, yd, g, f, rn, s).
+ALPHA, BETA, AB_DEN, Y, F, R = 0, 1, 2, 5, 8, 9
+
+
+def _plant(monkeypatch, where, k, wrong):
+    """Have coeffs._terms, as CoeffTable.build sees it, return wrong(terms) in
+    place of its k-th integer at every index i for which where(i) holds."""
+
+    def planted(true_terms, i, d, L):
+        terms = list(true_terms(i, d, L))
+        if where(i):
+            terms[k] = wrong(terms)
+        return tuple(terms)
+
+    _wrap(monkeypatch, "_terms", planted)
 
 
 @st.composite
@@ -272,8 +290,9 @@ class TestSteppedRows:
 
     @pytest.mark.parametrize("d", [2, 5])
     def test_build_validates_once_per_table(self, monkeypatch, d):
-        # Per-index validation would make GammaParams or as_diagram calls grow with L.
-        calls = {"GammaParams": 0, "as_diagram": 0}
+        # Per-index validation would make GammaParams or as_diagram calls grow with L;
+        # the build checks no index, as each one it makes lies in 0..L.
+        calls = {"GammaParams": 0, "as_diagram": 0, "_check_index": 0}
 
         def counted(module, name):
             true_fn = getattr(module, name)
@@ -286,13 +305,15 @@ class TestSteppedRows:
 
         counted(coeffs, "GammaParams")
         counted(young, "as_diagram")
+        counted(coeffs, "_check_index")
         seen = []
         for L in (1, 40):
-            calls.update(GammaParams=0, as_diagram=0)
+            calls.update(GammaParams=0, as_diagram=0, _check_index=0)
             CoeffTable.build(d, L)
             seen.append(dict(calls))
         assert seen[0]["GammaParams"] == seen[1]["GammaParams"] == 1
         assert seen[0]["as_diagram"] == seen[1]["as_diagram"]
+        assert seen[0]["_check_index"] == seen[1]["_check_index"] == 0
 
 
 # Each exact entry point names its non-integer size through young._require_integer:
@@ -332,6 +353,17 @@ class TestNonIntegerSizes:
         assert type(tab.d) is type(tab.L) is type(tab.N) is type(tab.g[-1]) is int
 
 
+@st.composite
+def telescoping_args(draw):
+    """(a, b, k): rationals, or negative integers >= -(k+1), which make a factor
+    a+j or b+j of the identity vanish for some 0 <= j <= k+1."""
+    k = draw(st.integers(0, 25))
+    zero_factor = st.integers(-(k + 1), -1).map(Fraction)
+    rational = st.fractions(min_value=-10, max_value=10, max_denominator=30)
+    a, b = draw(st.one_of(rational, zero_factor)), draw(st.one_of(rational, zero_factor))
+    return a, b, k
+
+
 class TestTelescoping:
     def test_trivial(self):
         assert telescoping_check(Fraction(0), Fraction(0), 0)
@@ -352,6 +384,15 @@ class TestTelescoping:
     def test_holds_for_random_rationals(self, a, b, k):
         assert telescoping_check(a, b, k)
 
+    @settings(max_examples=300)
+    @given(telescoping_args())
+    @example((Fraction(0), Fraction(0), 0))
+    @example((Fraction(-1), Fraction(5, 3), 0))
+    @example((Fraction(7, 2), Fraction(-26), 25))
+    @example((Fraction(-3), Fraction(-1), 2))
+    def test_equals_fraction_reference(self, args):
+        assert telescoping_check(*args) is reference_telescoping_check(*args) is True
+
 
 class TestCoeffTable:
     def test_build_matches_pointwise_functions(self):
@@ -371,21 +412,13 @@ class TestCoeffTable:
         ]
 
     def test_detects_broken_coefficients(self, monkeypatch):
-        true_f = coeffs.f_squared
-
-        def bad_f(i, d, L):
-            if i == 1:
-                return Fraction(999)
-            return true_f(i, d, L)
-
-        monkeypatch.setattr(coeffs, "f_squared", bad_f)
+        _plant(monkeypatch, lambda i: i == 1, F, lambda terms: 999)  # f_1^2 = 999, not 300
         with pytest.raises(ConsistencyError) as err:
             CoeffTable.build(2, 1)
         assert "i=1" in str(err.value)
 
-    def test_non_integral_f_squared_fires(self, monkeypatch):
-        # f_1^2 + 1/2 agrees with the identity in its integer part only.
-        _wrap(monkeypatch, "f_squared", lambda f, i, d, L: f(i, d, L) + Fraction(i == 1, 2))
+    def test_f_squared_off_by_one_fires(self, monkeypatch):
+        _plant(monkeypatch, lambda i: i == 1, F, lambda terms: terms[F] + 1)
         with pytest.raises(ConsistencyError, match=r"for f_i\*x_i at d=3 L=2 i=1$"):
             CoeffTable.build(3, 2)
 
@@ -398,35 +431,34 @@ class TestCoeffTable:
         with pytest.raises(ConsistencyError, match=message):
             CoeffTable.build(d, L)
 
-    @pytest.mark.parametrize("which,fails_at", [(0, 2), (1, 3)])
+    @pytest.mark.parametrize("which,fails_at", [(ALPHA, 2), (BETA, 3)])
     def test_wrong_alpha_or_beta_fires(self, monkeypatch, which, fails_at):
         # A wrong alpha_2 breaks x_2; a wrong beta_2 enters the y check at i = 3.
-        def broken(f, i, d, L):
-            ab = list(f(i, d, L))
-            ab[which] += i == 2
-            return tuple(ab)
-
-        _wrap(monkeypatch, "alpha_beta", broken)
+        _plant(monkeypatch, lambda i: i == 2, which, lambda terms: terms[which] + 1)
         with pytest.raises(ConsistencyError, match=rf"at d=4 L=5 i={fails_at}$"):
             CoeffTable.build(4, 5)
 
     def test_nonvanishing_beta_L_fires(self, monkeypatch):
-        _wrap(
-            monkeypatch, "alpha_beta", lambda f, i, d, L: (f(i, d, L)[0], f(i, d, L)[1] + (i == L))
-        )
+        _plant(monkeypatch, lambda i: i == 3, BETA, lambda terms: terms[AB_DEN])  # beta_3 = 1
         with pytest.raises(ConsistencyError, match=r"beta_L must vanish, got 1 at d=2 L=3$"):
             CoeffTable.build(2, 3)
 
     def test_wrong_shared_radicand_fires(self, monkeypatch):
-        _wrap(
-            monkeypatch, "shared_radicand", lambda f, i, d, L: f(i, d, L) * (2 if i == 2 else 1)
-        )
+        _plant(monkeypatch, lambda i: i == 2, R, lambda terms: 2 * terms[R])
         with pytest.raises(ConsistencyError, match=r"for f_i\*x_i at d=5 L=3 i=2$"):
             CoeffTable.build(5, 3)
 
+    def test_wrong_y_squared_fires(self, monkeypatch):
+        # y_3^2 four times too large, with beta_2 doubled so that the dimension ratio
+        # at i = 3 still holds: only the f_(i-1)*y_i radicand check sees it.
+        _plant(monkeypatch, lambda i: i == 3, Y, lambda terms: 4 * terms[Y])
+        _plant(monkeypatch, lambda i: i == 2, BETA, lambda terms: 2 * terms[BETA])
+        with pytest.raises(ConsistencyError, match=r"for f_\(i-1\)\*y_i at d=4 L=5 i=3$"):
+            CoeffTable.build(4, 5)
+
     @pytest.mark.parametrize("d,L", [(2, 7), (5, 12)])
     def test_evaluates_each_quantity_once_per_index(self, monkeypatch, d, L):
-        calls = {"_weyl_core": 0, "alpha_beta": 0, "xy_squared": 0}
+        calls = {"_weyl_core": 0, "_terms": 0}
 
         def counted(name):
             def call(f, *args):
@@ -438,7 +470,22 @@ class TestCoeffTable:
         for name in calls:
             _wrap(monkeypatch, name, counted(name))
         CoeffTable.build(d, L)
-        assert calls == {"_weyl_core": 2 * (L + 1), "alpha_beta": L + 1, "xy_squared": L + 1}
+        assert calls == {"_weyl_core": 2 * (L + 1), "_terms": L + 1}
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(2, 12), st.integers(1, 60))
+    def test_terms_match_the_closed_forms(self, d, L):
+        # Factor by factor, against the forms in _terms' docstring and the oracles.
+        N = (d + 1) * L
+        for i in range(L + 1):
+            a, b, ad, xn, xd, yn, yd, g, f, rn, rd = coeffs._terms(i, d, L)
+            s = L + N + d - 2 * i
+            assert (a, b, ad, rd) == (N + d - i - 1, L - i, s - 1, s)
+            assert (Fraction(xn, xd), Fraction(yn, yd)) == xy_squared(i, d, L)
+            assert g == (i + 1) * (L + N + d - i) == g_coeff(i, d, L)
+            window = prod((N + j - i - 1) * (L + d - j - i) for j in range(2, d))
+            assert f == g * g * (s - 1) * window == f_squared(i, d, L)
+            assert Fraction(rn, rd) == shared_radicand(i, d, L)
 
 
 class TestAgainstFractionReference:

@@ -21,8 +21,12 @@ from gtprobe.fidelity import (
     protocol_probe,
     query_count_params,
 )
-from gtprobe.coeffs import xy_squared
-from oracles import rayleigh_quotient, trace_distance_from_overlap
+from oracles import (
+    rayleigh_quotient,
+    reference_amplitude_reduction_check,
+    trace_distance_from_overlap,
+    xy_squared,
+)
 
 
 class TestExpectedFidelity:
@@ -306,6 +310,61 @@ class TestAmplitudeReduction:
         with pytest.raises(ValueError, match="finite"):
             amplitude_reduction_check(**args)
 
+    @pytest.mark.parametrize("seed", [0, 1, 42])
+    def test_stacks_equal_one_case_calls_on_the_verify_stream(self, seed):
+        # The verify family's cases, drawn as it draws them, checked stacked per
+        # dimension, one case at a time, and by the one-case reference.
+        rng = np.random.default_rng(seed)
+        cases = []
+        for _ in range(1000):
+            dim = int(rng.integers(2, 17))
+            psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            phi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            psi /= np.linalg.norm(psi)
+            phi /= np.linalg.norm(phi)
+            cases.append((psi, phi, np.diag(rng.integers(0, 2, dim).astype(float))))
+        for dim in range(2, 17):
+            group = [case for case in cases if len(case[0]) == dim]
+            lhs, rhs = amplitude_reduction_check(*(np.array(part) for part in zip(*group)))
+            assert lhs.shape == rhs.shape == (len(group),)
+            for case, pair in zip(group, zip(lhs.tolist(), rhs.tolist())):
+                one = amplitude_reduction_check(*case)
+                assert one == pair == reference_amplitude_reduction_check(*case)
+                assert type(one[0]) is type(one[1]) is float
+
+    @pytest.mark.parametrize(
+        "where,member,message",
+        [
+            ("proj", [[math.nan, 0], [0, 0]], "psi, phi and proj must be finite"),
+            ("psi", [1, 1], "psi is not unit norm"),
+            ("phi", [0.5, 0], "phi is not unit norm"),
+            ("proj", [[1, 1], [0, 0]], "projector is not Hermitian"),
+            ("proj", [[2, 0], [0, 0]], "projector is not idempotent"),
+        ],
+    )
+    def test_one_bad_member_of_a_stack_fires(self, where, member, message):
+        psi = np.tile(np.array([1, 0], dtype=complex), (3, 1))
+        args = {"psi": psi, "phi": psi.copy(), "proj": np.tile(np.eye(2, dtype=complex), (3, 1, 1))}
+        args[where][1] = member
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            amplitude_reduction_check(**args)
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            ((2,), (3,), (2, 2)),
+            ((2,), (2,), (3, 3)),
+            ((4, 2), (4, 2), (2, 2)),
+            ((4, 2), (3, 2), (4, 2, 2)),
+            ((), (), ()),
+        ],
+    )
+    def test_mismatched_shapes_name_the_shapes(self, shapes):
+        psi, phi, proj = (np.ones(shape, dtype=complex) for shape in shapes)
+        message = re.escape(f"got {shapes[0]}, {shapes[1]} and {shapes[2]}")
+        with pytest.raises(ValueError, match=message):
+            amplitude_reduction_check(psi, phi, proj)
+
 
 class TestFidelityReport:
     def test_fields(self):
@@ -375,6 +434,13 @@ class TestOneTablePerReport:
         from gtprobe import coeffs
 
         fidelity_report(3, 12)
-        monkeypatch.setattr(coeffs, "xy_squared", lambda i, d, L: (Fraction(1, 2), Fraction(1, 3)))
+        true_terms = coeffs._terms
+
+        def doubled_x_sq(i, d, L):  # a table kept from the first call would hide it
+            terms = list(true_terms(i, d, L))
+            terms[3] *= 2  # the numerator of x_i^2
+            return tuple(terms)
+
+        monkeypatch.setattr(coeffs, "_terms", doubled_x_sq)
         with pytest.raises(ConsistencyError):
             fidelity_report(3, 12)
