@@ -267,15 +267,16 @@ def _verify_families(max_d: int, max_L: int, seed: int):
             t, s = young._shifted_rows(chain[-1], d), young._shifted_rows(chain[-2], d - 1)
             for i in range(L + 1):
                 got = coeffs._cg_core(young._gamma_rows(t, i), s) if i else coeffs.cg_add_box(chain)
-                alpha, beta = coeffs.alpha_beta(i, d, L)
-                want = [(1, alpha)] + ([(d, beta)] if i < L else [])
+                a, b, den, _ = coeffs._alpha_beta_g(i, d, L)
+                want = [(1, Fraction(a, den))] + ([(d, Fraction(b, den))] if i < L else [])
                 yield None if got == want else f"d={d} L={L} i={i}: {got} != {want}"
 
     def g_increments():
         for d, L in grid:
-            N = (d + 1) * L
+            N, gp = (d + 1) * L, 0  # gp is g_{i-1}, and g_{-1} = 0
             for i in range(L + 1):
-                diff = coeffs.g_coeff(i, d, L) - coeffs.g_coeff(i - 1, d, L)
+                g = coeffs._alpha_beta_g(i, d, L)[3]
+                diff, gp = g - gp, g
                 yield None if diff == L + N + d - 2 * i else f"d={d} L={L} i={i}: increment {diff}"
 
     def telescoping():

@@ -22,18 +22,9 @@ class ConsistencyError(ValueError):
     """An exact algebraic cross-check failed; the construction is broken."""
 
 
-def _check_index(i: int, d: int, L: int, lo: int = 0) -> tuple[int, int, int]:
-    """(i, d, L) as plain ints; raise ValueError unless they are integers and lo <= i <= L."""
-    if not type(i) is type(d) is type(L) is int:  # plain ints skip the three calls
-        i, d, L = (_require_integer(name, v) for name, v in (("i", i), ("d", d), ("L", L)))
-    if not lo <= i <= L:
-        raise ValueError(f"index i must satisfy {lo} <= i <= L={L}, got {i}")
-    return i, d, L
-
-
 def _alpha_beta_g(i: int, d: int, L: int) -> tuple[int, int, int, int]:
     """(a, b, s-1, g) at index i (plain ints, 0 <= i <= L), with N = (d+1)L and
-    s = L+N+d-2i: alpha_i = a/(s-1), beta_i = b/(s-1) and g_i, see alpha_beta and g_coeff."""
+    s = L+N+d-2i: alpha_i = a/(s-1), beta_i = b/(s-1) and g_i = (i+1)(L+N+d-i)."""
     N = (d + 1) * L
     s = L + N + d - 2 * i
     return N + d - i - 1, L - i, s - 1, (i + 1) * (s + i)
@@ -57,25 +48,6 @@ def _terms(i: int, d: int, L: int) -> tuple[int, ...]:
     f = g * g * ad * prod(range(N - i + 1, a)) * q
     xn, yn = a * (N - i + 1), (b + 1) * (L + d - i - 1)
     return a, b, ad, xn, ad * s, yn, (s + 1) * s, g, f, prod(range(N - i + 2, a + 1)) * q, s
-
-
-def alpha_beta(i: int, d: int, L: int) -> tuple[Fraction, Fraction]:
-    """Squared branch weights alpha_i = (N+d-i-1)/(s-1), beta_i = (L-i)/(s-1), s = L+N+d-2i."""
-    a, b, den, _ = _alpha_beta_g(*_check_index(i, d, L))
-    assert a + b == den  # alpha + beta == 1
-    return Fraction(a, den), Fraction(b, den)
-
-
-def g_coeff(i: int, d: int, L: int) -> int:
-    """g_i = (i+1)(L+N+d-i) with g_{-1} = 0."""
-    i, d, L = _check_index(i, d, L, lo=-1)
-    return _alpha_beta_g(i, d, L)[3] if i >= 0 else 0
-
-
-def f_squared(i: int, d: int, L: int) -> Fraction:
-    """f_i^2 = g_i^2 (s-1) prod_{j=2}^{d-1}(N+j-i-1)(L+d-j-i), not normalized; f_{-1}^2 = 0."""
-    i, d, L = _check_index(i, d, L, lo=-1)
-    return Fraction(_terms(i, d, L)[8] if i >= 0 else 0)
 
 
 def _cg_core(t: Sequence[int], s: Sequence[int]) -> list[tuple[int, Fraction]]:

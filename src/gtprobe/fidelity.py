@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coeffs import CoeffTable, ConsistencyError, f_squared, g_coeff
+from .coeffs import CoeffTable, ConsistencyError, _alpha_beta_g, _terms
 from .young import _require_integer
 
 
@@ -80,7 +80,7 @@ def infidelity_sum_form(d: int, L: int) -> Fraction:
         prods = 1
         for j in range(1, d):
             prods *= (N + j - i) * (L + j - i)
-        gi, s = g_coeff(i, d, L), L + N + d - 2 * i
+        gi, s = _alpha_beta_g(i, d, L)[3], L + N + d - 2 * i
         num, den = num * s + (gi - gp) ** 2 * prods * den, den * s
         total += (gi**2 - gp**2) * prods
         gp = gi
@@ -108,9 +108,9 @@ def protocol_probe(d: int, L: int) -> np.ndarray:
     """The protocol's probe coefficients f_0..f_L, normalized to unit norm
     (the f_i^2 that CoeffTable.build stores, read without building a table)."""
     d, L = _require_sizes(d, L)
-    f_sq = [f_squared(i, d, L) for i in range(L + 1)]
+    f_sq = [_terms(i, d, L)[8] for i in range(L + 1)]
     total = sum(f_sq)
-    return np.sqrt([float(v / total) for v in f_sq])
+    return np.sqrt([v / total for v in f_sq])  # int / int rounds correctly, as float(Fraction)
 
 
 def optimal_probe(tab: CoeffTable) -> tuple[np.ndarray, float]:
@@ -152,22 +152,13 @@ def plan_queries(d: int, eps: float) -> int:
     if eps**2 / 100 < sys.float_info.min:
         raise ValueError(f"eps={eps} is too small: eps^2/100 is not a normal float")
     target = Fraction(eps) ** 2 / 100
-
-    def ok(L: int) -> bool:
-        return closed_form_infidelity(d, L) <= target
-
-    # The denominator L + N + d + 2L^2 strictly grows in L, so hi is minimal.
-    hi = 1
-    while not ok(hi):
-        hi *= 2
-    lo = 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return 2 * d * hi
+    # 1 - F = (d-1)/D(L) with D(L) = 2L^2 + (d+2)L + d strictly increasing, so the least L
+    # has D(L) >= T = (d-1)/target: start at or below the root of D(L) = floor(T), step up.
+    T = (d - 1) * target.denominator // target.numerator
+    L = max(1, (math.isqrt((d - 2) ** 2 + 8 * T) - d - 2) // 4)
+    while closed_form_infidelity(d, L) > target:
+        L += 1
+    return 2 * d * L
 
 
 def amplitude_reduction_check(

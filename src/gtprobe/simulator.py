@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coeffs import alpha_beta
+from .coeffs import _alpha_beta_g
 from .fidelity import protocol_probe, query_count_params
 from .young import (
     Diagram,
@@ -334,9 +334,9 @@ def verify_cg_embedding(
     weights += [np.zeros(L + 1)]
     out: list[CGResidual] = []
     for i in range(L + 1):
-        alpha, beta = (float(w) for w in alpha_beta(i, d, L))
+        a_num, b_num, den, _ = _alpha_beta_g(i, d, L)
         a, b = float(weights[i][i]), float(weights[i + 1][i])
-        out.append(CGResidual(i, a, b, abs(a - alpha), abs(b - beta)))
+        out.append(CGResidual(i, a, b, abs(a - a_num / den), abs(b - b_num / den)))
     return out
 
 

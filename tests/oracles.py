@@ -25,11 +25,14 @@ that the position lookup, the swap-major tables and the flat gathers replaced;
 reference_cg_embedding runs the CG check on them.  reference_haar_batch is the
 LAPACK QR sampler, with the phases of R's diagonal absorbed, that the batch-last
 Gram-Schmidt sampler replaced; haar_unitary and full_space_mc draw from it.
-xy_squared and shared_radicand are the per-index Fraction closed forms that
-CoeffTable.build now reads, unreduced, from coeffs._terms;
-reference_telescoping_check is the Fraction form of the integer
-telescoping_check, and reference_amplitude_reduction_check the one-case
-amplitude check that the stacked amplitude_reduction_check replaced.
+alpha_beta, g_coeff, f_squared, xy_squared and shared_radicand are the
+per-index Fraction closed forms, each validating (i, d, L) with _check_index,
+that CoeffTable.build and its callers now read, unreduced, from
+coeffs._alpha_beta_g and coeffs._terms; reference_telescoping_check is the
+Fraction form of the integer telescoping_check,
+reference_amplitude_reduction_check the one-case amplitude check that the
+stacked amplitude_reduction_check replaced, and reference_plan_queries the
+doubling and bisection search that plan_queries' closed-form start replaced.
 """
 
 import math
@@ -38,15 +41,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
-from gtprobe.coeffs import (
-    CoeffTable,
-    ConsistencyError,
-    _check_index,
-    alpha_beta,
-    f_squared,
-    g_coeff,
-)
-from gtprobe.fidelity import protocol_probe
+from gtprobe.coeffs import CoeffTable, ConsistencyError
+from gtprobe.fidelity import closed_form_infidelity, protocol_probe
 from gtprobe.simulator import (
     _MC_CHUNK_BUDGET,
     CASIMIR_TOL,
@@ -62,6 +58,7 @@ from gtprobe.simulator import (
 from gtprobe.young import (
     Diagram,
     GammaParams,
+    _require_integer,
     as_chain,
     as_diagram,
     gamma_content,
@@ -429,6 +426,45 @@ def reference_dim_ratio_check(p: GammaParams) -> bool:
     return ok
 
 
+def _check_index(i: int, d: int, L: int, lo: int = 0) -> tuple[int, int, int]:
+    """(i, d, L) as plain ints; raise ValueError unless they are integers and lo <= i <= L."""
+    i, d, L = (_require_integer(name, v) for name, v in (("i", i), ("d", d), ("L", L)))
+    if not lo <= i <= L:
+        raise ValueError(f"index i must satisfy {lo} <= i <= L={L}, got {i}")
+    return i, d, L
+
+
+def alpha_beta(i: int, d: int, L: int) -> tuple[Fraction, Fraction]:
+    """Squared branch weights (alpha_i, beta_i) at index i.
+
+    alpha_i = (N+d-i-1) / (L+N+d-2i-1),  beta_i = (L-i) / (L+N+d-2i-1)
+    """
+    i, d, L = _check_index(i, d, L)
+    N = (d + 1) * L
+    s = L + N + d - 2 * i
+    return Fraction(N + d - i - 1, s - 1), Fraction(L - i, s - 1)
+
+
+def g_coeff(i: int, d: int, L: int) -> int:
+    """g_i = (i+1)(L+N+d-i) for -1 <= i <= L, so g_{-1} = 0."""
+    i, d, L = _check_index(i, d, L, lo=-1)
+    N = (d + 1) * L
+    return (i + 1) * (L + N + d - i)
+
+
+def f_squared(i: int, d: int, L: int) -> Fraction:
+    """Squared probe weight f_i^2 for -1 <= i <= L, not normalized, so f_{-1}^2 = 0.
+
+    f_i^2 = g_i^2 (L+N+d-2i-1) prod_{j=2}^{d-1}(N+j-i-1) prod_{j=2}^{d-1}(L+d-j-i)
+    """
+    i, d, L = _check_index(i, d, L, lo=-1)
+    N = (d + 1) * L
+    value = Fraction(g_coeff(i, d, L) ** 2 * (L + N + d - 2 * i - 1))
+    for j in range(2, d):
+        value *= (N + j - i - 1) * (L + d - j - i)
+    return value
+
+
 def xy_squared(i: int, d: int, L: int) -> tuple[Fraction, Fraction]:
     """Squared transfer amplitudes (x_i^2, y_i^2) at index i.
 
@@ -560,6 +596,27 @@ def reference_telescoping_check(a: Fraction, b: Fraction, k: int) -> bool:
         upper *= (a + j) * (b + j)
         shifted *= (a - 1 + j) * (b - 1 + j)
     return lhs == (upper - shifted) / (k + 1)
+
+
+def reference_plan_queries(d: int, eps: float) -> int:
+    """plan_queries' n by doubling, then bisecting, L over the closed-form infidelity,
+    which strictly falls in L (no input validation)."""
+    target = Fraction(eps) ** 2 / 100
+
+    def ok(L: int) -> bool:
+        return closed_form_infidelity(d, L) <= target
+
+    hi = 1
+    while not ok(hi):
+        hi *= 2
+    lo = 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return 2 * d * hi
 
 
 def reference_amplitude_reduction_check(psi, phi, proj) -> tuple[float, float]:

@@ -193,14 +193,13 @@ class TestVerifyCommand:
         assert out1 == out2
 
     def test_injected_defect_names_parameters(self, capsys, monkeypatch):
-        true_g = coeffs.g_coeff
+        true_abg = coeffs._alpha_beta_g
 
-        def bad_g(i, d, L):
-            if (d, L, i) == (3, 2, 1):
-                return true_g(i, d, L) + 1
-            return true_g(i, d, L)
+        def bad_g(i, d, L):  # g_1 one too large at d=3 L=2; a, b and s-1 untouched
+            a, b, den, g = true_abg(i, d, L)
+            return a, b, den, g + ((d, L, i) == (3, 2, 1))
 
-        monkeypatch.setattr(coeffs, "g_coeff", bad_g)
+        monkeypatch.setattr(coeffs, "_alpha_beta_g", bad_g)
         code, out, _ = run(capsys, ["verify", "--max-d", "3", "--max-L", "2"])
         assert code == 1
         assert "[FAIL]" in out
@@ -457,6 +456,9 @@ class TestExitCodes:
                 ["sweep", "--d-range", "2:2:x", "--n-range", "4"],
                 "range must look like LO:HI or LO:HI:STEP, got '2:2:x'",
             ),
+            # d = 0 would reach n % (2 * d) and raise ZeroDivisionError without the d check.
+            (["sweep", "--d-range", "0:3", "--n-range", "4:8"], "d must be >= 2, got 0"),
+            (["plan", "--d", "1", "--eps", "0.1"], "d must be >= 2, got 1"),
         ],
     )
     def test_usage_error_exits_two_with_one_error_line(self, capsys, argv, message):

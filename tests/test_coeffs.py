@@ -11,15 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gtprobe import cli, coeffs, young
-from gtprobe.coeffs import (
-    CoeffTable,
-    ConsistencyError,
-    alpha_beta,
-    cg_add_box,
-    f_squared,
-    g_coeff,
-    telescoping_check,
-)
+from gtprobe.coeffs import CoeffTable, ConsistencyError, cg_add_box, telescoping_check
 from gtprobe.fidelity import (
     closed_form_infidelity,
     expected_fidelity,
@@ -37,6 +29,9 @@ from gtprobe.young import (
 )
 import oracles
 from oracles import (
+    alpha_beta,
+    f_squared,
+    g_coeff,
     reference_build,
     reference_cg_add_box,
     reference_dim_ratio_check,
@@ -99,16 +94,17 @@ def chain_strategy(draw, max_d=4, max_part=4):
 
 class TestAlphaBeta:
     def test_examples(self):
-        assert alpha_beta(0, 2, 1) == (Fraction(4, 5), Fraction(1, 5))
-        assert alpha_beta(0, 3, 1) == (Fraction(6, 7), Fraction(1, 7))
+        tab2, tab3 = CoeffTable.build(2, 1), CoeffTable.build(3, 1)
+        assert (tab2.alpha[0], tab2.beta[0]) == (Fraction(4, 5), Fraction(1, 5))
+        assert (tab3.alpha[0], tab3.beta[0]) == (Fraction(6, 7), Fraction(1, 7))
 
     def test_sum_to_one_and_vanishing_tail(self):
         for d, L in product(range(2, 7), range(1, 9)):
-            for i in range(L + 1):
-                a, b = alpha_beta(i, d, L)
+            tab = CoeffTable.build(d, L)
+            for a, b in zip(tab.alpha, tab.beta):
                 assert a + b == 1
                 assert a > 0 and b >= 0
-            assert alpha_beta(L, d, L)[1] == 0
+            assert tab.beta[L] == 0
 
 
 class TestXYSquared:
@@ -126,6 +122,7 @@ class TestXYSquared:
 
 class TestGAndF:
     def test_g_examples(self):
+        assert CoeffTable.build(2, 1).g == (6, 10)
         assert g_coeff(-1, 2, 1) == 0
         assert g_coeff(0, 2, 1) == 6
         assert g_coeff(1, 2, 1) == 10
@@ -144,26 +141,26 @@ class TestGAndF:
         assert shared_radicand(2, 3, 2) > 0
 
     def test_f_examples(self):
+        assert CoeffTable.build(2, 1).f_sq == (180, 300)
         assert f_squared(0, 2, 1) == 180
         assert f_squared(1, 2, 1) == 300
         assert f_squared(-1, 2, 1) == 0
 
     def test_g_increments(self):
         for d, L in product(range(2, 7), range(1, 11)):
-            N = (d + 1) * L
+            N, g = (d + 1) * L, CoeffTable.build(d, L).g
             for i in range(L + 1):
-                assert g_coeff(i, d, L) - g_coeff(i - 1, d, L) == L + N + d - 2 * i
+                assert g[i] - (g[i - 1] if i else 0) == L + N + d - 2 * i
 
     def test_shared_radicand_combines_f_with_x_and_y(self):
         for d, L in product(range(2, 6), range(1, 7)):
-            N = (d + 1) * L
+            tab, N = CoeffTable.build(d, L), (d + 1) * L
             for i in range(L + 1):
-                r = shared_radicand(i, d, L)
-                x_sq, y_sq = xy_squared(i, d, L)
-                assert f_squared(i, d, L) * x_sq == (g_coeff(i, d, L) * (N - i + 1)) ** 2 * r
-                lhs = f_squared(i - 1, d, L) * y_sq
-                rhs = (g_coeff(i - 1, d, L) * (L + d - i - 1)) ** 2 * r
-                assert lhs == rhs
+                r = tab.shared_radicand[i]
+                assert tab.f_sq[i] * tab.x_sq[i] == (tab.g[i] * (N - i + 1)) ** 2 * r
+                if i:
+                    lhs = tab.f_sq[i - 1] * tab.y_sq[i]
+                    assert lhs == (tab.g[i - 1] * (L + d - i - 1)) ** 2 * r
 
 
 class TestClebschGordan:
@@ -292,7 +289,7 @@ class TestSteppedRows:
     def test_build_validates_once_per_table(self, monkeypatch, d):
         # Per-index validation would make GammaParams or as_diagram calls grow with L;
         # the build checks no index, as each one it makes lies in 0..L.
-        calls = {"GammaParams": 0, "as_diagram": 0, "_check_index": 0}
+        calls = {"GammaParams": 0, "as_diagram": 0}
 
         def counted(module, name):
             true_fn = getattr(module, name)
@@ -305,18 +302,17 @@ class TestSteppedRows:
 
         counted(coeffs, "GammaParams")
         counted(young, "as_diagram")
-        counted(coeffs, "_check_index")
         seen = []
         for L in (1, 40):
-            calls.update(GammaParams=0, as_diagram=0, _check_index=0)
+            calls.update(GammaParams=0, as_diagram=0)
             CoeffTable.build(d, L)
             seen.append(dict(calls))
         assert seen[0]["GammaParams"] == seen[1]["GammaParams"] == 1
         assert seen[0]["as_diagram"] == seen[1]["as_diagram"]
-        assert seen[0]["_check_index"] == seen[1]["_check_index"] == 0
 
 
-# Each exact entry point names its non-integer size through young._require_integer:
+# Each exact entry point, and each per-index Fraction form of tests/oracles.py, names its
+# non-integer size through young._require_integer:
 # (function, arguments with one non-integer size, message, the same sizes as integers).
 NON_INTEGER_SIZES = [
     (g_coeff, (0, 2.5, 1), "d must be an integer, got 2.5", (0, 2, 1)),
@@ -481,6 +477,7 @@ class TestCoeffTable:
             a, b, ad, xn, xd, yn, yd, g, f, rn, rd = coeffs._terms(i, d, L)
             s = L + N + d - 2 * i
             assert (a, b, ad, rd) == (N + d - i - 1, L - i, s - 1, s)
+            assert (Fraction(a, ad), Fraction(b, ad)) == alpha_beta(i, d, L)
             assert (Fraction(xn, xd), Fraction(yn, yd)) == xy_squared(i, d, L)
             assert g == (i + 1) * (L + N + d - i) == g_coeff(i, d, L)
             window = prod((N + j - i - 1) * (L + d - j - i) for j in range(2, d))

@@ -24,6 +24,7 @@ from gtprobe.fidelity import (
 from oracles import (
     rayleigh_quotient,
     reference_amplitude_reduction_check,
+    reference_plan_queries,
     trace_distance_from_overlap,
     xy_squared,
 )
@@ -229,8 +230,20 @@ class TestPlanner:
     @given(st.integers(2, 60), st.integers(1, 10**6))
     @settings(max_examples=200)
     def test_closed_form_strictly_decreases_in_L(self, d, L):
-        # The planner's bisection relies on this to return the minimal L.
+        # The planner's step up from below the root relies on this to return the minimal L.
         assert closed_form_infidelity(d, L + 1) < closed_form_infidelity(d, L)
+
+    @pytest.mark.parametrize("d", [*range(2, 13), 10**6, 10**20, 10**40])
+    def test_equals_bisection_on_a_grid(self, d):
+        for eps in (0.99, 0.9, 0.5, 0.2, 0.1, 0.07, 0.01, 1e-3, 1e-7, 1e-30, 1e-100, 1.5e-153):
+            assert plan_queries(d, eps) == reference_plan_queries(d, eps), eps
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 10**40), st.floats(-152.8, -1e-9).map(lambda e: 10.0**e))
+    @example(2, 0.2)
+    @example(3, 1.5e-153)
+    def test_equals_bisection(self, d, eps):
+        assert plan_queries(d, eps) == reference_plan_queries(d, eps)
 
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gtprobe import simulator
-from gtprobe.coeffs import CoeffTable, f_squared
+from gtprobe.coeffs import CoeffTable
 from gtprobe.fidelity import expected_fidelity
 from gtprobe.simulator import (
     _MC_CHUNK_BUDGET,
@@ -42,6 +42,7 @@ from gtprobe.young import (
 from oracles import (
     _prefix_levels,
     apply_tensor_power,
+    f_squared,
     full_null_space_buckets,
     full_space_mc,
     haar_unitary,
@@ -368,6 +369,10 @@ class TestExtraction:
     def test_rejects_a_float_n(self):
         with pytest.raises(ValueError, match="n must be an integer, got 4.0"):
             extract_gt_vectors(2, 4.0)
+
+    def test_rejects_an_unknown_pick(self):
+        with pytest.raises(ValueError, match="^pick must be 'first' or 'last', got middle$"):
+            extract_gt_vectors(2, 4, pick="middle")
 
     def test_rejects_bad_tolerances(self):
         with pytest.raises(ValueError, match="null_tol must be positive and finite, got -1"):

@@ -292,6 +292,10 @@ class TestBranching:
     def test_d_one_has_no_restrictions(self):
         assert branching_restrictions((3,), 1) == []
 
+    def test_rejects_more_rows_than_d(self):
+        with pytest.raises(ValueError, match=r"^diagram \(1, 1, 1\) has more than d=2 rows$"):
+            branching_restrictions((1, 1, 1), 2)
+
     def test_lexicographic_order(self):
         out = branching_restrictions((3, 2), 3)
         assert out == sorted(out)

@@ -1,4 +1,4 @@
-"""Write BENCH_<pr>.json: perfbench medians and IQRs, src/ line count, tier-1 time.
+"""Write BENCH_<pr>.json: perfbench medians and IQRs, src/ line counts, tier-1 time.
 
     python3 tools/bench.py --pr 19 --seeds 3
 
@@ -7,12 +7,14 @@ of the measured checkout, unchanged, once with ``--trace 0`` (end-to-end
 metrics) and once with ``--trace 1`` (per-layer metrics), for the
 ``run_seconds`` of ``BENCHMARK.json``.  It then times the checkout's tier-1
 suite, writes the medians and interquartile ranges to ``BENCH_<pr>.json``
-at the root of this repository and prints the delta against the newest
-``BENCH_*.json`` of an earlier PR there.  The file records the checkout's
-HEAD commit and, when ``src``, ``tests`` or ``perfbench`` differ from it,
-``dirty: true`` and ``diff_sha256``, the sha256 of
-``git diff HEAD -- src tests perfbench``, so a file measured on a working
-tree names the tree and not only its parent commit.
+at the root of this repository, with perfbench's ``src_lines`` and
+``src_lines_by_module``, the same count per module of ``src/gtprobe``, and
+prints the delta against the newest ``BENCH_*.json`` of an earlier PR
+there.  The file records the checkout's HEAD commit and, when ``src``,
+``tests`` or ``perfbench`` differ from it, ``dirty: true`` and
+``diff_sha256``, the sha256 of ``git diff HEAD -- src tests perfbench``, so
+a file measured on a working tree names the tree and not only its parent
+commit.
 
 ``--checkout`` measures another tree, such as a clean clone of a parent
 commit, while the file still lands here.  A delta is a pair of medians,
@@ -76,6 +78,14 @@ def tier1(checkout: Path) -> dict:
     return {"seconds": seconds, "passed": counts.get("passed", 0), "failed": failed}
 
 
+def src_lines_by_module(checkout: Path) -> dict:
+    """Lines of each module of src/gtprobe, counted as perfbench counts src_lines."""
+    return {
+        path.name: len(path.read_text(encoding="utf-8").splitlines())
+        for path in sorted((checkout / "src" / "gtprobe").glob("*.py"))
+    }
+
+
 def git_state(checkout: Path) -> dict:
     """HEAD of the checkout, whether src/, tests/ or perfbench/ differ from it,
     and, if they do, the sha256 of their diff against HEAD (untracked files
@@ -107,6 +117,11 @@ def previous_bench(pr: int) -> dict | None:
 def print_delta(old: dict, new: dict) -> None:
     print(f"delta BENCH_{old['pr']} -> BENCH_{new['pr']} (medians; old IQR in brackets)")
     print(f"  src_lines {old['src_lines']} -> {new['src_lines']}")
+    old_modules, new_modules = old.get("src_lines_by_module"), new.get("src_lines_by_module")
+    if old_modules and new_modules:  # files written before the key existed lack it
+        for module in sorted(old_modules.keys() | new_modules.keys()):
+            was, now = old_modules.get(module, 0), new_modules.get(module, 0)
+            print(f"    {module} {was} -> {now} ({now - was:+d})")
     print(f"  tier1 {old['tier1']['seconds']:.1f} s -> {new['tier1']['seconds']:.1f} s "
           f"({old['tier1']['passed']} -> {new['tier1']['passed']} passed)")
     for workload, metrics in new["workloads"].items():
@@ -157,6 +172,7 @@ def main(argv=None) -> int:
         "seconds": seconds,
         "facts": facts,
         "src_lines": facts["src_lines"],
+        "src_lines_by_module": src_lines_by_module(checkout),
         "tier1": tier1(checkout),
         "workloads": workloads,
     }
