@@ -110,8 +110,7 @@ def _parse_range(text: str) -> range:
 def _rounded_n(d: int, n: int) -> int:
     """Round n down to a multiple of 2d (with a warning) per the protocol's
     query-count convention."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    young._require_sizes(d)
     if n < 2 * d:
         raise ValueError(f"n must be at least 2d={2 * d}, got {n}")
     if n % (2 * d):
@@ -228,8 +227,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     n_range = _parse_range(args.n_range)
     reports = []
     for d in d_range:
-        if d < 2:
-            raise ValueError(f"d must be >= 2, got {d}")
+        young._require_sizes(d)  # before n % (2 * d), which d = 0 would divide by
         for n in n_range:
             if n > 0 and n % (2 * d) == 0:
                 reports.append(fidelity.fidelity_report(d, n))

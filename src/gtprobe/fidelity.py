@@ -18,25 +18,15 @@ from fractions import Fraction
 import numpy as np
 
 from .coeffs import CoeffTable, ConsistencyError, _alpha_beta_g, _terms
-from .young import _require_integer
+from .young import _require_integer, _require_sizes
 
 
-def query_count_params(d: int, n: int) -> int:
-    """Validate that n is a positive multiple of 2d and return L = n/(2d)."""
-    d, n = _require_integer("d", d), _require_integer("n", n)
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+def query_count_params(d: int, n: int) -> tuple[int, int, int]:
+    """Validate that n is a positive multiple of 2d; return (d, n, L = n/(2d)) as plain ints."""
+    d, n = _require_sizes(d)[0], _require_integer("n", n)
     if n <= 0 or n % (2 * d) != 0:
         raise ValueError(f"n must be a positive multiple of 2d={2 * d}, got {n}")
-    return n // (2 * d)
-
-
-def _require_sizes(d: int, L: int) -> tuple[int, int]:
-    """(d, L) as plain ints; raise ValueError unless they are integers with d >= 2 and L >= 1."""
-    d, L = _require_integer("d", d), _require_integer("L", L)
-    if d < 2 or L < 1:
-        raise ValueError(f"need d >= 2 and L >= 1, got d={d} L={L}")
-    return d, L
+    return d, n, n // (2 * d)
 
 
 def expected_fidelity(tab: CoeffTable) -> Fraction:
@@ -96,8 +86,7 @@ def closed_form_infidelity(d: int, L: int) -> Fraction:
 
 def bound_ratio(d: int, n: int) -> float:
     """Closed-form infidelity divided by the scaling envelope d^3/(n(n+d^2))."""
-    d, n = _require_integer("d", d), _require_integer("n", n)
-    L = query_count_params(d, n)
+    d, n, L = query_count_params(d, n)
     infidelity = float(closed_form_infidelity(d, L))
     if infidelity < sys.float_info.min:
         raise ValueError(f"closed-form infidelity at d={d} n={n} underflows the normal float range")
@@ -144,9 +133,7 @@ def plan_queries(d: int, eps: float) -> int:
     state with probability at least 2/3.  eps must lie in (0, 1), and
     eps^2/100 must not underflow the normal float range.
     """
-    d = _require_integer("d", d)  # a numpy d would overflow the exact comparison below
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    d = _require_sizes(d)[0]  # a numpy d would overflow the exact comparison below
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if eps**2 / 100 < sys.float_info.min:
@@ -222,8 +209,7 @@ class FidelityReport:
 
 def fidelity_report(d: int, n: int) -> FidelityReport:
     """Evaluate all fidelity quantities for (d, n) from one table."""
-    d, n = _require_integer("d", d), _require_integer("n", n)
-    L = query_count_params(d, n)
+    d, n, L = query_count_params(d, n)
     # One table serves both the exact fidelity and the optimizer; it is not
     # kept past this call, so every report re-runs the build's checks.
     tab = CoeffTable.build(d, L)

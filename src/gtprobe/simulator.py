@@ -275,17 +275,16 @@ def extract_gt_vectors(
     """Recover the probe basis vectors by exact spectral bucketing; pick
     chooses the sector string x ("first" or "last") whose bucket projections
     are the vectors, and nothing consumed downstream depends on it."""
+    d, n, L = query_count_params(d, n)
     if pick not in ("first", "last"):
         raise ValueError(f"pick must be 'first' or 'last', got {pick}")
-    L = query_count_params(d, n)
     _check_capacity(d, n)
     shapes = [gamma_shape(GammaParams(d, L, i)) for i in range(L + 1)]
     return _covariant_buckets(d, n, gamma_content(d, L), shapes, pick, null_tol, casimir_tol)[0]
 
 
 def _check_system(d: int, n: int, vs: GTVectorSet) -> None:
-    """Raise ValueError unless n is a multiple of 2d and vs is a vector set of (d, n)."""
-    query_count_params(d, n)
+    """Raise ValueError unless vs is a vector set of (d, n)."""
     if vs.d != d or vs.n != n:
         raise ValueError("vector set does not match the requested system")
 
@@ -316,10 +315,10 @@ def verify_cg_embedding(
     squared projection norms with the exact (alpha_i, beta_i).  vectors,
     if given, are the v_i to use instead of extracting them with pick.
     """
+    d, n, L = query_count_params(d, n)
     _check_capacity(d, n + 1)
     vs = vectors if vectors is not None else extract_gt_vectors(d, n, pick, null_tol, casimir_tol)
     _check_system(d, n, vs)
-    L = vs.L
     content = gamma_content(d, L)
     shapes_plus = [gamma_plus_shape(GammaParams(d, L, i)) for i in range(L + 1)]
     plus, project = _covariant_buckets(
@@ -403,12 +402,12 @@ def mc_estimates(
     integrand |A|^2, whose exact mean is one.  probe overrides the protocol's
     coefficient vector f_0..f_L (normalized internally).  Returns (fidelity, total).
     """
+    d, n, L = query_count_params(d, n)
     _require_integer("samples", samples)
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
     vs = vectors if vectors is not None else extract_gt_vectors(d, n)
     _check_system(d, n, vs)
-    L = vs.L
     if probe is None:
         f = protocol_probe(d, L)
     else:

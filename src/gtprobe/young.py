@@ -71,6 +71,16 @@ def _require_integer(name: str, value: object) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _require_sizes(d: object, L: object = 1) -> tuple[int, int]:
+    """(d, L) as plain ints; ValueError naming the field unless integers with d >= 2, L >= 1."""
+    d, L = _require_integer("d", d), _require_integer("L", L)
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got {d}")
+    if L < 1:
+        raise ValueError(f"L must be >= 1, got {L}")
+    return d, L
+
+
 def _shifted_rows(lam: Diagram, d: int) -> list[int]:
     """The d shifted rows h_k = lam_k - k (0-based k, missing rows read 0)."""
     return [r - k for k, r in enumerate(lam + (0,) * (d - len(lam)))]
@@ -119,8 +129,11 @@ def hook_length_dimension(lam: Iterable[int]) -> int:
     n! prod_{i<j} (h_i - h_j) / prod_k h_k! over the shifted rows h_k = lam_k + r - k
     of its r rows: the Vandermonde product of weyl_dimension, as one integer quotient."""
     lam = as_diagram(lam)
+    n = sum(lam)
+    if n > sys.maxsize:  # math.factorial's limit; every h_k is at most n
+        raise ValueError(f"{n} boxes exceed the factorial limit, {sys.maxsize}")
     h = [part + len(lam) - 1 - k for k, part in enumerate(lam)]
-    return factorial(sum(lam)) * prod(starmap(sub, combinations(h, 2))) // prod(map(factorial, h))
+    return factorial(n) * prod(starmap(sub, combinations(h, 2))) // prod(map(factorial, h))
 
 
 def partitions(n: int, max_rows: int | None = None) -> list[Diagram]:
@@ -157,14 +170,11 @@ class GammaParams:
     i: int
 
     def __post_init__(self) -> None:
-        for name in ("d", "L", "i"):  # held as plain ints, so numpy sizes cannot overflow
-            object.__setattr__(self, name, _require_integer(name, getattr(self, name)))
-        if self.d < 2:
-            raise ValueError(f"d must be >= 2, got {self.d}")
+        d, L = _require_sizes(self.d, self.L)
+        for name, value in (("d", d), ("L", L), ("i", _require_integer("i", self.i))):
+            object.__setattr__(self, name, value)  # plain ints, so numpy sizes cannot overflow
         if self.d > sys.maxsize:  # gamma_shape holds d rows in a tuple
             raise ValueError(f"d={self.d} exceeds the longest tuple of rows, {sys.maxsize}")
-        if self.L < 1:
-            raise ValueError(f"L must be >= 1, got {self.L}")
         if not 0 <= self.i <= self.L:
             raise ValueError(f"index i must satisfy 0 <= i <= L={self.L}, got {self.i}")
 

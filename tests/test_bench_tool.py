@@ -40,3 +40,11 @@ def test_print_delta_per_module(capsys):
 def test_print_delta_skips_files_without_module_counts(capsys):
     bench.print_delta(_bench_file(1, 30), _bench_file(2, 28, {"a.py": 28}))
     assert "a.py" not in capsys.readouterr().out
+
+
+def test_tier1_counts_past_a_module_that_fails_to_collect(tmp_path):
+    # The ROADMAP's tier-1 command reports "1 passed, 1 error" on this suite.
+    (tmp_path / "test_ok.py").write_text("def test_ok():\n    pass\n")
+    (tmp_path / "test_broken.py").write_text("import no_such_module_anywhere\n")
+    result = bench.tier1(tmp_path)
+    assert (result["passed"], result["failed"]) == (1, 1)

@@ -459,6 +459,15 @@ class TestExitCodes:
             # d = 0 would reach n % (2 * d) and raise ZeroDivisionError without the d check.
             (["sweep", "--d-range", "0:3", "--n-range", "4:8"], "d must be >= 2, got 0"),
             (["plan", "--d", "1", "--eps", "0.1"], "d must be >= 2, got 1"),
+            # hook_length_dimension's n! is beyond math.factorial's sys.maxsize limit.
+            (
+                ["dims", "--d", "5", "--n", str(10**20)],
+                f"{10**20} boxes exceed the factorial limit, {sys.maxsize}",
+            ),
+            (
+                ["dims", "--d", "2", "--n", str(2**64)],
+                f"{2**64} boxes exceed the factorial limit, {sys.maxsize}",
+            ),
         ],
     )
     def test_usage_error_exits_two_with_one_error_line(self, capsys, argv, message):

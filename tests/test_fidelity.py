@@ -54,8 +54,9 @@ class TestExpectedFidelity:
             query_count_params(d, n)
 
     def test_numpy_integers_pass(self):
-        assert query_count_params(np.int64(3), np.int32(12)) == 2
-        assert type(query_count_params(np.int64(3), np.int32(12))) is int
+        sizes = query_count_params(np.int64(3), np.int32(12))
+        assert sizes == (3, 12, 2)
+        assert [type(v) for v in sizes] == [int, int, int]
 
     @pytest.mark.parametrize("d,n", [(2, 200), (6, 240)])
     def test_numpy_sizes_report_as_ints(self, d, n):
@@ -155,7 +156,8 @@ class TestRayleighQuotient:
 class TestProtocolProbe:
     @pytest.mark.parametrize("d,L", [(2, 0), (1, 2)])
     def test_rejects_invalid_sizes(self, d, L):
-        with pytest.raises(ValueError, match=rf"need d >= 2 and L >= 1, got d={d} L={L}$"):
+        message = {(2, 0): "L must be >= 1, got 0", (1, 2): "d must be >= 2, got 1"}[d, L]
+        with pytest.raises(ValueError, match=rf"^{message}$"):
             protocol_probe(d, L)
 
     def test_large_d_stays_finite(self):

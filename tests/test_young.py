@@ -340,6 +340,12 @@ class TestHookLengths:
         assert hook_length_dimension((2, 1)) == 2
         assert hook_length_dimension(()) == 1
 
+    @pytest.mark.parametrize("lam", [(sys.maxsize + 1,), (2**62, 2**62), (2**63, 1, 1)])
+    def test_box_count_beyond_the_factorial_limit_is_a_value_error(self, lam):
+        message = f"^{sum(lam)} boxes exceed the factorial limit, {sys.maxsize}$"
+        with pytest.raises(ValueError, match=message):
+            hook_length_dimension(lam)
+
     def test_equals_hook_product_on_every_partition_up_to_30(self):
         for n in range(31):
             for lam in partitions(n):
