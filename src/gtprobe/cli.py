@@ -8,7 +8,6 @@ error.  All output is deterministic given the flags (seeds included).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import random
@@ -149,7 +148,7 @@ def cmd_dims(args: argparse.Namespace) -> int:
 def cmd_coeffs(args: argparse.Namespace) -> int:
     n = _rounded_n(args.d, args.n)
     tab = coeffs.CoeffTable.build(args.d, n // (2 * args.d))
-    columns = [f.name for f in dataclasses.fields(tab) if f.name not in ("d", "L", "N")]
+    columns = ["alpha", "beta", "x_sq", "y_sq", "g", "f_sq", "shared_radicand"]
     rows = [[i, *values] for i, values in enumerate(zip(*(getattr(tab, c) for c in columns)))]
     _print(args.format, {"d": tab.d, "n": n, "L": tab.L, "N": tab.N}, ["i", *columns], rows)
     return 0
@@ -231,8 +230,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for n in n_range:
             if n > 0 and n % (2 * d) == 0:
                 reports.append(fidelity.fidelity_report(d, n))
-    rows, objs = [_sweep_row(r) for r in reports], [_report_fields(r) for r in reports]
-    _print(args.format, None, SWEEP_COLUMNS, rows, objs)
+    objs = [_report_fields(r) for r in reports] if args.format == "json" else None
+    _print(args.format, None, SWEEP_COLUMNS, [_sweep_row(r) for r in reports], objs)
     return 0
 
 
@@ -260,14 +259,22 @@ def _verify_families(max_d: int, max_L: int, seed: int):
             # row 1 to row d. For 0 <= i <= L the top (N+L-i, L, ..., L, i) still
             # interlaces the rectangle (L, ..., L) below it, as N+L-i >= L >= i. So
             # the one chain check, made by cg_add_box at i = 0, covers every i, and
-            # i >= 1 steps the shifted rows of the top.
+            # i >= 1 steps the shifted rows of the top. Weights compare as integers.
             chain = young.gamma_chain(young.GammaParams(d, L, 0))
             t, s = young._shifted_rows(chain[-1], d), young._shifted_rows(chain[-2], d - 1)
             for i in range(L + 1):
-                got = coeffs._cg_core(young._gamma_rows(t, i), s) if i else coeffs.cg_add_box(chain)
+                if i:
+                    got = coeffs._cg_core(young._gamma_rows(t, i), s)
+                else:
+                    got = [(k, *c.as_integer_ratio()) for k, c in coeffs.cg_add_box(chain)]
                 a, b, den, _ = coeffs._alpha_beta_g(i, d, L)
-                want = [(1, Fraction(a, den))] + ([(d, Fraction(b, den))] if i < L else [])
-                yield None if got == want else f"d={d} L={L} i={i}: {got} != {want}"
+                want = [(1, a, den)] + ([(d, b, den)] if i < L else [])
+                ok = len(got) == len(want) and all(
+                    k == kw and n * dw == nw * dn for (k, n, dn), (kw, nw, dw) in zip(got, want)
+                )
+                if not ok:
+                    got, want = ([(k, Fraction(n, dn)) for k, n, dn in w] for w in (got, want))
+                yield None if ok else f"d={d} L={L} i={i}: {got} != {want}"
 
     def g_increments():
         for d, L in grid:

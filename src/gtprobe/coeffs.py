@@ -2,9 +2,10 @@
 
 Every scalar the protocol needs (branching weights alpha/beta, amplitude
 transfer factors x/y, probe coefficients f expressed through the integers
-g) is kept squared so the whole pipeline stays inside exact rationals.
-Building a coefficient table raises on the dimension ratios, both shared
-radicands and beta_L = 0; `gtprobe verify` checks the remaining identities.
+g) is kept squared and computed and checked as unreduced integers; a reduced
+Fraction is made only where one is returned.  Building a coefficient table
+raises on the dimension ratios, both shared radicands and beta_L = 0;
+`gtprobe verify` checks the remaining identities.
 """
 
 from __future__ import annotations
@@ -50,9 +51,10 @@ def _terms(i: int, d: int, L: int) -> tuple[int, ...]:
     return a, b, ad, xn, ad * s, yn, (s + 1) * s, g, f, prod(range(N - i + 2, a + 1)) * q, s
 
 
-def _cg_core(t: Sequence[int], s: Sequence[int]) -> list[tuple[int, Fraction]]:
-    """cg_add_box on the shifted rows t of the top diagram and s of the one below."""
-    out: list[tuple[int, Fraction]] = []
+def _cg_core(t: Sequence[int], s: Sequence[int]) -> list[tuple[int, int, int]]:
+    """cg_add_box on the shifted rows t of the top diagram and s of the one below,
+    with each C_k^2 as unreduced integers: (k, num, den), den > 0."""
+    out: list[tuple[int, int, int]] = []
     for k, tk in enumerate(t):
         # Row k (0-based) accepts a largest-letter box iff the box above it (if
         # any) was already present before the last letter: mu[k-1] >= lam[k] + 1,
@@ -61,7 +63,7 @@ def _cg_core(t: Sequence[int], s: Sequence[int]) -> list[tuple[int, Fraction]]:
             continue
         num = prod([sj - tk - 1 for sj in s])
         den = prod([tj - tk for tj in t if tj != tk])  # shifted rows are distinct
-        out.append((k + 1, Fraction(abs(num), abs(den))))
+        out.append((k + 1, abs(num), abs(den)))
     return out
 
 
@@ -83,7 +85,8 @@ def cg_add_box(chain: Sequence[Iterable[int]]) -> list[tuple[int, Fraction]]:
     if not d:
         raise ValueError("chain must hold at least one diagram")
     mu = diagrams[-2] if d >= 2 else ()
-    return _cg_core(_shifted_rows(diagrams[-1], d), _shifted_rows(mu, d - 1))
+    core = _cg_core(_shifted_rows(diagrams[-1], d), _shifted_rows(mu, d - 1))
+    return [(k, Fraction(num, den)) for k, num, den in core]
 
 
 def telescoping_check(a: Fraction, b: Fraction, k: int) -> bool:
@@ -110,6 +113,8 @@ def telescoping_check(a: Fraction, b: Fraction, k: int) -> bool:
 class CoeffTable:
     """All protocol scalars for one (d, L), indexed by i = 0..L.
 
+    It keeps the checked _terms integers of each index; the fields below make
+    their tuples (of reduced Fractions, of ints for g) from them on access.
     Building it checks, at every i, the dimension ratios behind x_i and y_i,
 
         dim(gamma_i)/dim(gamma_i^+)     = (L+N+d-2i-1)(N-i+1) / ((L+N+d-2i)(N+d-i-1)),
@@ -124,13 +129,15 @@ class CoeffTable:
     d: int
     L: int
     N: int
-    alpha: tuple[Fraction, ...]
-    beta: tuple[Fraction, ...]
-    x_sq: tuple[Fraction, ...]
-    y_sq: tuple[Fraction, ...]
-    g: tuple[int, ...]
-    f_sq: tuple[Fraction, ...]
-    shared_radicand: tuple[Fraction, ...]
+    terms: tuple[tuple[int, ...], ...]  # (a, b, s-1, xn, xd, yn, yd, g, f, rn, s) per index
+
+    alpha = property(lambda tab: tuple(Fraction(t[0], t[2]) for t in tab.terms))
+    beta = property(lambda tab: tuple(Fraction(t[1], t[2]) for t in tab.terms))
+    x_sq = property(lambda tab: tuple(Fraction(t[3], t[4]) for t in tab.terms))
+    y_sq = property(lambda tab: tuple(Fraction(t[5], t[6]) for t in tab.terms))
+    g = property(lambda tab: tuple(t[7] for t in tab.terms))
+    f_sq = property(lambda tab: tuple(Fraction(t[8]) for t in tab.terms))
+    shared_radicand = property(lambda tab: tuple(Fraction(t[9], t[10]) for t in tab.terms))
 
     @classmethod
     def build(cls, d: int, L: int) -> "CoeffTable":
@@ -139,7 +146,7 @@ class CoeffTable:
         h = _shifted_rows(gamma_shape(p), d)
         N = (d + 1) * L
         denominator = prod(map(factorial, range(d)))
-        rows = []  # (alpha, beta, x_sq, y_sq, g, f_sq, shared_radicand) per index
+        rows = []  # the _terms integers per index
         # Each index makes one _terms call and its two Weyl dimensions; the identities
         # at i read dim(gamma_{i-1}), beta_{i-1}, g_{i-1} and f_{i-1}^2 from index i-1.
         prev_dim = prev_b = prev_bd = prev_g = prev_f = 0
@@ -148,7 +155,7 @@ class CoeffTable:
             dim = _weyl_core(t, denominator)
             t[0] += 1  # gamma_i^+ adds one box to row 1
             dim_plus = _weyl_core(t, denominator)
-            a, b, ad, xn, xd, yn, yd, g, f, rn, rd = _terms(i, d, L)
+            a, b, ad, xn, xd, yn, yd, g, f, rn, rd = terms = _terms(i, d, L)
             # Every identity is cross-multiplied over its positive denominators.
             s = L + N + d - 2 * i
             ok = dim * s * (N + d - i - 1) == dim_plus * (s - 1) * (N - i + 1)
@@ -167,11 +174,8 @@ class CoeffTable:
                 raise ConsistencyError(
                     f"shared radicand mismatch for f_(i-1)*y_i at d={d} L={L} i={i}"
                 )
-            rows.append(
-                (Fraction(a, ad), Fraction(b, ad), Fraction(xn, xd), Fraction(yn, yd), g,
-                 Fraction(f), Fraction(rn, rd))
-            )
+            rows.append(terms)
             prev_dim, prev_b, prev_bd, prev_g, prev_f = dim, b, ad, g, f
-        if prev_b:
-            raise ConsistencyError(f"beta_L must vanish, got {rows[-1][1]} at d={d} L={L}")
-        return cls(d, L, N, *zip(*rows))
+        if b:  # b and ad still hold index L's
+            raise ConsistencyError(f"beta_L must vanish, got {Fraction(b, ad)} at d={d} L={L}")
+        return cls(d, L, N, tuple(rows))

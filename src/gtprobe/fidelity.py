@@ -39,13 +39,12 @@ def expected_fidelity(tab: CoeffTable) -> Fraction:
     Raises ConsistencyError unless 1 - F equals both closed forms below.
     """
     L, d, N = tab.L, tab.d, tab.N
-    # Both sums stay unreduced integer pairs, normalized once; gp is g_{i-1}.
-    num, den, f_num, f_den, gp = 0, 1, 0, 1, 0
-    for i, (gi, r, f) in enumerate(zip(tab.g, tab.shared_radicand, tab.f_sq)):
-        term = (gi * (N - i + 1) + gp * (L + d - i - 1)) ** 2 * r.numerator
-        num, den = num * r.denominator + term * den, den * r.denominator
-        f_num, f_den, gp = f_num * f.denominator + f.numerator * f_den, f_den * f.denominator, gi
-    fid = Fraction(num * f_den, den * f_num)
+    # num/den is the upper sum, unreduced, total the sum of the f_i^2; gp is g_{i-1}.
+    num, den, total, gp = 0, 1, 0, 0
+    for i, (*_, gi, f, rn, rd) in enumerate(tab.terms):
+        term = (gi * (N - i + 1) + gp * (L + d - i - 1)) ** 2 * rn
+        num, den, total, gp = num * rd + term * den, den * rd, total + f, gi
+    fid = Fraction(num, den * total)
     summed, closed = infidelity_sum_form(d, L), closed_form_infidelity(d, L)
     if not 1 - fid == summed == closed:
         raise ConsistencyError(
@@ -114,8 +113,8 @@ def optimal_probe(tab: CoeffTable) -> tuple[np.ndarray, float]:
     from scipy.linalg import eigh_tridiagonal
 
     L = tab.L
-    x = np.sqrt(np.array([float(v) for v in tab.x_sq]))
-    y = np.sqrt(np.array([float(v) for v in tab.y_sq]))
+    x = np.sqrt(np.array([t[3] / t[4] for t in tab.terms]))  # int / int rounds as float(Fraction)
+    y = np.sqrt(np.array([t[5] / t[6] for t in tab.terms]))
     diag = x**2
     diag[:-1] += y[1:] ** 2
     off = x[1:] * y[1:]

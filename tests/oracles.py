@@ -11,7 +11,9 @@ and float helpers (the fidelity quotient, the pure-state trace distance)
 that the tests check the construction with.  reference_build and its
 companions are the exact layer as written in Fractions, the oracle for the
 integer-arithmetic CoeffTable.build, with its dimension-ratio checks, and the
-fidelity sums; reference_cg_add_box is the row-by-row Clebsch-Gordan loop that
+fidelity sums (reference_build returns a ReferenceTable: CoeffTable's public
+fields stored as the Fraction tuples CoeffTable held before it kept its
+integers); reference_cg_add_box is the row-by-row Clebsch-Gordan loop that
 the shifted-row cg_add_box replaced, reference_hook_length_dimension the
 product over hooks that the Frobenius hook_length_dimension replaced, and
 reference_weyl_dimension the factor-by-factor Fraction product behind the
@@ -36,6 +38,7 @@ doubling and bisection search that plan_queries' closed-form start replaced.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -494,7 +497,23 @@ def shared_radicand(i: int, d: int, L: int) -> Fraction:
     return value
 
 
-def reference_build(d: int, L: int) -> CoeffTable:
+@dataclass(frozen=True)
+class ReferenceTable:
+    """CoeffTable's public fields, each stored as a tuple."""
+
+    d: int
+    L: int
+    N: int
+    alpha: tuple[Fraction, ...]
+    beta: tuple[Fraction, ...]
+    x_sq: tuple[Fraction, ...]
+    y_sq: tuple[Fraction, ...]
+    g: tuple[int, ...]
+    f_sq: tuple[Fraction, ...]
+    shared_radicand: tuple[Fraction, ...]
+
+
+def reference_build(d: int, L: int) -> ReferenceTable:
     N = (d + 1) * L
     alpha, beta, x_sq, y_sq, g, f_sq, rad = [], [], [], [], [], [], []
     for i in range(L + 1):
@@ -523,7 +542,7 @@ def reference_build(d: int, L: int) -> CoeffTable:
         rad.append(ri)
     if beta[L] != 0:
         raise ConsistencyError(f"beta_L must vanish, got {beta[L]} at d={d} L={L}")
-    return CoeffTable(
+    return ReferenceTable(
         d=d,
         L=L,
         N=N,
@@ -559,7 +578,7 @@ def reference_cg_add_box(chain) -> list[tuple[int, Fraction]]:
     return out
 
 
-def reference_expected_fidelity(tab: CoeffTable) -> Fraction:
+def reference_expected_fidelity(tab: ReferenceTable) -> Fraction:
     L, d, N = tab.L, tab.d, tab.N
     num = Fraction(0)
     for i in range(L + 1):

@@ -166,7 +166,7 @@ PLANTS = {
     ),
     "cg-add-box": (
         coeffs, "_cg_core",
-        lambda f, t, s: [(k, c + (tuple(t) == ROWS_3_2_1)) for k, c in f(t, s)],
+        lambda f, t, s: [(k, n + dn * (tuple(t) == ROWS_3_2_1), dn) for k, n, dn in f(t, s)],
         {"cg-branch-weights"}, "d=3 L=2 i=1",
     ),
     "shared-radicand": (  # the numerator of R, the 10th integer of _terms, doubled

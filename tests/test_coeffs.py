@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gtprobe import cli, coeffs, young
+from gtprobe import cli, coeffs, fidelity, young
 from gtprobe.coeffs import CoeffTable, ConsistencyError, cg_add_box, telescoping_check
 from gtprobe.fidelity import (
     closed_form_infidelity,
     expected_fidelity,
+    fidelity_report,
     infidelity_sum_form,
     plan_queries,
     protocol_probe,
@@ -32,6 +33,7 @@ from oracles import (
     alpha_beta,
     f_squared,
     g_coeff,
+    ReferenceTable,
     reference_build,
     reference_cg_add_box,
     reference_dim_ratio_check,
@@ -276,14 +278,16 @@ class TestSteppedRows:
             chain = gamma_chain(GammaParams(d, L, i))
             assert t == tuple(_shifted_rows(chain[-1], d)), (d, L, i)
             assert s == tuple(_shifted_rows(chain[-2], d - 1)), (d, L, i)
-            assert true_core(t, s) == cg_add_box(chain) == reference_cg_add_box(chain)
+            reduced = [(k, Fraction(num, den)) for k, num, den in true_core(t, s)]
+            assert reduced == cg_add_box(chain) == reference_cg_add_box(chain)
 
     @settings(deadline=None)
     @given(chain_strategy(max_d=12, max_part=10**4))
     def test_cg_core_matches_row_by_row_reference(self, chain):
         d = len(chain)
         t, s = _shifted_rows(chain[-1], d), _shifted_rows(chain[-2], d - 1)
-        assert coeffs._cg_core(t, s) == reference_cg_add_box(chain)
+        core = [(k, Fraction(num, den)) for k, num, den in coeffs._cg_core(t, s)]
+        assert core == reference_cg_add_box(chain)
 
     @pytest.mark.parametrize("d", [2, 5])
     def test_build_validates_once_per_table(self, monkeypatch, d):
@@ -494,8 +498,9 @@ class TestAgainstFractionReference:
     @example(2, 200)
     @example(10, 40)
     def test_equal_to_reference(self, d, L):
+        # Every field of the Fraction table, read from CoeffTable's integers on access.
         tab, ref = CoeffTable.build(d, L), reference_build(d, L)
-        for field in dataclasses.fields(CoeffTable):
+        for field in dataclasses.fields(ReferenceTable):
             got, want = getattr(tab, field.name), getattr(ref, field.name)
             assert got == want, field.name
             assert type(got) is type(want), field.name
@@ -524,6 +529,48 @@ class TestAgainstFractionReference:
                 ConsistencyError, match=r"^dimension-ratio identity failed at d=3 L=4 i=1$"
             ):
                 build(3, 4)
+
+
+class TestFractionsOnlyWhereRead:
+    """The exact layer computes and compares in integers: a Fraction is made only
+    where one is returned or printed, so its count does not grow with L."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """The number of Fractions made through the Fraction names of coeffs,
+        fidelity and cli since the test began (or since reset to 0)."""
+        made = [0]
+
+        class Counted(Fraction):
+            def __new__(cls, *args, **kwargs):
+                made[0] += 1
+                return super().__new__(cls, *args, **kwargs)
+
+        for module in (coeffs, fidelity, cli):
+            monkeypatch.setattr(module, "Fraction", Counted)
+        return made
+
+    @pytest.mark.parametrize("d,L", [(2, 100), (6, 40)])
+    def test_build_makes_none(self, made, d, L):
+        tab = CoeffTable.build(d, L)
+        assert made[0] == 0
+        fields = tab.alpha + tab.f_sq  # each field makes its Fractions on access
+        assert made[0] == len(fields) == 2 * (L + 1)
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_report_count_is_the_same_at_every_L(self, made, d):
+        counts = []
+        for L in (10, 100):
+            made[0] = 0
+            fidelity_report(d, 2 * d * L)
+            counts.append(made[0])
+        assert counts[0] == counts[1] > 0
+
+    def test_cg_family_makes_only_those_of_cg_add_box(self, made):
+        # cg_add_box, called once per (d, L) for the chain check, returns two weights.
+        cases = dict(cli._verify_families(5, 12, 0))["cg-branch-weights"]
+        assert set(cases) == {None}
+        assert made[0] == 2 * 4 * 12
 
 
 def test_exact_layer_imports_only_the_standard_library():

@@ -17,12 +17,25 @@ a file measured on a working tree names the tree and not only its parent
 commit.
 
 ``--checkout`` measures another tree, such as a clean clone of a parent
-commit, while the file still lands here.  A delta is a pair of medians,
-not a claim: gains are decided by alternating parent/change pairs (see
-ROADMAP.md, Standing rules).
+commit, while the file still lands here.  A delta between two files is a
+pair of medians taken at different times, so it includes machine drift;
+it is not a claim.
+
+``--parent REV`` also measures the commit REV of the checkout's repository,
+checked out with ``git worktree add`` into a temporary directory that is
+removed afterwards.  For each seed and workload it runs the unchanged
+``perfbench/run.py`` of REV, with ``--trace 0`` only, right before (odd
+seeds) or after (even seeds) the checkout's own ``--trace 0`` run, and
+writes a ``paired`` key: per workload and end-to-end metric, both medians,
+the parent IQR, the median of the per-pair ratios change/parent and the
+number of pairs in which the change is better.  Gains are decided by these
+pairs (see ROADMAP.md, Standing rules).
+
+    python3 tools/bench.py --pr 27 --seeds 10 --parent HEAD~
 """
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -30,6 +43,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -51,6 +65,61 @@ def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float, trac
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
     lines = done.stdout.splitlines()
     return {"facts": json.loads(lines[-2])["facts"], **json.loads(lines[-1])}
+
+
+def measure(checkout: Path, seeds: int, seconds: float, parent: Path | None = None) -> dict:
+    """Per workload, one run per seed of each kind: "trace0" and "trace1" of the
+    checkout and, given a parent checkout, "parent" at --trace 0.  A seed's
+    parent run comes right before (odd seed) or after (even seed) its "trace0"."""
+    runs = {}
+    for workload in WORKLOADS:
+        found = runs[workload] = {"trace0": [], "trace1": [], "parent": []}
+        for seed in range(1, seeds + 1):
+            pair = [("trace0", checkout, 0)] + ([("parent", parent, 0)] if parent else [])
+            if seed % 2:
+                pair.reverse()
+            for kind, tree, trace in pair + [("trace1", checkout, 1)]:
+                run = run_perfbench(tree, workload, seed, seconds, trace)
+                found[kind].append(run)
+                print(f"{workload} seed {seed} {kind}: correct={run['correct']}",
+                      file=sys.stderr, flush=True)
+    return runs
+
+
+def paired(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict:
+    """Per metric, the parent and change runs paired by position; better names,
+    per metric, the direction that is better: "lower" (the default) or "higher"."""
+    out = {}
+    for name, metric in change[0]["metrics"].items():
+        pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
+                 for p, c in zip(parent, change, strict=True)]
+        sign = -1 if better.get(name) == "higher" else 1
+        out[name] = {
+            "parent_median": statistics.median(p for p, _ in pairs),
+            "change_median": statistics.median(c for _, c in pairs),
+            "parent_iqr": quartiles([p for p, _ in pairs])["iqr"],
+            "ratio_median": statistics.median(c / p for p, c in pairs),
+            "pairs_better": sum(sign * (c - p) < 0 for p, c in pairs),
+            "pairs": len(pairs),
+            "unit": metric["unit"],
+        }
+    return out
+
+
+@contextlib.contextmanager
+def worktree(repo: Path, rev: str):
+    """The commit rev of repo's repository, checked out in a temporary directory."""
+
+    def git(*args: str) -> None:
+        subprocess.run(["git", *args], cwd=repo, capture_output=True, check=True)
+
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        path = Path(tmp) / "parent"
+        git("worktree", "add", "--detach", str(path), rev)
+        try:
+            yield path
+        finally:
+            git("worktree", "remove", "--force", str(path))
 
 
 def summarize(runs: list[dict]) -> dict:
@@ -116,7 +185,8 @@ def previous_bench(pr: int) -> dict | None:
 
 
 def print_delta(old: dict, new: dict) -> None:
-    print(f"delta BENCH_{old['pr']} -> BENCH_{new['pr']} (medians; old IQR in brackets)")
+    print(f"delta BENCH_{old['pr']} -> BENCH_{new['pr']} "
+          "(medians, includes machine drift; old IQR in brackets)")
     print(f"  src_lines {old['src_lines']} -> {new['src_lines']}")
     old_modules, new_modules = old.get("src_lines_by_module"), new.get("src_lines_by_module")
     if old_modules and new_modules:  # files written before the key existed lack it
@@ -138,34 +208,41 @@ def print_delta(old: dict, new: dict) -> None:
                       f"{now['unit']} ({change}) [{was['iqr']:.3g}]")
 
 
+def print_paired(bench: dict) -> None:
+    print(f"paired {bench['parent']['rev']} ({bench['parent']['commit'][:10]}) -> change, "
+          f"{len(bench['seeds'])} pairs (medians; parent IQR in brackets)")
+    for workload, metrics in bench["paired"].items():
+        for name, m in metrics.items():
+            print(f"  {workload} {name} {m['parent_median']:.4g} -> {m['change_median']:.4g} "
+                  f"{m['unit']} (ratio {m['ratio_median']:.3f}, {m['pairs_better']} of "
+                  f"{m['pairs']} better) [{m['parent_iqr']:.3g}]")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True)
     parser.add_argument("--seeds", type=int, default=3)
     parser.add_argument("--checkout", type=Path, default=ROOT)
+    parser.add_argument("--parent", metavar="REV", help="also run this commit, in pairs")
     args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
-    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
 
+    with worktree(checkout, args.parent) if args.parent else contextlib.nullcontext() as parent:
+        runs = measure(checkout, args.seeds, seconds, parent)
+        parent_commit = git_state(parent)["commit"] if parent else None
     workloads = {}
-    facts = None
-    for workload in WORKLOADS:
-        runs = {0: [], 1: []}
-        for seed in range(1, args.seeds + 1):
-            for trace in (0, 1):
-                run = run_perfbench(checkout, workload, seed, seconds, trace)
-                facts = facts or run["facts"]
-                runs[trace].append(run)
-                print(f"{workload} seed {seed} trace {trace}: correct={run['correct']}",
-                      file=sys.stderr, flush=True)
-        everything = runs[0] + runs[1]
+    for workload, found in runs.items():
+        everything = found["trace0"] + found["trace1"]
         workloads[workload] = {
             "correct": all(r["correct"] for r in everything),
             "attempted": sum(r["attempted"] for r in everything),
             "failed": sum(r["failed"] for r in everything),
-            "end_to_end": summarize(runs[0]),
-            "per_layer": summarize(runs[1]),
+            "end_to_end": summarize(found["trace0"]),
+            "per_layer": summarize(found["trace1"]),
         }
+    facts = runs[WORKLOADS[0]]["trace0"][0]["facts"]
     bench = {
         "pr": args.pr,
         **git_state(checkout),
@@ -177,9 +254,22 @@ def main(argv=None) -> int:
         "tier1": tier1(checkout),
         "workloads": workloads,
     }
+    if parent:
+        better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        bench["parent"] = {
+            "rev": args.parent,
+            "commit": parent_commit,
+            "correct": all(r["correct"] for found in runs.values() for r in found["parent"]),
+        }
+        bench["paired"] = {
+            workload: paired(found["parent"], found["trace0"], better)
+            for workload, found in runs.items()
+        }
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}")
+    if parent:
+        print_paired(bench)
     old = previous_bench(args.pr)
     if old is not None:
         print_delta(old, bench)
