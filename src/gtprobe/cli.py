@@ -296,12 +296,14 @@ def _verify_families(max_d: int, max_L: int, seed: int):
         # The Weyl core on the canonical rows these return, with each d's denominators.
         for d in range(2, max_d + 1):
             den, den_below = (math.prod(map(math.factorial, range(k))) for k in (d, d - 1))
+            below = {}  # mu -> its (d-1)-row Weyl core, each made once per d
             for boxes in range(0, 11):
                 for lam in young.partitions(boxes, d):
-                    total = sum(
-                        young._weyl_core(young._shifted_rows(mu, d - 1), den_below)
-                        for mu in young.branching_restrictions(lam, d)
-                    )
+                    mus = young.branching_restrictions(lam, d)
+                    for mu in mus:
+                        if mu not in below:
+                            below[mu] = young._weyl_core(young._shifted_rows(mu, d - 1), den_below)
+                    total = sum(below[mu] for mu in mus)
                     want = young._weyl_core(young._shifted_rows(lam, d), den)
                     yield None if total == want else f"d={d} lambda={lam}"
 
@@ -309,19 +311,20 @@ def _verify_families(max_d: int, max_L: int, seed: int):
         # Cases are drawn one by one from the seeded stream and checked one dimension at a
         # time, each group dropped once checked; failures are reported in the order drawn.
         rng = np.random.default_rng(seed)
-        groups = {}  # dim -> [(case number, psi, phi, diagonal of proj)]
+        groups = {}  # dim -> [(case number, four draws of dim normals, diagonal of proj)]
         for case in range(1000):
             dim = int(rng.integers(2, 17))
-            z = rng.standard_normal(4 * dim)  # the stream of four draws of dim normals
-            psi, phi = z[:dim] + 1j * z[dim : 2 * dim], z[2 * dim : 3 * dim] + 1j * z[3 * dim :]
-            psi /= np.linalg.norm(psi)
-            phi /= np.linalg.norm(phi)
-            groups.setdefault(dim, []).append((case, psi, phi, rng.integers(0, 2, dim)))
+            z = rng.standard_normal(4 * dim)
+            groups.setdefault(dim, []).append((case, z, rng.integers(0, 2, dim)))
         failures = {}  # case number -> message
         for dim in sorted(groups):
-            numbers, psi, phi, diag = zip(*groups.pop(dim))
+            numbers, z, diag = zip(*groups.pop(dim))
+            z = np.reshape(z, (-1, 4, dim))
+            psi, phi = z[:, 0] + 1j * z[:, 1], z[:, 2] + 1j * z[:, 3]
+            for v in psi, phi:  # each row over its norm, by np.linalg.norm's dots on re and im
+                v /= np.sqrt(sum(r[:, None, :] @ r[:, :, None] for r in (v.real, v.imag)))[:, 0]
             proj = np.array(diag)[..., None] * np.eye(dim, dtype=complex)
-            lhs, rhs = fidelity.amplitude_reduction_check(np.array(psi), np.array(phi), proj)
+            lhs, rhs = fidelity.amplitude_reduction_check(psi, phi, proj)
             for case, left, right in zip(numbers, lhs.tolist(), rhs.tolist()):
                 if left > right + 1e-10:
                     failures[case] = f"case {case}: d={dim} lhs={left!r} rhs={right!r}"

@@ -16,7 +16,7 @@ from math import factorial, prod
 from typing import Iterable, Sequence
 
 from .young import GammaParams, as_chain, gamma_shape
-from .young import _gamma_rows, _require_integer, _shifted_rows, _weyl_core
+from .young import _gamma_dims, _require_integer, _shifted_rows, _weyl_core
 
 
 class ConsistencyError(ValueError):
@@ -115,15 +115,11 @@ class CoeffTable:
 
     It keeps the checked _terms integers of each index; the fields below make
     their tuples (of reduced Fractions, of ints for g) from them on access.
-    Building it checks, at every i, the dimension ratios behind x_i and y_i,
-
-        dim(gamma_i)/dim(gamma_i^+)     = (L+N+d-2i-1)(N-i+1) / ((L+N+d-2i)(N+d-i-1)),
-        dim(gamma_{i-1})/dim(gamma_i^+) = (L+N+d-2i+1)(L+d-i-1) / ((L+N+d-2i)(L-i+1)),
-
-    x_i^2 = alpha_i^2 dim(gamma_i)/dim(gamma_i^+) and y_i^2 = beta_{i-1}^2
-    dim(gamma_{i-1})/dim(gamma_i^+) (those with gamma_{i-1} from i = 1 on), then both
-    shared radicands and beta_L = 0, raising ConsistencyError on any exact mismatch;
-    `gtprobe verify` checks the CG, telescoping and g-increment identities.
+    Building it checks, at every i, x_i^2 = alpha_i^2 dim(gamma_i)/dim(gamma_i^+) and
+    y_i^2 = beta_{i-1}^2 dim(gamma_{i-1})/dim(gamma_i^+) (from i = 1 on) on Weyl
+    dimensions made apart from _terms, then both shared radicands and beta_L = 0,
+    raising ConsistencyError on any exact mismatch; `gtprobe verify` checks the CG,
+    telescoping and g-increment identities.
     """
 
     d: int
@@ -145,23 +141,22 @@ class CoeffTable:
         d, L = p.d, p.L
         h = _shifted_rows(gamma_shape(p), d)
         N = (d + 1) * L
-        denominator = prod(map(factorial, range(d)))
+        core = _weyl_core(h[1:-1], prod(map(factorial, range(d - 2))))
+        denominator = factorial(d - 1) * factorial(d - 2)
         rows = []  # the _terms integers per index
         # Each index makes one _terms call and its two Weyl dimensions; the identities
         # at i read dim(gamma_{i-1}), beta_{i-1}, g_{i-1} and f_{i-1}^2 from index i-1.
         prev_dim = prev_b = prev_bd = prev_g = prev_f = 0
         for i in range(L + 1):
-            t = _gamma_rows(h, i)
-            dim = _weyl_core(t, denominator)
-            t[0] += 1  # gamma_i^+ adds one box to row 1
-            dim_plus = _weyl_core(t, denominator)
+            dim, dim_plus = _gamma_dims(h, i, core, denominator)
             a, b, ad, xn, xd, yn, yd, g, f, rn, rd = terms = _terms(i, d, L)
-            # Every identity is cross-multiplied over its positive denominators.
-            s = L + N + d - 2 * i
-            ok = dim * s * (N + d - i - 1) == dim_plus * (s - 1) * (N - i + 1)
-            ok = ok and a * a * dim * xd == xn * dim_plus * ad * ad
+            # Each identity is cross-multiplied over its positive denominators. With s = L+N+d-2i,
+            # a = N+d-i-1, xn = a(N-i+1), xd = (s-1)s, b' = b_{i-1} = L-i+1, yn = b'(L+d-i-1)
+            # and yd = (s+1)s, the x check over a(s-1) is the closed form
+            # dim(gamma_i)/dim(gamma_i^+) = (s-1)(N-i+1)/(s a), and the y check over b'(s+1) is
+            # the closed form dim(gamma_{i-1})/dim(gamma_i^+) = (s+1)(L+d-i-1)/(s b').
+            ok = a * a * dim * xd == xn * dim_plus * ad * ad
             if i:
-                ok = ok and prev_dim * s * (L - i + 1) == dim_plus * (s + 1) * (L + d - i - 1)
                 ok = ok and prev_b * prev_b * prev_dim * yd == yn * dim_plus * prev_bd * prev_bd
             if not ok:
                 raise ConsistencyError(f"dimension-ratio identity failed at d={d} L={L} i={i}")

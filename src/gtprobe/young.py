@@ -200,6 +200,19 @@ def _gamma_rows(h: Sequence[int], i: int) -> list[int]:
     return [h[0] - i, *h[1:-1], h[-1] + i]
 
 
+def _gamma_dims(h: Sequence[int], i: int, core: int, denominator: int) -> tuple[int, int]:
+    """(dim gamma_i, dim gamma_i^+) from gamma_0's shifted rows h: on gamma_i's rows t the
+    Vandermonde is that of the fixed middle rows h[1:-1], whose Weyl core is core, times
+    prod_{k>1}(t_1 - t_k) prod_{1<k<d}(t_k - t_d), over denominator = (d-1)!(d-2)!."""
+    top, bottom, middle = h[0] - i, h[-1] + i, h[1:-1]
+    low = core * prod([m - bottom for m in middle])
+    dim, rem = divmod(low * (top - bottom) * prod([top - m for m in middle]), denominator)
+    top += 1  # gamma_i^+ adds one box to row 1
+    dim_plus, rem_plus = divmod(low * (top - bottom) * prod([top - m for m in middle]), denominator)
+    assert rem == rem_plus == 0 and dim > 0 and dim_plus > 0
+    return dim, dim_plus
+
+
 def gamma_chain(p: GammaParams) -> Chain:
     """Interlacing chain of the probe tableau.
 

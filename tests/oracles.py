@@ -33,8 +33,10 @@ that CoeffTable.build and its callers now read, unreduced, from
 coeffs._alpha_beta_g and coeffs._terms; reference_telescoping_check is the
 Fraction form of the integer telescoping_check,
 reference_amplitude_reduction_check the one-case amplitude check that the
-stacked amplitude_reduction_check replaced, and reference_plan_queries the
-doubling and bisection search that plan_queries' closed-form start replaced.
+stacked amplitude_reduction_check replaced, reference_amplitude_stacks the
+one-case draw-and-normalize loop that verify's stacked states replaced, and
+reference_plan_queries the doubling and bisection search that plan_queries'
+closed-form start replaced.
 """
 
 import math
@@ -45,7 +47,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
 from gtprobe.coeffs import CoeffTable, ConsistencyError
-from gtprobe.fidelity import closed_form_infidelity, protocol_probe
+from gtprobe.fidelity import amplitude_reduction_check, closed_form_infidelity, protocol_probe
 from gtprobe.simulator import (
     _MC_CHUNK_BUDGET,
     CASIMIR_TOL,
@@ -647,6 +649,28 @@ def reference_amplitude_reduction_check(psi, phi, proj) -> tuple[float, float]:
     diff = np.outer(psi, psi.conj()) - np.outer(phi, phi.conj())
     trace_norm = float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
     return abs(amp_psi - amp_phi), trace_norm / math.sqrt(2.0)
+
+
+def reference_amplitude_stacks(seed: int) -> dict:
+    """verify's amplitude-reduction stacks as the one-case loop made them: per case
+    the draws integers(2, 17), standard_normal(4 dim) and integers(0, 2, dim), psi
+    and phi each divided by its np.linalg.norm; then, per dimension, the stacked
+    psi, phi and proj and the sides amplitude_reduction_check gives on them."""
+    rng = np.random.default_rng(seed)
+    groups = {}
+    for _ in range(1000):
+        dim = int(rng.integers(2, 17))
+        z = rng.standard_normal(4 * dim)
+        psi, phi = z[:dim] + 1j * z[dim : 2 * dim], z[2 * dim : 3 * dim] + 1j * z[3 * dim :]
+        psi /= np.linalg.norm(psi)
+        phi /= np.linalg.norm(phi)
+        groups.setdefault(dim, []).append((psi, phi, rng.integers(0, 2, dim)))
+    stacks = {}
+    for dim in sorted(groups):
+        psi, phi, diag = (np.array(a) for a in zip(*groups[dim]))
+        proj = diag[..., None] * np.eye(dim, dtype=complex)
+        stacks[dim] = (psi, phi, proj, *amplitude_reduction_check(psi, phi, proj))
+    return stacks
 
 
 def reference_swap_tables(d: int, codes: np.ndarray, letters: np.ndarray):

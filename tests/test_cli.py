@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from gtprobe import cli, coeffs, fidelity, simulator, young
-from oracles import reference_amplitude_reduction_check
+from oracles import reference_amplitude_reduction_check, reference_amplitude_stacks
 
 
 def run(capsys, argv):
@@ -153,11 +154,18 @@ VERIFY_FAMILIES = (
 # The shifted rows lam_k - k of gamma_1 = (9, 2, 1) at d=3 L=2.
 ROWS_3_2_1 = (9, 1, -1)
 
-# One planted defect per (d, L) family: (module, function, wrong(true function,
-# *args), the families that must fail, the parameters each failure names).
+
+def _wrong_dim_3_2_1(f, h, i, *rest):
+    """young._gamma_dims with dim(gamma_1) at d=3 L=2 one too large."""
+    dim, dim_plus = f(h, i, *rest)
+    return dim + (tuple(young._gamma_rows(h, i)) == ROWS_3_2_1), dim_plus
+
+
+# One planted defect per entry: (module, function, wrong(true function, *args),
+# the families that must fail, the parameters each failure names).
 PLANTS = {
     "weyl-dimension": (
-        coeffs, "_weyl_core", lambda f, h, den: f(h, den) + (tuple(h) == ROWS_3_2_1),
+        coeffs, "_gamma_dims", _wrong_dim_3_2_1,
         {"infidelity-chain", "dimension-ratios"}, "d=3 L=2 i=1",
     ),
     "sum-form": (
@@ -175,6 +183,11 @@ PLANTS = {
             v * (2 if (k, d, L, i) == (9, 3, 2, 1) else 1) for k, v in enumerate(f(i, d, L))
         ),
         {"infidelity-chain", "dimension-ratios"}, "d=3 L=2 i=1",
+    ),
+    "branching-restrictions": (  # mu = (1,) dropped from lambda = (2, 1) at d=3
+        young, "branching_restrictions",
+        lambda f, lam, d: f(lam, d)[(tuple(lam), d) == ((2, 1), 3) :],
+        {"branching-sums"}, "d=3 lambda=(2, 1)",
     ),
 }
 
@@ -255,6 +268,49 @@ class TestVerifyCommand:
         cases = dict(cli._verify_families(2, 1, 42))["amplitude-reduction"]
         assert next(c for c in cases if c) == f"case {case}: d=7 lhs={lhs + 2!r} rhs={rhs!r}"
 
+    @pytest.mark.parametrize("seed", [0, 1, 42])
+    def test_amplitude_stacks_equal_the_one_case_loop(self, monkeypatch, seed):
+        # The family draws each case's normals and normalizes them per dimension stack:
+        # psi, phi, proj and both sides are bit for bit those of the one-case loop.
+        seen = {}
+        true_check = fidelity.amplitude_reduction_check
+
+        def recorded(psi, phi, proj):
+            seen[psi.shape[-1]] = (psi, phi, proj, *true_check(psi, phi, proj))
+            return seen[psi.shape[-1]][3:]
+
+        monkeypatch.setattr(fidelity, "amplitude_reduction_check", recorded)
+        assert set(dict(cli._verify_families(2, 1, seed))["amplitude-reduction"]) == {None}
+        want = reference_amplitude_stacks(seed)
+        assert seen.keys() == want.keys()
+        for dim, arrays in want.items():
+            for got, expected in zip(seen[dim], arrays, strict=True):
+                assert got.dtype == expected.dtype and np.array_equal(got, expected), dim
+
+    def test_branching_family_reads_each_core_as_recomputed(self, monkeypatch):
+        # A wrong Weyl core on the shifted rows (2, 0, -2): lambda = (2, 1) at d=3, and
+        # the restriction mu = (2, 1) of every lambda at d=4 that has it. The family,
+        # which makes each mu's core once per d, fails at exactly the cases where a
+        # sum that recomputes every core per lambda fails.
+        true_core = young._weyl_core
+        monkeypatch.setattr(
+            young, "_weyl_core", lambda h, den: true_core(h, den) + (tuple(h) == (2, 0, -2))
+        )
+        got = [case for case in dict(cli._verify_families(5, 1, 0))["branching-sums"] if case]
+        want = []
+        for d in range(2, 6):
+            dens = {k: math.prod(map(math.factorial, range(k))) for k in (d, d - 1)}
+            for boxes in range(11):
+                for lam in young.partitions(boxes, d):
+                    total = sum(
+                        young._weyl_core(young._shifted_rows(mu, d - 1), dens[d - 1])
+                        for mu in young.branching_restrictions(lam, d)
+                    )
+                    if total != young._weyl_core(young._shifted_rows(lam, d), dens[d]):
+                        want.append(f"d={d} lambda={lam}")
+        assert got == want and got[0] == "d=3 lambda=(2, 1)"
+        assert any(case.startswith("d=4 ") for case in got)
+
     @pytest.mark.parametrize("plant", PLANTS, ids=list(PLANTS))
     def test_planted_failure_fails_only_its_families(self, capsys, monkeypatch, plant):
         module, name, wrong, failing, names = PLANTS[plant]
@@ -265,7 +321,8 @@ class TestVerifyCommand:
         for family in VERIFY_FAMILIES:
             if family in failing:
                 line = next(row for row in out.splitlines() if row.startswith(f"[FAIL] {family}: "))
-                assert all(re.search(rf"\b{part}\b", line) for part in names.split()), line
+                parts = (rf"(?<!\w){re.escape(part)}(?!\w)" for part in names.split())
+                assert all(re.search(part, line) for part in parts), line
             else:
                 assert f"[PASS] {family} (" in out, family
         assert f"{len(failing)} of 7 identity families failed" in out

@@ -56,6 +56,18 @@ def _wrap(monkeypatch, name, wrapper):
     monkeypatch.setattr(coeffs, name, lambda *args: wrapper(true_fn, *args))
 
 
+def _wrong_dim(monkeypatch, wrong_rows):
+    """Make the Weyl dimension CoeffTable.build reads for the diagram with shifted rows
+    wrong_rows (gamma_i's or gamma_i^+'s) one too large."""
+
+    def wrong(f, h, i, *rest):
+        rows = young._gamma_rows(h, i)
+        dim, dim_plus = f(h, i, *rest)
+        return dim + (rows == wrong_rows), dim_plus + ([rows[0] + 1, *rows[1:]] == wrong_rows)
+
+    _wrap(monkeypatch, "_gamma_dims", wrong)
+
+
 # Positions in the tuple coeffs._terms returns: (a, b, s-1, xn, xd, yn, yd, g, f, rn, s).
 ALPHA, BETA, AB_DEN, Y, F, R = 0, 1, 2, 5, 8, 9
 
@@ -251,18 +263,39 @@ class TestSteppedRows:
 
     def test_build_rows_and_weyl_core(self, monkeypatch):
         seen = []
-        _wrap(monkeypatch, "_weyl_core", lambda f, h, den: seen.append(tuple(h)) or f(h, den))
+
+        def recorded(f, h, i, core, den):
+            seen.append((young._gamma_rows(h, i), core, den, f(h, i, core, den)))
+            return seen[-1][-1]
+
+        _wrap(monkeypatch, "_gamma_dims", recorded)
         for d, L in VERIFY_GRID:
             seen.clear()
             CoeffTable.build(d, L)
-            denominator = prod(map(factorial, range(d)))
-            assert len(seen) == 2 * (L + 1)
-            for i in range(L + 1):
+            assert len(seen) == L + 1
+            for i, (rows, core, den, dims) in enumerate(seen):
                 p = GammaParams(d, L, i)
-                for lam, h in zip((gamma_shape(p), gamma_plus_shape(p)), seen[2 * i : 2 * i + 2]):
-                    assert h == tuple(_shifted_rows(lam, d)), (d, L, i, lam)
-                    dim = young._weyl_core(h, denominator)
+                assert rows == _shifted_rows(gamma_shape(p), d), (d, L, i)
+                # The middle rectangle (L, ..., L) of U(d-2) has dimension 1.
+                assert (core, den) == (1, factorial(d - 1) * factorial(d - 2)), (d, L)
+                for lam, dim in zip((gamma_shape(p), gamma_plus_shape(p)), dims, strict=True):
                     assert dim == weyl_dimension(lam, d) == reference_weyl_dimension(lam, d)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 16), st.integers(1, 40))
+    @example(60, 3)
+    @example(200, 1)
+    def test_build_reads_the_weyl_dimensions(self, d, L):
+        # Every (dim gamma_i, dim gamma_i^+) the build uses, against both Weyl routes.
+        seen = []
+        with pytest.MonkeyPatch.context() as mp:
+            _wrap(mp, "_gamma_dims", lambda f, *args: seen.append(f(*args)) or seen[-1])
+            CoeffTable.build(d, L)
+        assert len(seen) == L + 1
+        for i, dims in enumerate(seen):
+            p = GammaParams(d, L, i)
+            for lam, dim in zip((gamma_shape(p), gamma_plus_shape(p)), dims, strict=True):
+                assert dim == weyl_dimension(lam, d) == reference_weyl_dimension(lam, d), i
 
     def test_cg_family_rows_and_cg_core(self, monkeypatch):
         seen = []
@@ -425,8 +458,7 @@ class TestCoeffTable:
     @pytest.mark.parametrize("shape_of", [gamma_shape, gamma_plus_shape])
     def test_wrong_weyl_dimension_fires(self, monkeypatch, shape_of):
         d, L = 3, 4
-        wrong = _shifted_rows(shape_of(GammaParams(d, L, 1)), d)
-        _wrap(monkeypatch, "_weyl_core", lambda f, h, den: f(h, den) + (list(h) == wrong))
+        _wrong_dim(monkeypatch, _shifted_rows(shape_of(GammaParams(d, L, 1)), d))
         message = r"dimension-ratio identity failed at d=3 L=4 i=1$"
         with pytest.raises(ConsistencyError, match=message):
             CoeffTable.build(d, L)
@@ -458,7 +490,7 @@ class TestCoeffTable:
 
     @pytest.mark.parametrize("d,L", [(2, 7), (5, 12)])
     def test_evaluates_each_quantity_once_per_index(self, monkeypatch, d, L):
-        calls = {"_weyl_core": 0, "_terms": 0}
+        calls = {"_gamma_dims": 0, "_terms": 0, "_weyl_core": 0}
 
         def counted(name):
             def call(f, *args):
@@ -470,7 +502,8 @@ class TestCoeffTable:
         for name in calls:
             _wrap(monkeypatch, name, counted(name))
         CoeffTable.build(d, L)
-        assert calls == {"_weyl_core": 2 * (L + 1), "_terms": L + 1}
+        # The fixed middle rows' Weyl core once, then both dimensions and _terms per index.
+        assert calls == {"_gamma_dims": L + 1, "_terms": L + 1, "_weyl_core": 1}
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(2, 12), st.integers(1, 60))
@@ -515,11 +548,10 @@ class TestAgainstFractionReference:
 
     def test_dim_ratio_check_sees_a_wrong_dimension(self, monkeypatch):
         # A wrong dim(gamma_1) fails the build and its Fraction reference at the same i:
-        # the build reads it from the Weyl core on gamma_1's shifted rows, the
-        # reference from weyl_dimension on gamma_1.
+        # the build reads it from young._gamma_dims on gamma_0's shifted rows at i = 1,
+        # the reference from weyl_dimension on gamma_1.
         wrong = gamma_shape(GammaParams(3, 4, 1))
-        wrong_rows = _shifted_rows(wrong, 3)
-        _wrap(monkeypatch, "_weyl_core", lambda f, h, den: f(h, den) + (list(h) == wrong_rows))
+        _wrong_dim(monkeypatch, _shifted_rows(wrong, 3))
         true_dim = oracles.weyl_dimension
         monkeypatch.setattr(
             oracles, "weyl_dimension", lambda lam, d: true_dim(lam, d) + (lam == wrong)
