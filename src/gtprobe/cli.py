@@ -10,11 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import random
 import sys
 from fractions import Fraction
-
-import numpy as np
 
 from . import coeffs, fidelity, simulator, young
 
@@ -71,24 +68,30 @@ def _print(fmt: str, head: dict | None = None, columns=None, rows=(), obj=None) 
     json: obj if given; else each row as a dict over columns, wrapped as
     {**head, "rows": [...]}, or a bare list without head; Fractions via _json.
     """
-    if fmt == "json":
-        if obj is None:
-            obj = [dict(zip(columns, row)) for row in rows]
-            obj = obj if head is None else {**head, "rows": obj}
-        print(json.dumps(obj, indent=2, default=_json))
-    elif fmt == "csv":
-        for line in [columns, *rows]:
-            print(",".join(map(str, line)))
-    else:
-        if columns is None:
-            lines = [f"{name:<20}{_text(value, name, head)}" for name, value in rows]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python < 3.10.7 has no limit
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    set_limit(0)  # exact values print in full, past the interpreter's int-to-str digit limit
+    try:
+        if fmt == "json":
+            if obj is None:
+                obj = [dict(zip(columns, row)) for row in rows]
+                obj = obj if head is None else {**head, "rows": obj}
+            print(json.dumps(obj, indent=2, default=_json))
+        elif fmt == "csv":
+            for line in [columns, *rows]:
+                print(",".join(map(str, line)))
         else:
-            cells = [[_text(v, c, head) for c, v in zip(columns, row)] for row in rows]
-            widths = [max(map(len, column)) for column in zip(columns, *cells)]
-            lines = ["  ".join(map(str.ljust, line, widths)).rstrip() for line in [columns, *cells]]
-        if head is not None:
-            print(_head_line(head))
-        print(*lines, sep="\n")
+            if columns is None:
+                lines = [f"{name:<20}{_text(value, name, head)}" for name, value in rows]
+            else:
+                cells = [columns] + [[_text(v, c, head) for c, v in zip(columns, r)] for r in rows]
+                widths = [max(map(len, column)) for column in zip(*cells)]
+                lines = ["  ".join(map(str.ljust, line, widths)).rstrip() for line in cells]
+            if head is not None:
+                print(_head_line(head))
+            print(*lines, sep="\n")
+    finally:
+        set_limit(limit)
 
 
 def _parse_range(text: str) -> range:
@@ -235,110 +238,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_families(max_d: int, max_L: int, seed: int):
-    """Yield (name, cases) pairs; cases yields None or a failure message per case."""
-    grid = [(d, L) for d in range(2, max_d + 1) for L in range(1, max_L + 1)]
-    built = set()  # each (d, L) whose table built, so held the dimension ratios at every i
-
-    def infidelity_chain():
-        for d, L in grid:
-            tab = coeffs.CoeffTable.build(d, L)
-            built.add((d, L))
-            fidelity.expected_fidelity(tab)  # raises unless the three routes agree
-            yield None
-
-    def dimension_ratios():
-        for d, L in grid:
-            if (d, L) not in built:  # only after infidelity-chain failed or stopped early
-                coeffs.CoeffTable.build(d, L)
-            yield from [None] * (L + 1)
-
-    def cg_branch_weights():
-        for d, L in grid:
-            # gamma_i's chain is gamma_0's with i boxes of the top diagram moved from
-            # row 1 to row d. For 0 <= i <= L the top (N+L-i, L, ..., L, i) still
-            # interlaces the rectangle (L, ..., L) below it, as N+L-i >= L >= i. So
-            # the one chain check, made by cg_add_box at i = 0, covers every i, and
-            # i >= 1 steps the shifted rows of the top. Weights compare as integers.
-            chain = young.gamma_chain(young.GammaParams(d, L, 0))
-            t, s = young._shifted_rows(chain[-1], d), young._shifted_rows(chain[-2], d - 1)
-            for i in range(L + 1):
-                if i:
-                    got = coeffs._cg_core(young._gamma_rows(t, i), s)
-                else:
-                    got = [(k, *c.as_integer_ratio()) for k, c in coeffs.cg_add_box(chain)]
-                a, b, den, _ = coeffs._alpha_beta_g(i, d, L)
-                want = [(1, a, den)] + ([(d, b, den)] if i < L else [])
-                ok = len(got) == len(want) and all(
-                    k == kw and n * dw == nw * dn for (k, n, dn), (kw, nw, dw) in zip(got, want)
-                )
-                if not ok:
-                    got, want = ([(k, Fraction(n, dn)) for k, n, dn in w] for w in (got, want))
-                yield None if ok else f"d={d} L={L} i={i}: {got} != {want}"
-
-    def g_increments():
-        for d, L in grid:
-            N, gp = (d + 1) * L, 0  # gp is g_{i-1}, and g_{-1} = 0
-            for i in range(L + 1):
-                g = coeffs._alpha_beta_g(i, d, L)[3]
-                diff, gp = g - gp, g
-                yield None if diff == L + N + d - 2 * i else f"d={d} L={L} i={i}: increment {diff}"
-
-    def telescoping():
-        rnd = random.Random(seed)
-        for _ in range(100):
-            a = Fraction(rnd.randint(-30, 30), rnd.randint(1, 30))
-            b = Fraction(rnd.randint(-30, 30), rnd.randint(1, 30))
-            k = rnd.randint(0, 25)
-            yield None if coeffs.telescoping_check(a, b, k) else f"a={a} b={b} k={k}"
-
-    def branching_sums():
-        # The Weyl core on the canonical rows these return, with each d's denominators.
-        for d in range(2, max_d + 1):
-            den, den_below = (math.prod(map(math.factorial, range(k))) for k in (d, d - 1))
-            below = {}  # mu -> its (d-1)-row Weyl core, each made once per d
-            for boxes in range(0, 11):
-                for lam in young.partitions(boxes, d):
-                    mus = young.branching_restrictions(lam, d)
-                    for mu in mus:
-                        if mu not in below:
-                            below[mu] = young._weyl_core(young._shifted_rows(mu, d - 1), den_below)
-                    total = sum(below[mu] for mu in mus)
-                    want = young._weyl_core(young._shifted_rows(lam, d), den)
-                    yield None if total == want else f"d={d} lambda={lam}"
-
-    def amplitude_reduction():
-        # Cases are drawn one by one from the seeded stream and checked one dimension at a
-        # time, each group dropped once checked; failures are reported in the order drawn.
-        rng = np.random.default_rng(seed)
-        groups = {}  # dim -> [(case number, four draws of dim normals, diagonal of proj)]
-        for case in range(1000):
-            dim = int(rng.integers(2, 17))
-            z = rng.standard_normal(4 * dim)
-            groups.setdefault(dim, []).append((case, z, rng.integers(0, 2, dim)))
-        failures = {}  # case number -> message
-        for dim in sorted(groups):
-            numbers, z, diag = zip(*groups.pop(dim))
-            z = np.reshape(z, (-1, 4, dim))
-            psi, phi = z[:, 0] + 1j * z[:, 1], z[:, 2] + 1j * z[:, 3]
-            for v in psi, phi:  # each row over its norm, by np.linalg.norm's dots on re and im
-                v /= np.sqrt(sum(r[:, None, :] @ r[:, :, None] for r in (v.real, v.imag)))[:, 0]
-            proj = np.array(diag)[..., None] * np.eye(dim, dtype=complex)
-            lhs, rhs = fidelity.amplitude_reduction_check(psi, phi, proj)
-            for case, left, right in zip(numbers, lhs.tolist(), rhs.tolist()):
-                if left > right + 1e-10:
-                    failures[case] = f"case {case}: d={dim} lhs={left!r} rhs={right!r}"
-        yield from map(failures.get, range(1000))
-
-    yield "infidelity-chain", infidelity_chain()
-    yield "dimension-ratios", dimension_ratios()
-    yield "cg-branch-weights", cg_branch_weights()
-    yield "g-increments", g_increments()
-    yield "telescoping", telescoping()
-    yield "branching-sums", branching_sums()
-    yield "amplitude-reduction", amplitude_reduction()
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_d < 2 or args.max_L < 1:
         raise ValueError("need --max-d >= 2 and --max-L >= 1")
@@ -347,7 +246,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(f"verify: max_d={args.max_d} max_L={args.max_L} seed={args.seed}")
     failures = 0
     total = 0
-    for name, results in _verify_families(args.max_d, args.max_L, args.seed):
+    for name, results in fidelity.identity_families(args.max_d, args.max_L, args.seed):
         total += 1
         cases, failure = 0, None
         try:

@@ -15,8 +15,8 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Iterable, Sequence
 
-from .young import GammaParams, as_chain, gamma_shape
-from .young import _gamma_dims, _require_integer, _shifted_rows, _weyl_core
+from .young import GammaParams, as_chain, gamma_chain, gamma_shape
+from .young import _gamma_dims, _gamma_rows, _require_integer, _shifted_rows
 
 
 class ConsistencyError(ValueError):
@@ -89,6 +89,41 @@ def cg_add_box(chain: Sequence[Iterable[int]]) -> list[tuple[int, Fraction]]:
     return [(k, Fraction(num, den)) for k, num, den in core]
 
 
+def cg_branch_weights(grid: Iterable[tuple[int, int]]):
+    """verify's cg-branch-weights cases: per (d, L) of grid and i, gamma_i's CG weights."""
+    for d, L in grid:
+        # gamma_i's chain is gamma_0's with i boxes of the top diagram moved from
+        # row 1 to row d. For 0 <= i <= L the top (N+L-i, L, ..., L, i) still
+        # interlaces the rectangle (L, ..., L) below it, as N+L-i >= L >= i. So
+        # the one chain check, made by cg_add_box at i = 0, covers every i, and
+        # i >= 1 steps the shifted rows of the top. Weights compare as integers.
+        chain = gamma_chain(GammaParams(d, L, 0))
+        t, s = _shifted_rows(chain[-1], d), _shifted_rows(chain[-2], d - 1)
+        for i in range(L + 1):
+            if i:
+                got = _cg_core(_gamma_rows(t, i), s)
+            else:
+                got = [(k, *c.as_integer_ratio()) for k, c in cg_add_box(chain)]
+            a, b, den, _ = _alpha_beta_g(i, d, L)
+            want = [(1, a, den)] + ([(d, b, den)] if i < L else [])
+            ok = len(got) == len(want) and all(
+                k == kw and n * dw == nw * dn for (k, n, dn), (kw, nw, dw) in zip(got, want)
+            )
+            if not ok:
+                got, want = ([(k, Fraction(n, dn)) for k, n, dn in w] for w in (got, want))
+            yield None if ok else f"d={d} L={L} i={i}: {got} != {want}"
+
+
+def g_increments(grid: Iterable[tuple[int, int]]):
+    """verify's g-increments cases: per (d, L) of grid and i, g_i - g_{i-1} = L+N+d-2i."""
+    for d, L in grid:
+        N, gp = (d + 1) * L, 0  # gp is g_{i-1}, and g_{-1} = 0
+        for i in range(L + 1):
+            g = _alpha_beta_g(i, d, L)[3]
+            diff, gp = g - gp, g
+            yield None if diff == L + N + d - 2 * i else f"d={d} L={L} i={i}: increment {diff}"
+
+
 def telescoping_check(a: Fraction, b: Fraction, k: int) -> bool:
     """Exact check of the product-difference identity used by the infidelity sums.
 
@@ -141,14 +176,13 @@ class CoeffTable:
         d, L = p.d, p.L
         h = _shifted_rows(gamma_shape(p), d)
         N = (d + 1) * L
-        core = _weyl_core(h[1:-1], prod(map(factorial, range(d - 2))))
         denominator = factorial(d - 1) * factorial(d - 2)
         rows = []  # the _terms integers per index
         # Each index makes one _terms call and its two Weyl dimensions; the identities
         # at i read dim(gamma_{i-1}), beta_{i-1}, g_{i-1} and f_{i-1}^2 from index i-1.
         prev_dim = prev_b = prev_bd = prev_g = prev_f = 0
         for i in range(L + 1):
-            dim, dim_plus = _gamma_dims(h, i, core, denominator)
+            dim, dim_plus = _gamma_dims(h, i, denominator)
             a, b, ad, xn, xd, yn, yd, g, f, rn, rd = terms = _terms(i, d, L)
             # Each identity is cross-multiplied over its positive denominators. With s = L+N+d-2i,
             # a = N+d-i-1, xn = a(N-i+1), xd = (s-1)s, b' = b_{i-1} = L-i+1, yn = b'(L+d-i-1)

@@ -5,12 +5,13 @@ quotient in the probe coefficients.  This module evaluates it exactly at
 the protocol's chosen coefficients, cross-checks the two closed forms of
 the infidelity, normalizes against the d^3/(n(n+d^2)) scaling envelope,
 maximizes the quotient as a symmetric tridiagonal eigenproblem, and plans
-query counts for a target trace-distance error.
+query counts for a target trace-distance error; identity_families is verify's registry.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from .coeffs import CoeffTable, ConsistencyError, _alpha_beta_g, _terms
-from .young import _require_integer, _require_sizes
+from .coeffs import cg_branch_weights, g_increments, telescoping_check
+from .young import _require_integer, _require_sizes, branching_sums
 
 
 def query_count_params(d: int, n: int) -> tuple[int, int, int]:
@@ -229,3 +231,61 @@ def fidelity_report(d: int, n: int) -> FidelityReport:
         optimal_rayleigh=lam,
         optimal_f=tuple(float(v) for v in vec),
     )
+
+
+def identity_families(max_d: int, max_L: int, seed: int):
+    """verify's registry: (name, cases) per identity family; cases yield None or a failure."""
+    grid = [(d, L) for d in range(2, max_d + 1) for L in range(1, max_L + 1)]
+    built = set()  # each (d, L) whose table built, so held the dimension ratios at every i
+
+    def infidelity_chain():
+        for d, L in grid:
+            tab = CoeffTable.build(d, L)
+            built.add((d, L))
+            expected_fidelity(tab)  # raises unless the three routes agree
+            yield None
+
+    def dimension_ratios():
+        for d, L in grid:
+            if (d, L) not in built:  # only after infidelity-chain failed or stopped early
+                CoeffTable.build(d, L)
+            yield from [None] * (L + 1)
+
+    def telescoping():
+        rnd = random.Random(seed)
+        for _ in range(100):
+            a = Fraction(rnd.randint(-30, 30), rnd.randint(1, 30))
+            b = Fraction(rnd.randint(-30, 30), rnd.randint(1, 30))
+            k = rnd.randint(0, 25)
+            yield None if telescoping_check(a, b, k) else f"a={a} b={b} k={k}"
+
+    def amplitude_reduction():
+        # Cases are drawn one by one from the seeded stream and checked one dimension at a
+        # time, each group dropped once checked; failures are reported in the order drawn.
+        rng = np.random.default_rng(seed)
+        groups = {}  # dim -> [(case number, four draws of dim normals, diagonal of proj)]
+        for case in range(1000):
+            dim = int(rng.integers(2, 17))
+            z = rng.standard_normal(4 * dim)
+            groups.setdefault(dim, []).append((case, z, rng.integers(0, 2, dim)))
+        failures = {}  # case number -> message
+        for dim in sorted(groups):
+            numbers, z, diag = zip(*groups.pop(dim))
+            z = np.reshape(z, (-1, 4, dim))
+            psi, phi = z[:, 0] + 1j * z[:, 1], z[:, 2] + 1j * z[:, 3]
+            for v in psi, phi:  # each row over its norm, by np.linalg.norm's dots on re and im
+                v /= np.sqrt(sum(r[:, None, :] @ r[:, :, None] for r in (v.real, v.imag)))[:, 0]
+            proj = np.array(diag)[..., None] * np.eye(dim, dtype=complex)
+            lhs, rhs = amplitude_reduction_check(psi, phi, proj)
+            for case, left, right in zip(numbers, lhs.tolist(), rhs.tolist()):
+                if left > right + 1e-10:
+                    failures[case] = f"case {case}: d={dim} lhs={left!r} rhs={right!r}"
+        yield from map(failures.get, range(1000))
+
+    yield "infidelity-chain", infidelity_chain()
+    yield "dimension-ratios", dimension_ratios()
+    yield "cg-branch-weights", cg_branch_weights(grid)
+    yield "g-increments", g_increments(grid)
+    yield "telescoping", telescoping()
+    yield "branching-sums", branching_sums(max_d)
+    yield "amplitude-reduction", amplitude_reduction()

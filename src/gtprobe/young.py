@@ -157,6 +157,22 @@ def partitions(n: int, max_rows: int | None = None) -> list[Diagram]:
     return out
 
 
+def branching_sums(max_d: int):
+    """verify's branching-sums cases: per d <= max_d, lam of <= 10 boxes: dim lam = sum dim mu."""
+    for d in range(2, max_d + 1):
+        den, den_below = (prod(map(factorial, range(k))) for k in (d, d - 1))
+        below = {}  # mu -> its (d-1)-row Weyl core, each made once per d
+        for boxes in range(0, 11):
+            for lam in partitions(boxes, d):
+                mus = branching_restrictions(lam, d)
+                for mu in mus:
+                    if mu not in below:
+                        below[mu] = _weyl_core(_shifted_rows(mu, d - 1), den_below)
+                total = sum(below[mu] for mu in mus)
+                want = _weyl_core(_shifted_rows(lam, d), den)
+                yield None if total == want else f"d={d} lambda={lam}"
+
+
 @dataclass(frozen=True)
 class GammaParams:
     """Parameters (d, L, i) of the probe tableau family.
@@ -200,12 +216,12 @@ def _gamma_rows(h: Sequence[int], i: int) -> list[int]:
     return [h[0] - i, *h[1:-1], h[-1] + i]
 
 
-def _gamma_dims(h: Sequence[int], i: int, core: int, denominator: int) -> tuple[int, int]:
+def _gamma_dims(h: Sequence[int], i: int, denominator: int) -> tuple[int, int]:
     """(dim gamma_i, dim gamma_i^+) from gamma_0's shifted rows h: on gamma_i's rows t the
-    Vandermonde is that of the fixed middle rows h[1:-1], whose Weyl core is core, times
+    Vandermonde is that of the middle rows h[1:-1], consecutive so of Weyl core 1, times
     prod_{k>1}(t_1 - t_k) prod_{1<k<d}(t_k - t_d), over denominator = (d-1)!(d-2)!."""
     top, bottom, middle = h[0] - i, h[-1] + i, h[1:-1]
-    low = core * prod([m - bottom for m in middle])
+    low = prod([m - bottom for m in middle])
     dim, rem = divmod(low * (top - bottom) * prod([top - m for m in middle]), denominator)
     top += 1  # gamma_i^+ adds one box to row 1
     dim_plus, rem_plus = divmod(low * (top - bottom) * prod([top - m for m in middle]), denominator)

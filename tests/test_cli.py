@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -193,6 +194,26 @@ PLANTS = {
 
 
 class TestVerifyCommand:
+    def test_registry_runs_without_the_cli(self):
+        families = list(fidelity.identity_families(4, 6, 0))
+        assert tuple(name for name, _ in families) == VERIFY_FAMILIES
+        for name, cases in families:
+            assert set(cases) == {None}, name
+
+    def test_passing_verify_builds_each_table_once(self, monkeypatch):
+        # infidelity-chain builds each (d, L) of verify --max-d 4 --max-L 6 once, and
+        # dimension-ratios, which reads the tables that built, builds none.
+        calls = []
+        build = coeffs.CoeffTable.build.__func__
+        monkeypatch.setattr(
+            coeffs.CoeffTable, "build",
+            classmethod(lambda cls, d, L: calls.append((d, L)) or build(cls, d, L)),
+        )
+        grid = [(d, L) for d in range(2, 5) for L in range(1, 7)]
+        families = dict(fidelity.identity_families(4, 6, 0))
+        assert set(families["infidelity-chain"]) == {None} and calls == grid
+        assert set(families["dimension-ratios"]) == {None} and calls == grid
+
     def test_full_suite_passes(self, capsys):
         code, out, _ = run(capsys, ["verify", "--max-d", "4", "--max-L", "6"])
         assert code == 0
@@ -230,7 +251,7 @@ class TestVerifyCommand:
             monkeypatch.setattr(
                 module, "as_chain", lambda chain: calls.append(chain) or true_as_chain(chain)
             )
-        cases = dict(cli._verify_families(4, 6, 0))["cg-branch-weights"]
+        cases = dict(fidelity.identity_families(4, 6, 0))["cg-branch-weights"]
         assert set(cases) == {None}
         assert len(calls) == 3 * 6
 
@@ -240,7 +261,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(
             fidelity, "amplitude_reduction_check", lambda *a: calls.append(a) or true_check(*a)
         )
-        cases = dict(cli._verify_families(10, 40, 0))["amplitude-reduction"]
+        cases = dict(fidelity.identity_families(10, 40, 0))["amplitude-reduction"]
         assert list(cases) == [None] * 1000
         assert 1 <= len(calls) <= 15
 
@@ -265,7 +286,7 @@ class TestVerifyCommand:
             if dim == 7:
                 break
         lhs, rhs = reference_amplitude_reduction_check(psi, phi, proj)
-        cases = dict(cli._verify_families(2, 1, 42))["amplitude-reduction"]
+        cases = dict(fidelity.identity_families(2, 1, 42))["amplitude-reduction"]
         assert next(c for c in cases if c) == f"case {case}: d=7 lhs={lhs + 2!r} rhs={rhs!r}"
 
     @pytest.mark.parametrize("seed", [0, 1, 42])
@@ -280,7 +301,7 @@ class TestVerifyCommand:
             return seen[psi.shape[-1]][3:]
 
         monkeypatch.setattr(fidelity, "amplitude_reduction_check", recorded)
-        assert set(dict(cli._verify_families(2, 1, seed))["amplitude-reduction"]) == {None}
+        assert set(dict(fidelity.identity_families(2, 1, seed))["amplitude-reduction"]) == {None}
         want = reference_amplitude_stacks(seed)
         assert seen.keys() == want.keys()
         for dim, arrays in want.items():
@@ -296,7 +317,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(
             young, "_weyl_core", lambda h, den: true_core(h, den) + (tuple(h) == (2, 0, -2))
         )
-        got = [case for case in dict(cli._verify_families(5, 1, 0))["branching-sums"] if case]
+        got = [case for case in dict(fidelity.identity_families(5, 1, 0))["branching-sums"] if case]
         want = []
         for d in range(2, 6):
             dens = {k: math.prod(map(math.factorial, range(k))) for k in (d, d - 1)}
@@ -525,6 +546,12 @@ class TestExitCodes:
                 ["dims", "--d", "2", "--n", str(2**64)],
                 f"{2**64} boxes exceed the factorial limit, {sys.maxsize}",
             ),
+            # f_sq has 5737 digits, past the interpreter's int-to-str limit; csv and json print it.
+            (
+                ["coeffs", "--d", "1000", "--n", "2000"],
+                "f_sq at d=1000 n=2000 L=1 N=1001 exceeds the float range of the table format; "
+                "use --format csv|json",
+            ),
         ],
     )
     def test_usage_error_exits_two_with_one_error_line(self, capsys, argv, message):
@@ -533,6 +560,22 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("d,digits", [(800, 4435), (1000, 5737)])
+    def test_exact_values_print_past_the_int_str_limit(self, capsys, d, digits, fmt):
+        # f_0^2 is past the interpreter's default int-to-str limit of 4300 digits: it prints
+        # in full, and the limit is as it was once main returns. Decimal's str has no limit.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        code, out, err = run(capsys, ["coeffs", "--d", str(d), "--n", str(2 * d), "--format", fmt])
+        assert code == 0 and err == ""
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+        want = str(Decimal(coeffs.CoeffTable.build(d, 1).terms[0][8]))
+        assert len(want) == digits
+        if fmt == "csv":
+            assert out.splitlines()[1].split(",")[6] == want
+        else:
+            assert json.loads(out)["rows"][0]["f_sq"] == {"num": want, "den": "1"}
 
 
 class TestParserBehaviour:

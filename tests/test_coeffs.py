@@ -264,8 +264,8 @@ class TestSteppedRows:
     def test_build_rows_and_weyl_core(self, monkeypatch):
         seen = []
 
-        def recorded(f, h, i, core, den):
-            seen.append((young._gamma_rows(h, i), core, den, f(h, i, core, den)))
+        def recorded(f, h, i, den):
+            seen.append((young._gamma_rows(h, i), den, f(h, i, den)))
             return seen[-1][-1]
 
         _wrap(monkeypatch, "_gamma_dims", recorded)
@@ -273,11 +273,14 @@ class TestSteppedRows:
             seen.clear()
             CoeffTable.build(d, L)
             assert len(seen) == L + 1
-            for i, (rows, core, den, dims) in enumerate(seen):
+            h = _shifted_rows(gamma_shape(GammaParams(d, L, 0)), d)
+            if d >= 3:  # the middle rectangle (L, ..., L) of U(d-2) has dimension 1
+                core = young._weyl_core(h[1:-1], prod(map(factorial, range(d - 2))))
+                assert core == weyl_dimension((L,) * (d - 2), d - 2) == 1, (d, L)
+            for i, (rows, den, dims) in enumerate(seen):
                 p = GammaParams(d, L, i)
                 assert rows == _shifted_rows(gamma_shape(p), d), (d, L, i)
-                # The middle rectangle (L, ..., L) of U(d-2) has dimension 1.
-                assert (core, den) == (1, factorial(d - 1) * factorial(d - 2)), (d, L)
+                assert den == factorial(d - 1) * factorial(d - 2), (d, L)
                 for lam, dim in zip((gamma_shape(p), gamma_plus_shape(p)), dims, strict=True):
                     assert dim == weyl_dimension(lam, d) == reference_weyl_dimension(lam, d)
 
@@ -303,7 +306,7 @@ class TestSteppedRows:
         monkeypatch.setattr(
             coeffs, "_cg_core", lambda t, s: seen.append((tuple(t), tuple(s))) or true_core(t, s)
         )
-        cases = dict(cli._verify_families(10, 40, 0))["cg-branch-weights"]
+        cases = dict(fidelity.identity_families(10, 40, 0))["cg-branch-weights"]
         assert set(cases) == {None}
         indexed = [(d, L, i) for d, L in VERIFY_GRID for i in range(L + 1)]
         assert len(seen) == len(indexed)
@@ -499,11 +502,13 @@ class TestCoeffTable:
 
             return call
 
-        for name in calls:
+        for name in ("_gamma_dims", "_terms"):
             _wrap(monkeypatch, name, counted(name))
+        true_core = young._weyl_core
+        monkeypatch.setattr(young, "_weyl_core", lambda *args: counted("_weyl_core")(true_core, *args))
         CoeffTable.build(d, L)
-        # The fixed middle rows' Weyl core once, then both dimensions and _terms per index.
-        assert calls == {"_gamma_dims": L + 1, "_terms": L + 1, "_weyl_core": 1}
+        # Both dimensions and _terms per index; the middle rows' Weyl core, always 1, never.
+        assert calls == {"_gamma_dims": L + 1, "_terms": L + 1, "_weyl_core": 0}
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(2, 12), st.integers(1, 60))
@@ -600,7 +605,7 @@ class TestFractionsOnlyWhereRead:
 
     def test_cg_family_makes_only_those_of_cg_add_box(self, made):
         # cg_add_box, called once per (d, L) for the chain check, returns two weights.
-        cases = dict(cli._verify_families(5, 12, 0))["cg-branch-weights"]
+        cases = dict(fidelity.identity_families(5, 12, 0))["cg-branch-weights"]
         assert set(cases) == {None}
         assert made[0] == 2 * 4 * 12
 
