@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from math import prod
 from typing import Iterable, Sequence
 
-from .young import GammaParams, as_chain, gamma_chain, gamma_shape
-from .young import _gamma_dims, _gamma_rows, _require_integer, _shifted_rows
+from .young import GammaParams, as_chain, gamma_chain, gamma_dims
+from .young import _gamma_rows, _require_integer, _shifted_rows
 
 
 class ConsistencyError(ValueError):
@@ -52,8 +52,17 @@ def _terms(i: int, d: int, L: int) -> tuple[int, ...]:
 
 
 def _cg_core(t: Sequence[int], s: Sequence[int]) -> list[tuple[int, int, int]]:
-    """cg_add_box on the shifted rows t of the top diagram and s of the one below,
-    with each C_k^2 as unreduced integers: (k, num, den), den > 0."""
+    """Squared Clebsch-Gordan coefficients for appending the largest letter.
+
+    For an interlacing chain over alphabet [d] whose top diagram lam has the shifted rows
+    t_j = lam_j - j and whose diagram mu below it has s_j = mu_j - j, returns (k, num, den),
+    den > 0, with C_k^2 = num/den unreduced, for every row k where adding a box filled with
+    d yields a valid tableau:
+
+        C_k^2 = |prod_{j=1}^{d-1} (s_j - t_k - 1)| / |prod_{j != k} (t_j - t_k)|.
+
+    Rows whose extension is invalid are omitted; the surviving squares sum to 1.
+    """
     out: list[tuple[int, int, int]] = []
     for k, tk in enumerate(t):
         # Row k (0-based) accepts a largest-letter box iff the box above it (if
@@ -67,43 +76,18 @@ def _cg_core(t: Sequence[int], s: Sequence[int]) -> list[tuple[int, int, int]]:
     return out
 
 
-def cg_add_box(chain: Sequence[Iterable[int]]) -> list[tuple[int, Fraction]]:
-    """Squared Clebsch-Gordan coefficients for appending the largest letter.
-
-    Given the interlacing chain of a semistandard tableau over alphabet
-    [d], returns (k, C_k^2) for every row k where adding a box filled
-    with d yields a valid tableau.  With the shifted rows t_j = lam_j - j
-    of the top diagram lam and s_j = mu_j - j of the diagram mu below it,
-
-        C_k^2 = |prod_{j=1}^{d-1} (s_j - t_k - 1)| / |prod_{j != k} (t_j - t_k)|.
-
-    Rows whose extension is invalid are omitted; the surviving squares
-    sum to 1.
-    """
-    diagrams = as_chain(chain)
-    d = len(diagrams)
-    if not d:
-        raise ValueError("chain must hold at least one diagram")
-    mu = diagrams[-2] if d >= 2 else ()
-    core = _cg_core(_shifted_rows(diagrams[-1], d), _shifted_rows(mu, d - 1))
-    return [(k, Fraction(num, den)) for k, num, den in core]
-
-
 def cg_branch_weights(grid: Iterable[tuple[int, int]]):
     """verify's cg-branch-weights cases: per (d, L) of grid and i, gamma_i's CG weights."""
     for d, L in grid:
         # gamma_i's chain is gamma_0's with i boxes of the top diagram moved from
         # row 1 to row d. For 0 <= i <= L the top (N+L-i, L, ..., L, i) still
         # interlaces the rectangle (L, ..., L) below it, as N+L-i >= L >= i. So
-        # the one chain check, made by cg_add_box at i = 0, covers every i, and
-        # i >= 1 steps the shifted rows of the top. Weights compare as integers.
-        chain = gamma_chain(GammaParams(d, L, 0))
+        # the one chain check, as_chain on gamma_0's, covers every i, and each i
+        # steps the shifted rows of the top. Weights compare as integers.
+        chain = as_chain(gamma_chain(GammaParams(d, L, 0)))
         t, s = _shifted_rows(chain[-1], d), _shifted_rows(chain[-2], d - 1)
         for i in range(L + 1):
-            if i:
-                got = _cg_core(_gamma_rows(t, i), s)
-            else:
-                got = [(k, *c.as_integer_ratio()) for k, c in cg_add_box(chain)]
+            got = _cg_core(_gamma_rows(t, i), s)
             a, b, den, _ = _alpha_beta_g(i, d, L)
             want = [(1, a, den)] + ([(d, b, den)] if i < L else [])
             ok = len(got) == len(want) and all(
@@ -173,16 +157,12 @@ class CoeffTable:
     @classmethod
     def build(cls, d: int, L: int) -> "CoeffTable":
         p = GammaParams(d, L, 0)  # checks d and L once and makes them plain ints
-        d, L = p.d, p.L
-        h = _shifted_rows(gamma_shape(p), d)
-        N = (d + 1) * L
-        denominator = factorial(d - 1) * factorial(d - 2)
+        d, L, N = p.d, p.L, p.N
         rows = []  # the _terms integers per index
-        # Each index makes one _terms call and its two Weyl dimensions; the identities
+        # Each index makes one _terms call and reads its two Weyl dimensions; the identities
         # at i read dim(gamma_{i-1}), beta_{i-1}, g_{i-1} and f_{i-1}^2 from index i-1.
         prev_dim = prev_b = prev_bd = prev_g = prev_f = 0
-        for i in range(L + 1):
-            dim, dim_plus = _gamma_dims(h, i, denominator)
+        for i, (dim, dim_plus) in enumerate(gamma_dims(d, L)):
             a, b, ad, xn, xd, yn, yd, g, f, rn, rd = terms = _terms(i, d, L)
             # Each identity is cross-multiplied over its positive denominators. With s = L+N+d-2i,
             # a = N+d-i-1, xn = a(N-i+1), xd = (s-1)s, b' = b_{i-1} = L-i+1, yn = b'(L+d-i-1)

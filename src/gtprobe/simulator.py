@@ -26,11 +26,11 @@ from .young import (
     GammaParams,
     _require_integer,
     gamma_content,
+    gamma_dims,
     gamma_plus_shape,
     gamma_shape,
     hook_length_dimension,
     partitions,
-    weyl_dimension,
 )
 
 CAPACITY = 100_000
@@ -419,8 +419,7 @@ def mc_estimates(
             raise ValueError(f"probe must be a finite nonzero vector of length {L + 1}")
         f = f / np.abs(f).max()  # so huge entries cannot overflow the norm
         f = f / np.linalg.norm(f)
-    shapes = [gamma_shape(GammaParams(d, L, i)) for i in range(L + 1)]
-    dims = np.array([weyl_dimension(shape, d) for shape in shapes], dtype=float)
+    dims = np.array([dim for dim, _ in gamma_dims(d, L)], dtype=float)
     # The v_i lie in distinct irreps, so <v_i|W^n|v_j> = 0 for i != j and
     # sum_i w_i <v_i|W^n|v_i> = <sum_i v_i|W^n|sum_i w_i v_i>, signed w_i too.
     # Scatter both into matrices K and B by the first and last n/2 sites of each

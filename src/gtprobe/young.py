@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations, product, starmap
 from math import factorial, prod
 from operator import ge, index, sub
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Diagram = tuple[int, ...]
 Chain = tuple[Diagram, ...]
@@ -94,23 +94,6 @@ def _weyl_core(h: Sequence[int], denominator: int) -> int:
     return dim
 
 
-def weyl_dimension(lam: Iterable[int], d: int) -> int:
-    """Dimension of the unitary-group irrep with highest weight lam.
-
-    With the shifted rows h_k = lam_k - k, this is the Vandermonde product
-    prod_{1<=i<j<=d} (h_i - h_j) over prod_{1<=i<j<=d} (j - i) =
-    prod_{k<d} k!, evaluated exactly as one integer quotient.  Diagrams
-    with more than d rows label the zero representation and return 0.
-    """
-    lam = as_diagram(lam)
-    d = _require_integer("d", d)
-    if d < 1:
-        raise ValueError(f"d must be positive, got {d}")
-    if len(lam) > d:
-        return 0
-    return _weyl_core(_shifted_rows(lam, d), prod(map(factorial, range(d))))
-
-
 def branching_restrictions(lam: Iterable[int], d: int) -> list[Diagram]:
     """All mu interlacing lam with at most d-1 rows, in lexicographic order."""
     lam = as_diagram(lam)
@@ -127,7 +110,7 @@ def branching_restrictions(lam: Iterable[int], d: int) -> list[Diagram]:
 def hook_length_dimension(lam: Iterable[int]) -> int:
     """Number of standard tableaux of shape lam, by the Frobenius formula
     n! prod_{i<j} (h_i - h_j) / prod_k h_k! over the shifted rows h_k = lam_k + r - k
-    of its r rows: the Vandermonde product of weyl_dimension, as one integer quotient."""
+    of its r rows: a Vandermonde product, as one integer quotient."""
     lam = as_diagram(lam)
     n = sum(lam)
     if n > sys.maxsize:  # math.factorial's limit; every h_k is at most n
@@ -136,10 +119,8 @@ def hook_length_dimension(lam: Iterable[int]) -> int:
     return factorial(n) * prod(starmap(sub, combinations(h, 2))) // prod(map(factorial, h))
 
 
-def partitions(n: int, max_rows: int | None = None) -> list[Diagram]:
+def partitions(n: int, max_rows: int) -> list[Diagram]:
     """All partitions of n with at most max_rows rows."""
-    if max_rows is None:
-        max_rows = n
     out: list[Diagram] = []
 
     def rec(prefix: list[int], remaining: int, max_part: int) -> None:
@@ -216,17 +197,29 @@ def _gamma_rows(h: Sequence[int], i: int) -> list[int]:
     return [h[0] - i, *h[1:-1], h[-1] + i]
 
 
-def _gamma_dims(h: Sequence[int], i: int, denominator: int) -> tuple[int, int]:
-    """(dim gamma_i, dim gamma_i^+) from gamma_0's shifted rows h: on gamma_i's rows t the
-    Vandermonde is that of the middle rows h[1:-1], consecutive so of Weyl core 1, times
-    prod_{k>1}(t_1 - t_k) prod_{1<k<d}(t_k - t_d), over denominator = (d-1)!(d-2)!."""
-    top, bottom, middle = h[0] - i, h[-1] + i, h[1:-1]
-    low = prod([m - bottom for m in middle])
-    dim, rem = divmod(low * (top - bottom) * prod([top - m for m in middle]), denominator)
-    top += 1  # gamma_i^+ adds one box to row 1
-    dim_plus, rem_plus = divmod(low * (top - bottom) * prod([top - m for m in middle]), denominator)
-    assert rem == rem_plus == 0 and dim > 0 and dim_plus > 0
-    return dim, dim_plus
+def gamma_dims(d: int, L: int) -> Iterator[tuple[int, int]]:
+    """(dim gamma_i, dim gamma_i^+) for i = 0..L. d and L are checked at the call; each pair is
+    made as it is read, so a caller that stops at some i makes none beyond it.
+
+    gamma_i moves i boxes of gamma_0 from row 1 to row d, so on its shifted rows t the
+    Vandermonde is that of the middle rows, consecutive so of Weyl core 1, times
+    prod_{k>1}(t_1 - t_k) prod_{1<k<d}(t_k - t_d), over (d-1)!(d-2)!: O(d) factors per index.
+    """
+    p = GammaParams(d, L, 0)
+    h = _shifted_rows(gamma_shape(p), p.d)
+    middle, denominator = h[1:-1], factorial(p.d - 1) * factorial(p.d - 2)
+
+    def dims(i: int) -> tuple[int, int]:
+        top, bottom = h[0] - i, h[-1] + i
+        low = prod([m - bottom for m in middle])
+        dim, rem = divmod(low * (top - bottom) * prod([top - m for m in middle]), denominator)
+        top += 1  # gamma_i^+ adds one box to row 1
+        high = low * (top - bottom) * prod([top - m for m in middle])
+        dim_plus, rem_plus = divmod(high, denominator)
+        assert rem == rem_plus == 0 and dim > 0 and dim_plus > 0
+        return dim, dim_plus
+
+    return map(dims, range(p.L + 1))
 
 
 def gamma_chain(p: GammaParams) -> Chain:

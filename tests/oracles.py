@@ -14,10 +14,12 @@ integer-arithmetic CoeffTable.build, with its dimension-ratio checks, and the
 fidelity sums (reference_build returns a ReferenceTable: CoeffTable's public
 fields stored as the Fraction tuples CoeffTable held before it kept its
 integers); reference_cg_add_box is the row-by-row Clebsch-Gordan loop that
-the shifted-row cg_add_box replaced, reference_hook_length_dimension the
+the shifted-row coeffs._cg_core replaced, the oracle for that core on any
+chain and for verify's CG family, reference_hook_length_dimension the
 product over hooks that the Frobenius hook_length_dimension replaced, and
-reference_weyl_dimension the factor-by-factor Fraction product behind the
-Vandermonde quotient of weyl_dimension and its core.  interlaces and
+reference_weyl_dimension the factor-by-factor Fraction product, the oracle
+for young._weyl_core on any diagram, for young.gamma_dims and for the Weyl
+columns of `gtprobe dims`; it returns 0 for more than d rows.  interlaces and
 is_valid_chain are the pairwise chain checks that young.as_chain replaced, and
 _prefix_levels is the prefix tree rebuilt from a letter matrix that the
 simulator's sector now grows as it generates the strings.  reference_swap_tables,
@@ -71,7 +73,6 @@ from gtprobe.young import (
     gamma_shape,
     hook_length_dimension,
     row,
-    weyl_dimension,
 )
 
 
@@ -284,9 +285,8 @@ def full_space_mc(d, n, samples, seed, vs, randomize_target=False, probe=None):
     """
     L = vs.L
     f = protocol_probe(d, L) if probe is None else np.asarray(probe) / np.linalg.norm(probe)
-    dims = np.array(
-        [float(weyl_dimension(gamma_shape(GammaParams(d, L, i)), d)) for i in range(L + 1)]
-    )
+    shapes = [gamma_shape(GammaParams(d, L, i)) for i in range(L + 1)]
+    dims = np.array([float(reference_weyl_dimension(lam, d)) for lam in shapes])
     ket = (f * np.sqrt(dims)) @ vs.vectors
     bra = vs.vectors.sum(axis=0).conj()
     rng = np.random.default_rng(seed)
@@ -416,15 +416,15 @@ def reference_hook_length_dimension(lam) -> int:
 def reference_dim_ratio_check(p: GammaParams) -> bool:
     d, L, N, i = p.d, p.L, p.N, p.i
     s = L + N + d - 2 * i
-    dim_plus = weyl_dimension(gamma_plus_shape(p), d)
-    ratio = Fraction(weyl_dimension(gamma_shape(p), d), dim_plus)
+    dim_plus = reference_weyl_dimension(gamma_plus_shape(p), d)
+    ratio = Fraction(reference_weyl_dimension(gamma_shape(p), d), dim_plus)
     alpha, _ = alpha_beta(i, d, L)
     x_sq, y_sq = xy_squared(i, d, L)
     ok = ratio == Fraction((s - 1) * (N - i + 1), s * (N + d - i - 1))
     ok = ok and alpha**2 * ratio == x_sq
     if i >= 1:
         prev = GammaParams(d, L, i - 1)
-        ratio_prev = Fraction(weyl_dimension(gamma_shape(prev), d), dim_plus)
+        ratio_prev = Fraction(reference_weyl_dimension(gamma_shape(prev), d), dim_plus)
         beta_prev = alpha_beta(i - 1, d, L)[1]
         ok = ok and ratio_prev == Fraction((s + 1) * (L + d - i - 1), s * (L - i + 1))
         ok = ok and beta_prev**2 * ratio_prev == y_sq

@@ -12,7 +12,11 @@ import numpy as np
 import pytest
 
 from gtprobe import cli, coeffs, fidelity, simulator, young
-from oracles import reference_amplitude_reduction_check, reference_amplitude_stacks
+from oracles import (
+    reference_amplitude_reduction_check,
+    reference_amplitude_stacks,
+    reference_weyl_dimension,
+)
 
 
 def run(capsys, argv):
@@ -77,6 +81,20 @@ class TestDimsCommand:
         data = json.loads(out)
         assert [r["hook_dim"] for r in data["rows"]] == [1, 3]
         assert [r["casimir"] for r in data["rows"]] == [20, 12]
+
+    def test_weyl_columns_match_the_fraction_product(self, capsys):
+        code, out, _ = run(capsys, ["dims", "--d", "60", "--n", "120", "--format", "csv"])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "i,shape,shape_plus,weyl_dim,weyl_dim_plus,hook_dim,casimir"
+        assert len(lines) == 3  # L = 1
+        for i, line in enumerate(lines[1:]):
+            # the shape cells hold commas too, so the Weyl columns are read from the right
+            dims = [int(cell) for cell in line.split(",")[-4:-2]]
+            p = young.GammaParams(60, 1, i)
+            shapes = young.gamma_shape(p), young.gamma_plus_shape(p)
+            assert line.startswith(f"{i},"), line
+            assert dims == [reference_weyl_dimension(lam, 60) for lam in shapes], i
 
 
 class TestInfidelityCommand:
@@ -152,21 +170,25 @@ VERIFY_FAMILIES = (
     "infidelity-chain", "dimension-ratios", "cg-branch-weights", "g-increments",
     "telescoping", "branching-sums", "amplitude-reduction",
 )
-# The shifted rows lam_k - k of gamma_1 = (9, 2, 1) at d=3 L=2.
-ROWS_3_2_1 = (9, 1, -1)
+# The shifted rows lam_k - k of gamma_1 = (9, 2, 1) and of gamma_0 = (10, 2) at d=3 L=2.
+ROWS_3_2_1, ROWS_3_2_0 = (9, 1, -1), (10, 1, -2)
 
 
-def _wrong_dim_3_2_1(f, h, i, *rest):
-    """young._gamma_dims with dim(gamma_1) at d=3 L=2 one too large."""
-    dim, dim_plus = f(h, i, *rest)
-    return dim + (tuple(young._gamma_rows(h, i)) == ROWS_3_2_1), dim_plus
+def _wrong_dim_3_2_1(f, d, L):
+    """young.gamma_dims with dim(gamma_1) at d=3 L=2 one too large."""
+    return [(dim + ((d, L, i) == (3, 2, 1)), plus) for i, (dim, plus) in enumerate(f(d, L))]
+
+
+def _wrong_cg_at(rows):
+    """coeffs._cg_core with C_k^2 one too large on the top shifted rows rows."""
+    return lambda f, t, s: [(k, n + dn * (tuple(t) == rows), dn) for k, n, dn in f(t, s)]
 
 
 # One planted defect per entry: (module, function, wrong(true function, *args),
 # the families that must fail, the parameters each failure names).
 PLANTS = {
     "weyl-dimension": (
-        coeffs, "_gamma_dims", _wrong_dim_3_2_1,
+        coeffs, "gamma_dims", _wrong_dim_3_2_1,
         {"infidelity-chain", "dimension-ratios"}, "d=3 L=2 i=1",
     ),
     "sum-form": (
@@ -174,9 +196,10 @@ PLANTS = {
         {"infidelity-chain"}, "d=3 L=2",
     ),
     "cg-add-box": (
-        coeffs, "_cg_core",
-        lambda f, t, s: [(k, n + dn * (tuple(t) == ROWS_3_2_1), dn) for k, n, dn in f(t, s)],
-        {"cg-branch-weights"}, "d=3 L=2 i=1",
+        coeffs, "_cg_core", _wrong_cg_at(ROWS_3_2_1), {"cg-branch-weights"}, "d=3 L=2 i=1",
+    ),
+    "cg-add-box-at-gamma-0": (
+        coeffs, "_cg_core", _wrong_cg_at(ROWS_3_2_0), {"cg-branch-weights"}, "d=3 L=2 i=0",
     ),
     "shared-radicand": (  # the numerator of R, the 10th integer of _terms, doubled
         coeffs, "_terms",

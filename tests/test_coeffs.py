@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gtprobe import cli, coeffs, fidelity, young
-from gtprobe.coeffs import CoeffTable, ConsistencyError, cg_add_box, telescoping_check
+from gtprobe.coeffs import CoeffTable, ConsistencyError, telescoping_check
 from gtprobe.fidelity import (
     closed_form_infidelity,
     expected_fidelity,
@@ -24,9 +24,9 @@ from gtprobe.young import (
     GammaParams,
     _shifted_rows,
     gamma_chain,
+    gamma_dims,
     gamma_plus_shape,
     gamma_shape,
-    weyl_dimension,
 )
 import oracles
 from oracles import (
@@ -60,12 +60,21 @@ def _wrong_dim(monkeypatch, wrong_rows):
     """Make the Weyl dimension CoeffTable.build reads for the diagram with shifted rows
     wrong_rows (gamma_i's or gamma_i^+'s) one too large."""
 
-    def wrong(f, h, i, *rest):
-        rows = young._gamma_rows(h, i)
-        dim, dim_plus = f(h, i, *rest)
-        return dim + (rows == wrong_rows), dim_plus + ([rows[0] + 1, *rows[1:]] == wrong_rows)
+    def wrong(f, d, L):
+        h = _shifted_rows(gamma_shape(GammaParams(d, L, 0)), d)
+        for i, (dim, dim_plus) in enumerate(f(d, L)):
+            rows = young._gamma_rows(h, i)
+            yield dim + (rows == wrong_rows), dim_plus + ([rows[0] + 1, *rows[1:]] == wrong_rows)
 
-    _wrap(monkeypatch, "_gamma_dims", wrong)
+    _wrap(monkeypatch, "gamma_dims", wrong)
+
+
+def cg(chain):
+    """(k, C_k^2) for appending the largest letter to a valid chain of d >= 2 diagrams:
+    coeffs._cg_core on the shifted rows of its top two diagrams, reduced."""
+    d = len(chain)
+    t, s = _shifted_rows(chain[-1], d), _shifted_rows(chain[-2], d - 1)
+    return [(k, Fraction(num, den)) for k, num, den in coeffs._cg_core(t, s)]
 
 
 # Positions in the tuple coeffs._terms returns: (a, b, s-1, xn, xd, yn, yd, g, f, rn, s).
@@ -181,31 +190,32 @@ class TestClebschGordan:
     def test_single_box_pair(self):
         # One letter-2 box onto a single letter-1 box: symmetric/antisymmetric
         # split of two qudits gives squared coefficients 1/2 each.
-        assert cg_add_box(((1,), (1,))) == [(1, Fraction(1, 2)), (2, Fraction(1, 2))]
+        assert cg(((1,), (1,))) == [(1, Fraction(1, 2)), (2, Fraction(1, 2))]
 
     def test_vacuum_absorbs_box(self):
-        assert cg_add_box(((), (), ())) == [(1, Fraction(1))]
+        assert cg(((), (), ())) == [(1, Fraction(1))]
 
     def test_probe_chain_matches_branch_weights(self):
         for d, L in product(range(2, 7), range(1, 8)):
             for i in range(L + 1):
-                got = cg_add_box(gamma_chain(GammaParams(d, L, i)))
+                got = cg(gamma_chain(GammaParams(d, L, i)))
                 alpha, beta = alpha_beta(i, d, L)
                 want = [(1, alpha)] + ([(d, beta)] if i < L else [])
                 assert got == want, (d, L, i)
 
-    def test_invalid_chain_rejected(self):
-        with pytest.raises(ValueError):
-            cg_add_box(((2,), (1,)))
-
-    def test_empty_chain_rejected(self):
-        with pytest.raises(ValueError, match="at least one diagram"):
-            cg_add_box([])
+    def test_invalid_chain_rejected(self, monkeypatch):
+        # verify's CG family checks gamma_0's chain with as_chain before it steps the rows.
+        true_chain = coeffs.gamma_chain
+        monkeypatch.setattr(coeffs, "gamma_chain", lambda p: true_chain(p)[::-1])
+        with pytest.raises(ValueError, match="not a valid interlacing chain"):
+            list(coeffs.cg_branch_weights([(3, 2)]))
 
     @pytest.mark.parametrize("bad", [None, 1j])
-    def test_rejects_rows_int_cannot_convert(self, bad):
+    def test_rejects_rows_int_cannot_convert(self, monkeypatch, bad):
+        true_chain = coeffs.gamma_chain
+        monkeypatch.setattr(coeffs, "gamma_chain", lambda p: (*true_chain(p)[:-1], (bad,)))
         with pytest.raises(ValueError, match="must be integers"):
-            cg_add_box([[bad]])
+            list(coeffs.cg_branch_weights([(3, 2)]))
 
     @settings(max_examples=300, deadline=None)
     @given(chain_strategy(max_d=12, max_part=10**4))
@@ -213,22 +223,19 @@ class TestClebschGordan:
     @example(gamma_chain(GammaParams(10, 40, 17)))
     @example(gamma_chain(GammaParams(10, 40, 40)))
     def test_matches_row_by_row_reference(self, chain):
-        got = cg_add_box(chain)
-        assert got == reference_cg_add_box(chain)
-        assert type(got) is list
-        assert all(type(k) is int and type(c) is Fraction for k, c in got)
+        assert cg(chain) == reference_cg_add_box(chain)
 
     @given(chain_strategy())
     @settings(max_examples=200)
     def test_unitarity(self, chain):
-        total = sum(c for _, c in cg_add_box(chain))
+        total = sum(c for _, c in cg(chain))
         assert total == 1
 
     @given(chain_strategy())
     @settings(max_examples=100)
     def test_rows_grow_valid_diagrams(self, chain):
         lam = chain[-1]
-        for k, c in cg_add_box(chain):
+        for k, c in cg(chain):
             grown = list(lam) + [0] * (k - len(lam))
             grown[k - 1] += 1
             assert all(a >= b for a, b in zip(grown, grown[1:]))
@@ -239,8 +246,8 @@ class TestDimensionRatios:
     """CoeffTable.build raises unless the dimension ratios hold at every i."""
 
     def test_base_case_dimensions(self):
-        assert weyl_dimension((4,), 2) == 5
-        assert weyl_dimension((5,), 2) == 6
+        # (4,) and (5,), then (3, 1) and (4, 1), at d=2
+        assert list(gamma_dims(2, 1)) == [(5, 6), (3, 4)]
         CoeffTable.build(2, 1)
 
     def test_spot_checks(self):
@@ -264,41 +271,42 @@ class TestSteppedRows:
     def test_build_rows_and_weyl_core(self, monkeypatch):
         seen = []
 
-        def recorded(f, h, i, den):
-            seen.append((young._gamma_rows(h, i), den, f(h, i, den)))
-            return seen[-1][-1]
+        def recorded(f, d, L):
+            seen.append((d, L, list(f(d, L))))
+            return iter(seen[-1][-1])
 
-        _wrap(monkeypatch, "_gamma_dims", recorded)
+        _wrap(monkeypatch, "gamma_dims", recorded)
         for d, L in VERIFY_GRID:
             seen.clear()
             CoeffTable.build(d, L)
-            assert len(seen) == L + 1
+            assert [args[:2] for args in seen] == [(d, L)]  # one call, read at every index
             h = _shifted_rows(gamma_shape(GammaParams(d, L, 0)), d)
             if d >= 3:  # the middle rectangle (L, ..., L) of U(d-2) has dimension 1
                 core = young._weyl_core(h[1:-1], prod(map(factorial, range(d - 2))))
-                assert core == weyl_dimension((L,) * (d - 2), d - 2) == 1, (d, L)
-            for i, (rows, den, dims) in enumerate(seen):
+                assert core == reference_weyl_dimension((L,) * (d - 2), d - 2) == 1, (d, L)
+            assert len(seen[0][2]) == L + 1
+            for i, dims in enumerate(seen[0][2]):
                 p = GammaParams(d, L, i)
-                assert rows == _shifted_rows(gamma_shape(p), d), (d, L, i)
-                assert den == factorial(d - 1) * factorial(d - 2), (d, L)
+                # gamma_dims steps gamma_0's first and last shifted rows by i
+                assert young._gamma_rows(h, i) == _shifted_rows(gamma_shape(p), d), (d, L, i)
                 for lam, dim in zip((gamma_shape(p), gamma_plus_shape(p)), dims, strict=True):
-                    assert dim == weyl_dimension(lam, d) == reference_weyl_dimension(lam, d)
+                    assert dim == reference_weyl_dimension(lam, d), (d, L, i)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 16), st.integers(1, 40))
     @example(60, 3)
     @example(200, 1)
     def test_build_reads_the_weyl_dimensions(self, d, L):
-        # Every (dim gamma_i, dim gamma_i^+) the build uses, against both Weyl routes.
+        # Every (dim gamma_i, dim gamma_i^+) the build uses, against the Fraction product.
         seen = []
         with pytest.MonkeyPatch.context() as mp:
-            _wrap(mp, "_gamma_dims", lambda f, *args: seen.append(f(*args)) or seen[-1])
+            _wrap(mp, "gamma_dims", lambda f, d, L: seen.extend(f(d, L)) or iter(seen))
             CoeffTable.build(d, L)
         assert len(seen) == L + 1
         for i, dims in enumerate(seen):
             p = GammaParams(d, L, i)
             for lam, dim in zip((gamma_shape(p), gamma_plus_shape(p)), dims, strict=True):
-                assert dim == weyl_dimension(lam, d) == reference_weyl_dimension(lam, d), i
+                assert dim == reference_weyl_dimension(lam, d), i
 
     def test_cg_family_rows_and_cg_core(self, monkeypatch):
         seen = []
@@ -315,15 +323,16 @@ class TestSteppedRows:
             assert t == tuple(_shifted_rows(chain[-1], d)), (d, L, i)
             assert s == tuple(_shifted_rows(chain[-2], d - 1)), (d, L, i)
             reduced = [(k, Fraction(num, den)) for k, num, den in true_core(t, s)]
-            assert reduced == cg_add_box(chain) == reference_cg_add_box(chain)
+            assert reduced == reference_cg_add_box(chain)
 
     @settings(deadline=None)
     @given(chain_strategy(max_d=12, max_part=10**4))
     def test_cg_core_matches_row_by_row_reference(self, chain):
         d = len(chain)
         t, s = _shifted_rows(chain[-1], d), _shifted_rows(chain[-2], d - 1)
-        core = [(k, Fraction(num, den)) for k, num, den in coeffs._cg_core(t, s)]
-        assert core == reference_cg_add_box(chain)
+        core = coeffs._cg_core(t, s)
+        assert all(type(v) is int for entry in core for v in entry) and all(e[2] > 0 for e in core)
+        assert [(k, Fraction(num, den)) for k, num, den in core] == reference_cg_add_box(chain)
 
     @pytest.mark.parametrize("d", [2, 5])
     def test_build_validates_once_per_table(self, monkeypatch, d):
@@ -442,7 +451,7 @@ class TestCoeffTable:
         assert tab.shared_radicand == (Fraction(1, 6), Fraction(1, 4))
 
     def test_probe_branch_coefficients(self):
-        assert cg_add_box(gamma_chain(GammaParams(2, 1, 0))) == [
+        assert cg(gamma_chain(GammaParams(2, 1, 0))) == [
             (1, Fraction(4, 5)),
             (2, Fraction(1, 5)),
         ]
@@ -493,7 +502,7 @@ class TestCoeffTable:
 
     @pytest.mark.parametrize("d,L", [(2, 7), (5, 12)])
     def test_evaluates_each_quantity_once_per_index(self, monkeypatch, d, L):
-        calls = {"_gamma_dims": 0, "_terms": 0, "_weyl_core": 0}
+        calls = {"gamma_dims": 0, "dims read": 0, "_terms": 0, "_weyl_core": 0}
 
         def counted(name):
             def call(f, *args):
@@ -502,13 +511,19 @@ class TestCoeffTable:
 
             return call
 
-        for name in ("_gamma_dims", "_terms"):
-            _wrap(monkeypatch, name, counted(name))
+        def dims_read(f, d, L):
+            calls["gamma_dims"] += 1
+            for dims in f(d, L):
+                calls["dims read"] += 1
+                yield dims
+
+        _wrap(monkeypatch, "gamma_dims", dims_read)
+        _wrap(monkeypatch, "_terms", counted("_terms"))
         true_core = young._weyl_core
         monkeypatch.setattr(young, "_weyl_core", lambda *args: counted("_weyl_core")(true_core, *args))
         CoeffTable.build(d, L)
         # Both dimensions and _terms per index; the middle rows' Weyl core, always 1, never.
-        assert calls == {"_gamma_dims": L + 1, "_terms": L + 1, "_weyl_core": 0}
+        assert calls == {"gamma_dims": 1, "dims read": L + 1, "_terms": L + 1, "_weyl_core": 0}
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(2, 12), st.integers(1, 60))
@@ -553,13 +568,13 @@ class TestAgainstFractionReference:
 
     def test_dim_ratio_check_sees_a_wrong_dimension(self, monkeypatch):
         # A wrong dim(gamma_1) fails the build and its Fraction reference at the same i:
-        # the build reads it from young._gamma_dims on gamma_0's shifted rows at i = 1,
-        # the reference from weyl_dimension on gamma_1.
+        # the build reads it from young.gamma_dims, which steps gamma_0's shifted rows to
+        # i = 1, the reference from reference_weyl_dimension on gamma_1.
         wrong = gamma_shape(GammaParams(3, 4, 1))
         _wrong_dim(monkeypatch, _shifted_rows(wrong, 3))
-        true_dim = oracles.weyl_dimension
+        true_dim = oracles.reference_weyl_dimension
         monkeypatch.setattr(
-            oracles, "weyl_dimension", lambda lam, d: true_dim(lam, d) + (lam == wrong)
+            oracles, "reference_weyl_dimension", lambda lam, d: true_dim(lam, d) + (lam == wrong)
         )
         for build in (CoeffTable.build, reference_build):
             with pytest.raises(
@@ -603,11 +618,11 @@ class TestFractionsOnlyWhereRead:
             counts.append(made[0])
         assert counts[0] == counts[1] > 0
 
-    def test_cg_family_makes_only_those_of_cg_add_box(self, made):
-        # cg_add_box, called once per (d, L) for the chain check, returns two weights.
+    def test_cg_family_makes_none(self, made):
+        # Every weight, at i = 0 too, is compared as cross-multiplied integers.
         cases = dict(fidelity.identity_families(5, 12, 0))["cg-branch-weights"]
         assert set(cases) == {None}
-        assert made[0] == 2 * 4 * 12
+        assert made[0] == 0
 
 
 def test_exact_layer_imports_only_the_standard_library():

@@ -37,7 +37,6 @@ from gtprobe.young import (
     gamma_plus_shape,
     gamma_shape,
     hook_length_dimension,
-    weyl_dimension,
 )
 from oracles import (
     _prefix_levels,
@@ -51,6 +50,7 @@ from oracles import (
     reference_restricted_power,
     reference_swap_operator,
     reference_swap_tables,
+    reference_weyl_dimension,
     sector_strings,
     weight_operator,
     weight_sector,
@@ -65,9 +65,8 @@ def reference_mc(d, n, samples, seed, vs, probe=None):
         f = np.sqrt(f_sq / f_sq.sum())
     else:
         f = np.asarray(probe, dtype=float) / np.linalg.norm(probe)
-    dims = np.array(
-        [float(weyl_dimension(gamma_shape(GammaParams(d, L, i)), d)) for i in range(L + 1)]
-    )
+    shapes = [gamma_shape(GammaParams(d, L, i)) for i in range(L + 1)]
+    dims = np.array([float(reference_weyl_dimension(lam, d)) for lam in shapes])
     weights = f * np.sqrt(dims)
     rng = np.random.default_rng(seed)
     chunk = max(1, min(2048, _MC_CHUNK_BUDGET // d**n))
