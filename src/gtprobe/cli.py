@@ -8,6 +8,7 @@ error.  All output is deterministic given the flags (seeds included).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -64,7 +65,7 @@ def _print(fmt: str, head: dict | None = None, columns=None, rows=(), obj=None) 
     table: the head line (if any), then aligned cells under columns, or with
     columns None one "name value" line per (name, value) row; cells from _text,
     all formatted before anything prints.
-    csv: a header line, then str of each value.
+    csv: a header line, then each value's str, RFC 4180-quoted if it holds a comma or a quote.
     json: obj if given; else each row as a dict over columns, wrapped as
     {**head, "rows": [...]}, or a bare list without head; Fractions via _json.
     """
@@ -78,8 +79,7 @@ def _print(fmt: str, head: dict | None = None, columns=None, rows=(), obj=None) 
                 obj = obj if head is None else {**head, "rows": obj}
             print(json.dumps(obj, indent=2, default=_json))
         elif fmt == "csv":
-            for line in [columns, *rows]:
-                print(",".join(map(str, line)))
+            csv.writer(sys.stdout, lineterminator="\n").writerows([columns, *rows])
         else:
             if columns is None:
                 lines = [f"{name:<20}{_text(value, name, head)}" for name, value in rows]

@@ -79,10 +79,10 @@ def infidelity_sum_form(d: int, L: int) -> Fraction:
 
 
 def closed_form_infidelity(d: int, L: int) -> Fraction:
-    """Infidelity in closed form: (d-1) / (L + N + d + 2NL/(d+1))."""
+    """Infidelity in closed form: (d-1) / (L + N + d + 2NL/(d+1)), made as one quotient."""
     d, L = _require_sizes(d, L)
     N = (d + 1) * L
-    return Fraction(d - 1) / (L + N + d + Fraction(2 * N * L, d + 1))
+    return Fraction((d - 1) * (d + 1), (L + N + d) * (d + 1) + 2 * N * L)
 
 
 def bound_ratio(d: int, n: int) -> float:
@@ -109,10 +109,11 @@ def optimal_probe(tab: CoeffTable) -> tuple[np.ndarray, float]:
     With A the lower-bidiagonal map A_ii = x_i, A_{i,i-1} = y_i, the
     quotient is ||Af||^2/||f||^2, so the optimum is the top eigenpair of
     the symmetric tridiagonal A^T A.  Returns (f_opt, lambda_max); the
-    eigenvector sign is fixed so its largest entry is positive.
+    eigenvector sign is fixed so its largest entry is positive.  A failed
+    LAPACK routine raises ConsistencyError.
     """
     # Imported here so that runs which never optimize do not load scipy.
-    from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg import lapack
 
     L = tab.L
     x = np.sqrt(np.array([t[3] / t[4] for t in tab.terms]))  # int / int rounds as float(Fraction)
@@ -120,11 +121,17 @@ def optimal_probe(tab: CoeffTable) -> tuple[np.ndarray, float]:
     diag = x**2
     diag[:-1] += y[1:] ** 2
     off = x[1:] * y[1:]
-    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(L, L))
+    # eigh_tridiagonal(..., select="i", select_range=(L, L))'s bisection and inverse iteration.
+    m, w, iblock, isplit, info = lapack.dstebz(diag, off, 2, 0.0, 1.0, L + 1, L + 1, 0.0, "B")
+    routine = "dstebz"
+    if info == 0 and m == 1:
+        routine, (vecs, info) = "dstein", lapack.dstein(diag, off, w[:m], iblock, isplit)
+    if info != 0 or m != 1:
+        raise ConsistencyError(f"LAPACK {routine} gave info={info} m={m} at d={tab.d} L={L}")
     vec = vecs[:, 0]
     if vec[int(np.argmax(np.abs(vec)))] < 0:
         vec = -vec
-    return vec, float(vals[0])
+    return vec, float(w[0])
 
 
 def plan_queries(d: int, eps: float) -> int:

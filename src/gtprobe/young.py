@@ -202,24 +202,24 @@ def gamma_dims(d: int, L: int) -> Iterator[tuple[int, int]]:
     made as it is read, so a caller that stops at some i makes none beyond it.
 
     gamma_i moves i boxes of gamma_0 from row 1 to row d, so on its shifted rows t the
-    Vandermonde is that of the middle rows, consecutive so of Weyl core 1, times
-    prod_{k>1}(t_1 - t_k) prod_{1<k<d}(t_k - t_d), over (d-1)!(d-2)!: O(d) factors per index.
+    Vandermonde is that of the middle rows L-(d-2)..L-1, consecutive so of Weyl core 1, times
+    prod_{k>1}(t_1 - t_k) prod_{1<k<d}(t_k - t_d), over (d-1)!(d-2)!: two range products per index.
     """
     p = GammaParams(d, L, 0)
-    h = _shifted_rows(gamma_shape(p), p.d)
-    middle, denominator = h[1:-1], factorial(p.d - 1) * factorial(p.d - 2)
+    d, L = p.d, p.L
+    h, den = _shifted_rows(gamma_shape(p), d), factorial(d - 1) * factorial(d - 2)
 
     def dims(i: int) -> tuple[int, int]:
         top, bottom = h[0] - i, h[-1] + i
-        low = prod([m - bottom for m in middle])
-        dim, rem = divmod(low * (top - bottom) * prod([top - m for m in middle]), denominator)
+        low = prod(range(L - d + 2 - bottom, L - bottom))  # of m - bottom over the middle rows m
+        dim, rem = divmod(low * (top - bottom) * prod(range(top - L + 1, top - L + d - 1)), den)
         top += 1  # gamma_i^+ adds one box to row 1
-        high = low * (top - bottom) * prod([top - m for m in middle])
-        dim_plus, rem_plus = divmod(high, denominator)
+        high = low * (top - bottom) * prod(range(top - L + 1, top - L + d - 1))
+        dim_plus, rem_plus = divmod(high, den)
         assert rem == rem_plus == 0 and dim > 0 and dim_plus > 0
         return dim, dim_plus
 
-    return map(dims, range(p.L + 1))
+    return map(dims, range(L + 1))
 
 
 def gamma_chain(p: GammaParams) -> Chain:

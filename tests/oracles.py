@@ -16,10 +16,16 @@ fields stored as the Fraction tuples CoeffTable held before it kept its
 integers); reference_cg_add_box is the row-by-row Clebsch-Gordan loop that
 the shifted-row coeffs._cg_core replaced, the oracle for that core on any
 chain and for verify's CG family, reference_hook_length_dimension the
-product over hooks that the Frobenius hook_length_dimension replaced, and
+product over hooks that the Frobenius hook_length_dimension replaced,
 reference_weyl_dimension the factor-by-factor Fraction product, the oracle
 for young._weyl_core on any diagram, for young.gamma_dims and for the Weyl
-columns of `gtprobe dims`; it returns 0 for more than d rows.  interlaces and
+columns of `gtprobe dims`; it returns 0 for more than d rows.
+reference_hook_content_dimension is a third route to the Weyl dimensions, in
+integers over the n boxes, the oracle for young.gamma_dims at large d, where
+the O(d^2) Fractions of reference_weyl_dimension are too slow.
+reference_optimal_probe is the scipy eigh_tridiagonal call that
+fidelity.optimal_probe's direct dstebz and dstein calls replaced, the
+oracle for their bit-identical results.  interlaces and
 is_valid_chain are the pairwise chain checks that young.as_chain replaced, and
 _prefix_levels is the prefix tree rebuilt from a letter matrix that the
 simulator's sector now grows as it generates the strings.  reference_swap_tables,
@@ -268,6 +274,25 @@ def rayleigh_quotient(f: np.ndarray, d: int, L: int) -> float:
     return float(np.dot(terms, terms) / np.dot(f, f))
 
 
+def reference_optimal_probe(tab: CoeffTable) -> tuple[np.ndarray, float]:
+    """The top eigenpair of the tridiagonal A^T A through scipy's eigh_tridiagonal
+    (select="i"), sign fixed as in fidelity.optimal_probe, which calls the two LAPACK
+    routines that wrapper runs for it."""
+    from scipy.linalg import eigh_tridiagonal
+
+    L = tab.L
+    x = np.sqrt(np.array([t[3] / t[4] for t in tab.terms]))
+    y = np.sqrt(np.array([t[5] / t[6] for t in tab.terms]))
+    diag = x**2
+    diag[:-1] += y[1:] ** 2
+    off = x[1:] * y[1:]
+    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(L, L))
+    vec = vecs[:, 0]
+    if vec[int(np.argmax(np.abs(vec)))] < 0:
+        vec = -vec
+    return vec, float(vals[0])
+
+
 def trace_distance_from_overlap(overlap_sq: float) -> float:
     """Trace norm 2*sqrt(1 - s) of the difference of two pure states
     with squared overlap s; inputs within 1e-12 outside [0, 1] are clamped."""
@@ -405,6 +430,21 @@ def reference_hook_length_dimension(lam) -> int:
         for c in range(length):
             hooks *= (length - c) + (conj[c] - r) - 1
     return math.factorial(sum(lam)) // hooks
+
+
+def reference_hook_content_dimension(lam, d) -> int:
+    """Weyl dimension of lam for GL(d) by the hook-content formula: the product of
+    d + c over the contents c = column - row of its boxes, over the product of its hooks."""
+    lam = as_diagram(lam)
+    conj = [sum(1 for r in lam if r > c) for c in range(lam[0] if lam else 0)]
+    contents = hooks = 1
+    for r, length in enumerate(lam):
+        for c in range(length):
+            contents *= d + c - r
+            hooks *= (length - c) + (conj[c] - r) - 1
+    quotient, rem = divmod(contents, hooks)
+    assert rem == 0
+    return quotient
 
 
 # The exact layer as it was written in Fractions, before CoeffTable.build

@@ -2,6 +2,7 @@
 parent/change pairs of --parent on a stand-in perfbench."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -52,10 +53,36 @@ def test_tier1_counts_past_a_module_that_fails_to_collect(tmp_path):
     assert (result["passed"], result["failed"]) == (1, 1)
 
 
+def _raw_file(path, seconds):
+    """A perfbench raw-sample file whose passes took, op by op, the given seconds."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps({"passes": [{"ops": [{"s": s} for s in p]} for p in seconds]}))
+    return path
+
+
+def test_raw_seconds_sums_the_median_of_each_op(tmp_path):
+    # op medians 2.0, 10.0 and 0.5 over three passes; the slowest pass is not the sum's
+    passes = [[1.0, 10.0, 0.5], [2.0, 30.0, 0.5], [3.0, 9.0, 0.4]]
+    assert bench.raw_seconds(_raw_file(tmp_path / "run.json", passes)) == 12.5
+    # an even number of passes takes the mean of the middle two
+    assert bench.raw_seconds(_raw_file(tmp_path / "two.json", [[1.0], [2.0]])) == 1.5
+
+
+def test_print_paired_shows_raw_seconds(capsys):
+    pair = {"parent_median": 2.0, "change_median": 1.5, "parent_iqr": 0.1, "ratio_median": 0.75,
+            "pairs_better": 9, "pairs": 10}
+    paired = {"sweep": {"wall_ref": {**pair, "unit": "ref"}, "raw_s": {**pair, "unit": "s"}}}
+    bench.print_paired({"parent": {"rev": "HEAD~", "commit": "0" * 40}, "seeds": [1] * 10,
+                        "paired": paired})
+    out = capsys.readouterr().out.splitlines()
+    assert out[2] == "  sweep raw_s 2 -> 1.5 s (ratio 0.750, 9 of 10 better) [0.1]"
+
+
 # A perfbench stand-in: it logs each run and reports wall_ref = BASE + seed, or
 # WORSE at seed 3, and a fixed peak_rss_mb; the tree's SIDE names the checkout.
+# Its raw-sample file has three passes of two ops, of medians wall + 1 and 1.0 s.
 STUB = """\
-import argparse, json
+import argparse, json, os
 p = argparse.ArgumentParser()
 for flag in ("--workload", "--seed", "--seconds", "--trace"):
     p.add_argument(flag)
@@ -64,6 +91,11 @@ SIDE, BASE, WORSE = {side!r}, {base!r}, {worse!r}
 with open({log!r}, "a") as log:
     log.write(f"{{SIDE}} {{a.workload}} {{a.seed}} {{a.trace}}\\n")
 wall = WORSE if a.seed == "3" and WORSE else BASE + int(a.seed)
+seconds = ((wall, 1.0), (wall + 2, 1.0), (wall + 1, 3.0))
+passes = [{{"ops": [{{"s": s}}, {{"s": r}}]}} for s, r in seconds]
+os.makedirs(".perfbench", exist_ok=True)
+with open(f".perfbench/{{a.workload}}-seed{{a.seed}}-trace{{a.trace}}.json", "w") as raw:
+    json.dump({{"passes": passes}}, raw)
 metrics = {{"wall_ref": {{"value": wall, "unit": "ref"}},
            "peak_rss_mb": {{"value": 50.0, "unit": "MB"}}}}
 print(json.dumps({{"facts": {{"src_lines": 1}}}}))
@@ -111,6 +143,12 @@ def test_parent_runs_pair_with_the_checkout_in_alternating_order(tmp_path):
     assert wall["ratio_median"] == (10 / 12 + 12 / 14) / 2
     assert (wall["pairs_better"], wall["pairs"], wall["unit"]) == (3, 4, "ref")
     assert (rss["ratio_median"], rss["pairs_better"]) == (1.0, 0)
+    # raw_s is wall + 2 in every run at --trace 0, read before the parent worktree went
+    raw = got["raw_s"]
+    assert [r["metrics"]["raw_s"]["value"] for r in runs["sweep"]["parent"]] == [13, 14, 15, 16]
+    assert (raw["parent_median"], raw["change_median"], raw["pairs_better"]) == (14.5, 13.0, 3)
+    assert raw["unit"] == "s"
+    assert all("raw_s" not in r["metrics"] for r in runs["sweep"]["trace1"])
 
 
 def test_paired_counts_higher_is_better():

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -85,16 +87,28 @@ class TestDimsCommand:
     def test_weyl_columns_match_the_fraction_product(self, capsys):
         code, out, _ = run(capsys, ["dims", "--d", "60", "--n", "120", "--format", "csv"])
         assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "i,shape,shape_plus,weyl_dim,weyl_dim_plus,hook_dim,casimir"
-        assert len(lines) == 3  # L = 1
-        for i, line in enumerate(lines[1:]):
-            # the shape cells hold commas too, so the Weyl columns are read from the right
-            dims = [int(cell) for cell in line.split(",")[-4:-2]]
+        assert out.splitlines()[0] == "i,shape,shape_plus,weyl_dim,weyl_dim_plus,hook_dim,casimir"
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 2  # L = 1
+        for i, row in enumerate(rows):
             p = young.GammaParams(60, 1, i)
             shapes = young.gamma_shape(p), young.gamma_plus_shape(p)
-            assert line.startswith(f"{i},"), line
+            assert (row["i"], row["shape"]) == (str(i), cli._shape_str(shapes[0])), row
+            dims = [int(row["weyl_dim"]), int(row["weyl_dim_plus"])]
             assert dims == [reference_weyl_dimension(lam, 60) for lam in shapes], i
+
+    @pytest.mark.parametrize("d,n", [(3, 6), (4, 16)])
+    def test_csv_lines_have_the_header_width(self, capsys, d, n):
+        # The shape cells hold commas, so they are quoted; csv.reader reads one cell each.
+        code, out, _ = run(capsys, ["dims", "--d", str(d), "--n", str(n), "--format", "csv"])
+        assert code == 0
+        lines = list(csv.reader(io.StringIO(out)))
+        assert len(lines) == n // (2 * d) + 2
+        assert {len(line) for line in lines} == {len(lines[0])} == {7}
+        assert [line[1] for line in lines[1:]] == [
+            cli._shape_str(young.gamma_shape(young.GammaParams(d, n // (2 * d), i)))
+            for i in range(n // (2 * d) + 1)
+        ]
 
 
 class TestInfidelityCommand:
@@ -110,6 +124,16 @@ class TestInfidelityCommand:
         assert data["infidelity"] == {"num": "1", "den": "5"}
         assert data["fidelity_float"] == 0.8
         assert len(data["optimal_f"]) == data["L"] + 1
+
+    def test_lapack_failure_exits_one(self, capsys, monkeypatch):
+        # A failed LAPACK routine is a verification failure (1), not a usage error (2).
+        from scipy.linalg import lapack
+
+        true_stebz = lapack.dstebz
+        monkeypatch.setattr(lapack, "dstebz", lambda *a: (*true_stebz(*a)[:4], 3))
+        code, out, err = run(capsys, ["infidelity", "--d", "3", "--n", "12"])
+        assert (code, out) == (1, "")
+        assert err == "error: LAPACK dstebz gave info=3 m=1 at d=3 L=2\n"
 
     def test_large_qubit_case(self, capsys):
         _, out, _ = run(capsys, ["infidelity", "--d", "2", "--n", "400", "--format", "json"])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gtprobe import cli
-from gtprobe.coeffs import CoeffTable, ConsistencyError
+from gtprobe.coeffs import CoeffTable, ConsistencyError, cg_branch_weights, g_increments
 from gtprobe.fidelity import (
     amplitude_reduction_check,
     bound_ratio,
@@ -21,9 +21,12 @@ from gtprobe.fidelity import (
     protocol_probe,
     query_count_params,
 )
+from gtprobe.young import GammaParams, gamma_dims, gamma_plus_shape, gamma_shape
 from oracles import (
     rayleigh_quotient,
     reference_amplitude_reduction_check,
+    reference_hook_content_dimension,
+    reference_optimal_probe,
     reference_plan_queries,
     trace_distance_from_overlap,
     xy_squared,
@@ -206,6 +209,80 @@ class TestOptimalProbe:
         m = a.T @ a
         vec, lam = optimal_probe(tab)
         assert np.max(np.abs(m @ vec - lam * vec)) < 1e-10
+
+
+    def test_equals_eigh_tridiagonal_bit_for_bit(self):
+        # Every (d, L) of `sweep --d-range 2:8 --n-range 4:400`, and three large tables.
+        grid = [(d, L) for d in range(2, 9) for L in range(1, 400 // (2 * d) + 1)]
+        assert len(grid) == 342
+        for d, L in grid + [(2, 2000), (10, 1000), (1000, 1)]:
+            tab = CoeffTable.build(d, L)
+            (vec, lam), (want_vec, want_lam) = optimal_probe(tab), reference_optimal_probe(tab)
+            assert np.array_equal(vec, want_vec) and lam == want_lam, (d, L)
+
+    @pytest.mark.parametrize(
+        "routine,wrong,message",
+        [
+            ("dstebz", lambda out: (0, *out[1:]), "LAPACK dstebz gave info=0 m=0 at d=3 L=2"),
+            ("dstebz", lambda out: (*out[:4], -2), "LAPACK dstebz gave info=-2 m=1 at d=3 L=2"),
+            ("dstein", lambda out: (out[0], 1), "LAPACK dstein gave info=1 m=1 at d=3 L=2"),
+        ],
+    )
+    def test_lapack_failure_raises(self, monkeypatch, routine, wrong, message):
+        from scipy.linalg import lapack
+
+        true_fn = getattr(lapack, routine)
+        monkeypatch.setattr(lapack, routine, lambda *args: wrong(true_fn(*args)))
+        with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+            optimal_probe(CoeffTable.build(3, 2))
+
+
+class TestPaperRegime:
+    """The exact layer, the optimizer and the Weyl dimensions at d up to 1000 and L up to
+    2000, where the two terms of the paper's bound O(min{d^(3/2)/eps, d/eps^2}) cross."""
+
+    GRID = [(1000, 1), (1000, 3), (300, 10), (100, 100), (10, 1000), (2, 2000)]
+
+    @pytest.mark.parametrize("d,L", GRID)
+    def test_exact_identities_and_optimizer_sandwich(self, d, L):
+        tab = CoeffTable.build(d, L)  # raises on the dimension ratios and shared radicands
+        fid = expected_fidelity(tab)  # raises unless the three infidelity routes agree
+        assert 1 - fid == closed_form_infidelity(d, L)
+        assert set(cg_branch_weights([(d, L)])) == {None}
+        assert set(g_increments([(d, L)])) == {None}
+        _, lam = optimal_probe(tab)
+        assert float(fid) <= lam <= 1.0, (d, L, lam)
+
+    @pytest.mark.parametrize("d,L", [(400, 1), (1000, 1), (1000, 3)])
+    def test_gamma_dims_match_hook_content(self, d, L):
+        for i, dims in enumerate(gamma_dims(d, L)):
+            p = GammaParams(d, L, i)
+            shapes = gamma_shape(p), gamma_plus_shape(p)
+            assert list(dims) == [reference_hook_content_dimension(lam, d) for lam in shapes], i
+
+    def test_planted_faults_fire_at_large_d(self, monkeypatch):
+        # f_0^2 one too large at d = 1000, and dim(gamma_1^+) one too large at (1000, 3).
+        from gtprobe import coeffs
+
+        true_terms, true_dims = coeffs._terms, coeffs.gamma_dims
+
+        def wrong_terms(i, d, L):
+            terms = list(true_terms(i, d, L))
+            terms[8] += i == 0  # f, the 9th integer
+            return tuple(terms)
+
+        def wrong_dims(d, L):
+            for i, (dim, dim_plus) in enumerate(true_dims(d, L)):
+                yield dim, dim_plus + (i == 1)
+
+        monkeypatch.setattr(coeffs, "_terms", wrong_terms)
+        with pytest.raises(ConsistencyError, match=r"f_i\*x_i at d=1000 L=1 i=0$"):
+            CoeffTable.build(1000, 1)
+        monkeypatch.setattr(coeffs, "_terms", true_terms)
+        monkeypatch.setattr(coeffs, "gamma_dims", wrong_dims)
+        message = r"^dimension-ratio identity failed at d=1000 L=3 i=1$"
+        with pytest.raises(ConsistencyError, match=message):
+            CoeffTable.build(1000, 3)
 
 
 class TestPlanner:

@@ -26,6 +26,7 @@ from gtprobe.young import (
 from oracles import (
     interlaces,
     is_valid_chain,
+    reference_hook_content_dimension,
     reference_hook_length_dimension,
     reference_weyl_dimension,
 )
@@ -273,6 +274,13 @@ class TestWeylDimension:
         got = list(gamma_dims(np.int64(3), np.int64(2)))
         assert got == list(gamma_dims(3, 2)) == [(162, 195), (80, 99), (28, 36)]
         assert all(type(dim) is int for dims in got for dim in dims)
+
+    def test_hook_content_oracle_matches_fraction_product(self):
+        # The large-d oracle of gamma_dims against the small-d one, 0 on more than d rows too.
+        for d in range(1, 6):
+            for lam in (lam for n in range(9) for lam in partitions(n, 6)):
+                want = reference_weyl_dimension(lam, d)
+                assert reference_hook_content_dimension(lam, d) == want, (lam, d)
 
     def test_matches_ssyt_count(self):
         for d in (2, 3):

@@ -31,6 +31,12 @@ the parent IQR, the median of the per-pair ratios change/parent and the
 number of pairs in which the change is better.  Gains are decided by these
 pairs (see ROADMAP.md, Standing rules).
 
+Beside perfbench's end-to-end metrics, every ``--trace 0`` run reports
+``raw_s``: the sum over its ops of each op's median seconds, read from the
+run's ``.perfbench/<workload>-seed<k>-trace0.json`` right after it ends.
+``wall_ref`` divides by a reference kernel timed alongside; ``raw_s`` shows
+whether a ``wall_ref`` move is the program's or the kernel's.
+
     python3 tools/bench.py --pr 27 --seeds 10 --parent HEAD~
 """
 
@@ -59,12 +65,26 @@ def quartiles(values: list[float]) -> dict:
     return {"median": q2, "iqr": q3 - q1, "n": len(values)}
 
 
+def raw_seconds(path: Path) -> float:
+    """Sum over the ops of a perfbench raw-sample file of each op's median seconds
+    over its timed passes: the run's time in seconds, not in reference units."""
+    passes = json.loads(path.read_text(encoding="utf-8"))["passes"]
+    count = len(passes[0]["ops"])
+    return sum(statistics.median(p["ops"][k]["s"] for p in passes) for k in range(count))
+
+
 def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One perfbench run; a --trace 0 run's metrics gain raw_s, read from its raw-sample
+    file right away, before a later run or the removal of a parent worktree loses it."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     argv += ["--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
     lines = done.stdout.splitlines()
-    return {"facts": json.loads(lines[-2])["facts"], **json.loads(lines[-1])}
+    run = {"facts": json.loads(lines[-2])["facts"], **json.loads(lines[-1])}
+    if trace == 0:
+        raw = raw_seconds(checkout / ".perfbench" / f"{workload}-seed{seed}-trace0.json")
+        run["metrics"]["raw_s"] = {"value": raw, "unit": "s"}
+    return run
 
 
 def measure(checkout: Path, seeds: int, seconds: float, parent: Path | None = None) -> dict:
