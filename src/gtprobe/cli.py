@@ -129,10 +129,10 @@ def cmd_dims(args: argparse.Namespace) -> int:
     n = _rounded_n(args.d, args.n)
     d, L = args.d, n // (2 * args.d)
     rows = []
-    for i, (dim, dim_plus) in enumerate(young.gamma_dims(d, L)):
+    for i, ((dim, dim_plus), (hook, _)) in enumerate(young.gamma_hooks(d, L)):
         p = young.GammaParams(d, L, i)
         shape, plus = young.gamma_shape(p), young.gamma_plus_shape(p)
-        hook, casimir = young.hook_length_dimension(shape), simulator.casimir_eigenvalue(shape, d)
+        casimir = simulator.casimir_eigenvalue(shape, d)
         rows.append([i, _shape_str(shape), _shape_str(plus), dim, dim_plus, hook, casimir])
     columns = ["i", "shape", "shape_plus", "weyl_dim", "weyl_dim_plus", "hook_dim", "casimir"]
     _print(args.format, {"d": d, "n": n, "L": L, "N": (d + 1) * L}, columns, rows)

@@ -27,9 +27,9 @@ from .young import (
     _require_integer,
     gamma_content,
     gamma_dims,
+    gamma_hooks,
     gamma_plus_shape,
     gamma_shape,
-    hook_length_dimension,
     partitions,
 )
 
@@ -188,13 +188,14 @@ class GTVectorSet:
 
 
 def _covariant_buckets(
-    d: int, n: int, content: tuple, shapes: list, pick: str, null_tol: float, casimir_tol: float
+    d: int, n: int, pick: str, null_tol: float, casimir_tol: float
 ) -> tuple[GTVectorSet, object]:
-    """The vector set of the sector, one certified unit vector per shape in
-    its subgroup-covariant part (ker M, M = sum_{a != b <= d-1} E_ba E_ab,
+    """The vector set of the probe sector, one certified unit vector per shape
+    in its subgroup-covariant part (ker M, M = sum_{a != b <= d-1} E_ba E_ab,
     split by the Casimir C), and project(v), which yields P_0 v and then each
     P_0 P_k v as numerator and denominator, P_0 and P_k the Lagrange
-    projectors onto ker M and value k.
+    projectors onto ker M and value k.  The shapes are the gamma_i at n = 2dL
+    sites, and the gamma_i^+ at n = 2dL + 1, the sector grown by a letter d.
 
     C and M commute with each other and with every site permutation, and the
     sector is one orbit of those, so p(C, M) e_x = 0 gives p(C, M) = 0 and
@@ -204,6 +205,10 @@ def _covariant_buckets(
     (P_0 P_k)[x, x], with float residuals |M v|, |C v - e v| held within
     null_tol and casimir_tol times the spectrum's scale.
     """
+    L, grown = n // (2 * d), n % 2
+    content = gamma_content(d, L)[:-1] + ((d + 1) * L + grown,)
+    shape_of = gamma_plus_shape if grown else gamma_shape
+    shapes = [shape_of(GammaParams(d, L, i)) for i in range(L + 1)]
     expected = [casimir_eigenvalue(shape, d) for shape in shapes]
     null_values = _null_values(d, content)
     scales = max(1, null_values[-1]), max(expected)  # of the residuals |M v| and |C v - e v|
@@ -244,7 +249,7 @@ def _covariant_buckets(
     buckets = project((np.arange(m) == x).astype(np.int64))
     if np.any(sub(next(buckets)[0])):
         raise ExtractionError(f"M has eigenvalues outside {null_values} {where}")
-    sector, dims = np.zeros((len(shapes), m)), tuple(map(hook_length_dimension, shapes))
+    sector, dims = np.zeros((L + 1, m)), tuple(f[grown] for _, f in gamma_hooks(d, L))
     for k, (shape, value, (u, den)) in enumerate(zip(shapes, expected, buckets)):
         if k == 0 and np.any(casimir(u) - value * u):
             raise ExtractionError(f"covariant Casimir values lie outside {expected} {where}")
@@ -275,12 +280,11 @@ def extract_gt_vectors(
     """Recover the probe basis vectors by exact spectral bucketing; pick
     chooses the sector string x ("first" or "last") whose bucket projections
     are the vectors, and nothing consumed downstream depends on it."""
-    d, n, L = query_count_params(d, n)
+    d, n, _ = query_count_params(d, n)
     if pick not in ("first", "last"):
         raise ValueError(f"pick must be 'first' or 'last', got {pick}")
     _check_capacity(d, n)
-    shapes = [gamma_shape(GammaParams(d, L, i)) for i in range(L + 1)]
-    return _covariant_buckets(d, n, gamma_content(d, L), shapes, pick, null_tol, casimir_tol)[0]
+    return _covariant_buckets(d, n, pick, null_tol, casimir_tol)[0]
 
 
 def _check_system(d: int, n: int, vs: GTVectorSet) -> None:
@@ -319,11 +323,7 @@ def verify_cg_embedding(
     _check_capacity(d, n + 1)
     vs = vectors if vectors is not None else extract_gt_vectors(d, n, pick, null_tol, casimir_tol)
     _check_system(d, n, vs)
-    content = gamma_content(d, L)
-    shapes_plus = [gamma_plus_shape(GammaParams(d, L, i)) for i in range(L + 1)]
-    plus, project = _covariant_buckets(
-        d, n + 1, content[:-1] + (content[-1] + 1,), shapes_plus, "first", null_tol, casimir_tol
-    )
+    plus, project = _covariant_buckets(d, n + 1, "first", null_tol, casimir_tol)
     # v_i tensor |d> is v_i on the grown strings ending in d-1, in the sector's order.
     grown = np.zeros((L + 1, len(plus.codes)), dtype=vs.sector.dtype)
     grown[:, plus.codes % d == d - 1] = vs.sector

@@ -107,18 +107,6 @@ def branching_restrictions(lam: Iterable[int], d: int) -> list[Diagram]:
     return sorted(tuple(filter(None, choice)) for choice in product(*ranges))
 
 
-def hook_length_dimension(lam: Iterable[int]) -> int:
-    """Number of standard tableaux of shape lam, by the Frobenius formula
-    n! prod_{i<j} (h_i - h_j) / prod_k h_k! over the shifted rows h_k = lam_k + r - k
-    of its r rows: a Vandermonde product, as one integer quotient."""
-    lam = as_diagram(lam)
-    n = sum(lam)
-    if n > sys.maxsize:  # math.factorial's limit; every h_k is at most n
-        raise ValueError(f"{n} boxes exceed the factorial limit, {sys.maxsize}")
-    h = [part + len(lam) - 1 - k for k, part in enumerate(lam)]
-    return factorial(n) * prod(starmap(sub, combinations(h, 2))) // prod(map(factorial, h))
-
-
 def partitions(n: int, max_rows: int) -> list[Diagram]:
     """All partitions of n with at most max_rows rows."""
     out: list[Diagram] = []
@@ -220,6 +208,24 @@ def gamma_dims(d: int, L: int) -> Iterator[tuple[int, int]]:
         return dim, dim_plus
 
     return map(dims, range(L + 1))
+
+
+def gamma_hooks(d: int, L: int) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
+    """gamma_dims' pairs with (f^gamma_i, f^gamma_i^+), f = n! dim / prod (d + c), c = column - row
+    over the boxes (Stanley, EC2, Cor. 7.21.4); d, L and n = 2dL are checked on the first read."""
+    p = GammaParams(d, L, 0)
+    n = 2 * p.d * p.L
+    if n > sys.maxsize:  # math.factorial's limit; n is even, so n + 1 is within it too
+        raise ValueError(f"{n} boxes exceed the factorial limit, {sys.maxsize}")
+    top = p.d + p.N + p.L  # gamma_i's row 1 holds d + c = d..top-i-1, gamma_i^+ adds top-i
+    content = prod(range(p.d, top)) * prod(prod(range(j, j + p.L)) for j in range(2, p.d))
+    n_fact = factorial(n)
+    for i, (dim, dim_plus) in enumerate(gamma_dims(p.d, p.L)):
+        hook, rem = divmod(n_fact * dim, content)
+        hook_plus, rem_plus = divmod(n_fact * (n + 1) * dim_plus, content * (top - i))
+        assert rem == rem_plus == 0
+        yield (dim, dim_plus), (hook, hook_plus)
+        content = content // (top - i - 1) * (i + 1)  # gamma_{i+1}: a box of row 1 to row d
 
 
 def gamma_chain(p: GammaParams) -> Chain:

@@ -15,14 +15,17 @@ fidelity sums (reference_build returns a ReferenceTable: CoeffTable's public
 fields stored as the Fraction tuples CoeffTable held before it kept its
 integers); reference_cg_add_box is the row-by-row Clebsch-Gordan loop that
 the shifted-row coeffs._cg_core replaced, the oracle for that core on any
-chain and for verify's CG family, reference_hook_length_dimension the
-product over hooks that the Frobenius hook_length_dimension replaced,
-reference_weyl_dimension the factor-by-factor Fraction product, the oracle
-for young._weyl_core on any diagram, for young.gamma_dims and for the Weyl
-columns of `gtprobe dims`; it returns 0 for more than d rows.
-reference_hook_content_dimension is a third route to the Weyl dimensions, in
-integers over the n boxes, the oracle for young.gamma_dims at large d, where
-the O(d^2) Fractions of reference_weyl_dimension are too slow.
+chain and for verify's CG family; reference_hook_length_dimension, n! over
+the product of the hooks of any diagram, is the oracle for the standard
+tableau counts that young.gamma_hooks steps along the probe family (the
+hook_dim column of `gtprobe dims` and the simulator's bucket dimensions),
+and full_null_space_buckets reads it too; reference_weyl_dimension the
+factor-by-factor Fraction product, the oracle for young._weyl_core on any
+diagram, for young.gamma_dims and for the Weyl columns of `gtprobe dims`; it
+returns 0 for more than d rows. reference_hook_content_dimension is a third
+route to the Weyl dimensions, in integers over the n boxes, the oracle for
+young.gamma_dims at large d, where the O(d^2) Fractions of
+reference_weyl_dimension are too slow.
 reference_optimal_probe is the scipy eigh_tridiagonal call that
 fidelity.optimal_probe's direct dstebz and dstein calls replaced, the
 oracle for their bit-identical results.  interlaces and
@@ -77,7 +80,6 @@ from gtprobe.young import (
     gamma_content,
     gamma_plus_shape,
     gamma_shape,
-    hook_length_dimension,
     row,
 )
 
@@ -235,10 +237,16 @@ def haar_unitary(d: int, seed: int) -> np.ndarray:
 
 
 def apply_tensor_power(mat: np.ndarray, vec: np.ndarray, n: int) -> np.ndarray:
-    """Apply mat to every tensor factor of vec via n single-site contractions.
+    """Apply mat to every tensor factor of vec via n single-site contractions
+    on all d^n amplitudes.
 
     mat may also be a batch of matrices of shape (..., d, d); the result
     then carries the same leading axes, one transformed vector per matrix.
+    Each contraction is one batched (b, d, d) @ (b, d, d^(n-1)) matmul on the
+    leading site, which is then turned to the back, so after n of them every
+    site is transformed once and in its place again. The two buffers serve
+    every site: a fresh d^n array per site costs more in page faults at
+    (4, 8) than the arithmetic does.
     """
     mat = np.asarray(mat, dtype=complex)
     d = mat.shape[-1]
@@ -247,11 +255,14 @@ def apply_tensor_power(mat: np.ndarray, vec: np.ndarray, n: int) -> np.ndarray:
         raise ValueError(
             f"shape mismatch: matrix {mat.shape} on a length-{vec.size} vector"
         )
-    batch = mat.shape[:-2]
-    out = np.broadcast_to(vec, batch + vec.shape)
-    for site in range(n):
-        out = out.reshape(batch + (d**site, d, d ** (n - 1 - site)))
-        out = mat[..., None, :, :] @ out
+    batch, mats = mat.shape[:-2], mat.reshape(-1, d, d)
+    b = len(mats)
+    out = np.empty((b, vec.size), dtype=complex)
+    out[:] = vec
+    turned = np.empty_like(out)
+    for _ in range(n):
+        np.matmul(mats, out.reshape(b, d, -1), out=turned.reshape(b, d, -1))
+        out.reshape(b, -1, d)[...] = turned.reshape(b, d, -1).transpose(0, 2, 1)
     return out.reshape(batch + vec.shape)
 
 
@@ -397,7 +408,7 @@ def full_null_space_buckets(
 
     buckets: list[np.ndarray] = []
     for shape, chosen in zip(shapes, cols):
-        want = hook_length_dimension(shape)
+        want = reference_hook_length_dimension(shape)
         if not chosen:
             raise ExtractionError(f"empty Casimir bucket for shape {shape}")
         if len(chosen) != want:

@@ -6,6 +6,8 @@ import json
 import subprocess
 from pathlib import Path
 
+import pytest
+
 import gtprobe
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,9 +75,32 @@ def test_print_paired_shows_raw_seconds(capsys):
             "pairs_better": 9, "pairs": 10}
     paired = {"sweep": {"wall_ref": {**pair, "unit": "ref"}, "raw_s": {**pair, "unit": "s"}}}
     bench.print_paired({"parent": {"rev": "HEAD~", "commit": "0" * 40}, "seeds": [1] * 10,
-                        "paired": paired})
+                        "paired": paired}, {})
     out = capsys.readouterr().out.splitlines()
-    assert out[2] == "  sweep raw_s 2 -> 1.5 s (ratio 0.750, 9 of 10 better) [0.1]"
+    assert out[2] == "  sweep raw_s 2 -> 1.5 s (ratio 0.750, 9 of 10 better) [0.1] gain"
+
+
+@pytest.mark.parametrize(
+    "parent,change,iqr,better_pairs,better,rule",
+    [
+        (2.0, 1.5, 0.1, 9, "lower", "gain"),
+        (2.0, 1.5, 0.1, 8, "lower", "unclear"),  # the better way, but in too few pairs
+        (2.0, 1.5, 0.5, 10, "lower", "noise"),  # a move of exactly the parent IQR
+        (2.0, 2.5, 0.1, 0, "lower", "worse"),
+        (2.0, 2.5, 0.1, 9, "higher", "gain"),
+        (2.0, 1.5, 0.1, 1, "higher", "worse"),
+        (2.0, 2.0, 0.0, 5, "lower", "noise"),
+    ],
+)
+def test_print_paired_ends_each_line_with_its_rule(capsys, parent, change, iqr, better_pairs,
+                                                  better, rule):
+    pair = {"parent_median": parent, "change_median": change, "parent_iqr": iqr,
+            "ratio_median": change / parent, "pairs_better": better_pairs, "pairs": 10,
+            "unit": "ref"}
+    bench.print_paired({"parent": {"rev": "HEAD~", "commit": "0" * 40}, "seeds": [1] * 10,
+                        "paired": {"sweep": {"wall_ref": pair}}}, {"wall_ref": better})
+    line = capsys.readouterr().out.splitlines()[1]
+    assert line.endswith(f"better) [{iqr:.3g}] {rule}"), line
 
 
 # A perfbench stand-in: it logs each run and reports wall_ref = BASE + seed, or

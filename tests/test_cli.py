@@ -17,6 +17,7 @@ from gtprobe import cli, coeffs, fidelity, simulator, young
 from oracles import (
     reference_amplitude_reduction_check,
     reference_amplitude_stacks,
+    reference_hook_length_dimension,
     reference_weyl_dimension,
 )
 
@@ -96,6 +97,16 @@ class TestDimsCommand:
             assert (row["i"], row["shape"]) == (str(i), cli._shape_str(shapes[0])), row
             dims = [int(row["weyl_dim"]), int(row["weyl_dim_plus"])]
             assert dims == [reference_weyl_dimension(lam, 60) for lam in shapes], i
+
+    def test_hook_column_at_d_1000_matches_the_hook_product(self, capsys):
+        code, out, _ = run(capsys, ["dims", "--d", "1000", "--n", "2000", "--format", "csv"])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        shapes = [young.gamma_shape(young.GammaParams(1000, 1, i)) for i in range(2)]
+        assert [row["shape"] for row in rows] == list(map(cli._shape_str, shapes))
+        assert [int(row["hook_dim"]) for row in rows] == [
+            reference_hook_length_dimension(lam) for lam in shapes
+        ]
 
     @pytest.mark.parametrize("d,n", [(3, 6), (4, 16)])
     def test_csv_lines_have_the_header_width(self, capsys, d, n):
@@ -584,7 +595,7 @@ class TestExitCodes:
             # d = 0 would reach n % (2 * d) and raise ZeroDivisionError without the d check.
             (["sweep", "--d-range", "0:3", "--n-range", "4:8"], "d must be >= 2, got 0"),
             (["plan", "--d", "1", "--eps", "0.1"], "d must be >= 2, got 1"),
-            # hook_length_dimension's n! is beyond math.factorial's sys.maxsize limit.
+            # young.gamma_hooks checks n = 2dL against math.factorial's sys.maxsize limit.
             (
                 ["dims", "--d", "5", "--n", str(10**20)],
                 f"{10**20} boxes exceed the factorial limit, {sys.maxsize}",
@@ -598,6 +609,12 @@ class TestExitCodes:
                 ["coeffs", "--d", "1000", "--n", "2000"],
                 "f_sq at d=1000 n=2000 L=1 N=1001 exceeds the float range of the table format; "
                 "use --format csv|json",
+            ),
+            # Beside the box-count cases above: d = 2^62 is a valid size, but a shape of it
+            # would hold 2^62 rows, so the box count must be checked before any shape.
+            (
+                ["dims", "--d", str(2**62), "--n", str(2**63)],
+                f"{2**63} boxes exceed the factorial limit, {sys.maxsize}",
             ),
         ],
     )

@@ -260,6 +260,24 @@ class TestPaperRegime:
             shapes = gamma_shape(p), gamma_plus_shape(p)
             assert list(dims) == [reference_hook_content_dimension(lam, d) for lam in shapes], i
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 10**9),
+        st.integers(1, 10**6),
+        st.floats(1e-10, 1, exclude_max=True),
+    )
+    @example(10**9, 10**6, 1e-10)
+    @example(10**6, 10**6, 0.5)
+    @example(2, 1, 0.9)
+    def test_envelope_and_planner_bound_across_the_regime(self, d, L, eps):
+        # The closed form over the envelope is 2 (d-1)/d L(2L+d)/(L(2L+d)+2L+d) < 2.
+        assert bound_ratio(d, 2 * d * L) < 2, (d, L)
+        # The paper's bound with its constants: n <= min{2 sqrt(50) d^(3/2)/eps, 200 d/eps^2}
+        # + 2d, compared in exact arithmetic at the eps the planner reads.
+        excess, e = plan_queries(d, eps) - 2 * d, Fraction(eps)
+        assert excess * e**2 <= 200 * d, (d, eps)
+        assert excess**2 * e**2 <= 200 * d**3, (d, eps)
+
     def test_planted_faults_fire_at_large_d(self, monkeypatch):
         # f_0^2 one too large at d = 1000, and dim(gamma_1^+) one too large at (1000, 3).
         from gtprobe import coeffs

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import sys
 import tracemalloc
 from itertools import product
 from math import comb, factorial
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gtprobe import simulator
+from gtprobe import simulator, young
 from gtprobe.coeffs import CoeffTable
 from gtprobe.fidelity import expected_fidelity
 from gtprobe.simulator import (
@@ -36,7 +37,6 @@ from gtprobe.young import (
     gamma_content,
     gamma_plus_shape,
     gamma_shape,
-    hook_length_dimension,
 )
 from oracles import (
     _prefix_levels,
@@ -47,6 +47,7 @@ from oracles import (
     haar_unitary,
     reference_cg_embedding,
     reference_haar_batch,
+    reference_hook_length_dimension,
     reference_restricted_power,
     reference_swap_operator,
     reference_swap_tables,
@@ -324,7 +325,7 @@ class TestExtraction:
     def test_qutrit_buckets_match_hooks(self):
         vs = extract_gt_vectors(3, 6)
         hooks = tuple(
-            hook_length_dimension(gamma_shape(GammaParams(3, 1, i))) for i in range(2)
+            reference_hook_length_dimension(gamma_shape(GammaParams(3, 1, i))) for i in range(2)
         )
         assert vs.sector_dims == hooks == (5, 10)
 
@@ -453,7 +454,7 @@ class TestExactCertificate:
             return out
 
         monkeypatch.setattr(simulator, "_lagrange", recorded)
-        _covariant_buckets(d, sites, content, shapes, "first", 1e-9, 1e-6)
+        _covariant_buckets(d, sites, "first", 1e-9, 1e-6)
         assert largest and max(largest) <= bound
 
     def test_entry_bound_guard(self, monkeypatch):
@@ -493,13 +494,16 @@ class TestExactCertificate:
     def test_planted_hook_dimension(self, d, n, m, shifted, monkeypatch):
         grown = n % (2 * d) == 1
         sites, content, shapes = certified_sector(d, n - grown, grown)
-        true_dim = simulator.hook_length_dimension
-        monkeypatch.setattr(
-            simulator,
-            "hook_length_dimension",
-            lambda lam: true_dim(lam) + (tuple(lam) == shapes[shifted]),
-        )
-        dim = true_dim(shapes[shifted])
+        true_hooks = simulator.gamma_hooks
+
+        def planted(d, L):  # the hook of shapes[shifted] one too large
+            for i, (dims, hooks) in enumerate(true_hooks(d, L)):
+                hooks = list(hooks)
+                hooks[grown] += i == shifted
+                yield dims, tuple(hooks)
+
+        monkeypatch.setattr(simulator, "gamma_hooks", planted)
+        dim = reference_hook_length_dimension(shapes[shifted])
         with pytest.raises(
             ExtractionError,
             match=rf"shape {re.escape(str(shapes[shifted]))} has dimension {dim}, expected "
@@ -752,6 +756,30 @@ class TestCGEmbedding:
         message = rf"d\^n = {d}\^{n + 1} exceeds the simulator capacity of 100000$"
         with pytest.raises(CapacityError, match=message):
             verify_cg_embedding(d, n)
+
+
+def test_build_and_monte_carlo_never_run_the_hook_step():
+    # young.gamma_hooks serves dims and the bucket checks; CoeffTable.build and mc_estimates
+    # read only young.gamma_dims. The profile hook sees the generator under any import name.
+    vs, hooks, seen = extract_gt_vectors(3, 6), young.gamma_hooks.__code__, []
+
+    def profile(frame, event, arg):
+        if frame.f_code is hooks:
+            seen.append(event)
+
+    def run(work):
+        seen.clear()
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            work()
+        finally:
+            sys.setprofile(previous)
+        return bool(seen)
+
+    assert run(lambda: extract_gt_vectors(3, 6))  # the probe sees a caller
+    assert not run(lambda: [CoeffTable.build(3, 1), CoeffTable.build(1000, 3)])
+    assert not run(lambda: mc_estimates(3, 6, 200, 1, vs))
 
 
 class TestMonteCarlo:

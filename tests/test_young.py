@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gtprobe import young
 from gtprobe.young import (
     GammaParams,
     _shifted_rows,
@@ -17,9 +18,9 @@ from gtprobe.young import (
     gamma_chain,
     gamma_content,
     gamma_dims,
+    gamma_hooks,
     gamma_plus_shape,
     gamma_shape,
-    hook_length_dimension,
     partitions,
     row,
 )
@@ -131,7 +132,7 @@ class TestDiagramBasics:
             with pytest.raises(ValueError, match="must be integers"):
                 as_diagram(rows)
         with pytest.raises(ValueError, match=r"got \(3.9, 0.5\)"):
-            hook_length_dimension([3.9, 0.5])
+            branching_restrictions([3.9, 0.5], 2)
 
     @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
     def test_as_diagram_rejects_non_finite_rows(self, bad):
@@ -341,47 +342,63 @@ class TestBranching:
 
 
 class TestHookLengths:
+    """young.gamma_hooks, the standard tableau counts of the probe shapes, against the
+    per-box hook product of tests/oracles.py, and that oracle's own identities."""
+
     def test_single_row(self):
-        for n in range(1, 9):
-            assert hook_length_dimension((n,)) == 1
+        # gamma_0 at d = 2 is the one row (4L), and gamma_0^+ the row (4L+1)
+        for L in range(1, 9):
+            assert next(gamma_hooks(2, L))[1] == (1, 1)
 
     def test_known_values(self):
-        assert hook_length_dimension((3, 1)) == 3
-        assert hook_length_dimension((2, 1)) == 2
-        assert hook_length_dimension(()) == 1
+        assert list(gamma_hooks(2, 1)) == [((5, 6), (1, 1)), ((3, 4), (3, 4))]
+        assert [hooks for _, hooks in gamma_hooks(3, 1)] == [(5, 6), (10, 15)]
+        got = list(gamma_hooks(np.int64(3), np.int64(2)))
+        assert got == list(gamma_hooks(3, 2))
+        assert all(type(f) is int for pairs in got for pair in pairs for f in pair)
 
-    @pytest.mark.parametrize("lam", [(sys.maxsize + 1,), (2**62, 2**62), (2**63, 1, 1)])
-    def test_box_count_beyond_the_factorial_limit_is_a_value_error(self, lam):
-        message = f"^{sum(lam)} boxes exceed the factorial limit, {sys.maxsize}$"
-        with pytest.raises(ValueError, match=message):
-            hook_length_dimension(lam)
-
-    def test_equals_hook_product_on_every_partition_up_to_30(self):
-        for n in range(31):
-            for lam in partitions(n, n):
-                assert hook_length_dimension(lam) == reference_hook_length_dimension(lam), lam
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.integers(1, 60), max_size=12))
-    def test_equals_hook_product_on_random_shapes(self, parts):
-        lam = tuple(sorted(parts, reverse=True))
-        assert hook_length_dimension(lam) == reference_hook_length_dimension(lam)
+    @pytest.mark.parametrize("d,L", [(2**62, 1), (2, 2**61), (sys.maxsize, 1)])
+    def test_box_count_beyond_the_factorial_limit_is_a_value_error(self, d, L, monkeypatch):
+        # Checked before any shape, factorial or Weyl dimension is made: at d = 2^62 a shape
+        # alone would hold 2^62 rows.
+        for name in ("gamma_shape", "gamma_dims", "factorial"):
+            monkeypatch.setattr(young, name, lambda *args: pytest.fail("made before the check"))
+        hooks = gamma_hooks(d, L)  # a generator: nothing is checked or made until it is read
+        with pytest.raises(ValueError, match=f"^{2 * d * L} boxes exceed the factorial limit, "
+                           f"{sys.maxsize}$"):
+            next(hooks)
 
     def test_equals_hook_product_on_the_probe_shapes(self):
-        for i in range(41):
+        for i, (_, hooks) in enumerate(gamma_hooks(10, 40)):
             p = GammaParams(10, 40, i)
-            for lam in (gamma_shape(p), gamma_plus_shape(p)):
-                assert hook_length_dimension(lam) == reference_hook_length_dimension(lam), lam
+            shapes = gamma_shape(p), gamma_plus_shape(p)
+            assert list(hooks) == [reference_hook_length_dimension(lam) for lam in shapes], i
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 16), st.integers(1, 40))
+    @example(16, 40)
+    @example(200, 1)
+    @example(1000, 1)
+    @example(1000, 3)
+    def test_every_hook_pair_equals_hook_product(self, d, L):
+        got = list(gamma_hooks(d, L))
+        assert [dims for dims, _ in got] == list(gamma_dims(d, L))
+        for i, (_, hooks) in enumerate(got):
+            p = GammaParams(d, L, i)
+            shapes = gamma_shape(p), gamma_plus_shape(p)
+            assert list(hooks) == [reference_hook_length_dimension(lam) for lam in shapes], i
 
     def test_square_sum_is_factorial(self):
         for n in range(1, 9):
-            total = sum(hook_length_dimension(lam) ** 2 for lam in partitions(n, n))
+            total = sum(reference_hook_length_dimension(lam) ** 2 for lam in partitions(n, n))
             assert total == factorial(n)
 
     def test_schur_weyl_dimension_identity(self):
         for d in (2, 3):
             for n in range(1, 7):
-                total = sum(weyl(lam, d) * hook_length_dimension(lam) for lam in partitions(n, d))
+                total = sum(
+                    weyl(lam, d) * reference_hook_length_dimension(lam) for lam in partitions(n, d)
+                )
                 assert total == d**n
 
 

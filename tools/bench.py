@@ -29,7 +29,8 @@ seeds) or after (even seeds) the checkout's own ``--trace 0`` run, and
 writes a ``paired`` key: per workload and end-to-end metric, both medians,
 the parent IQR, the median of the per-pair ratios change/parent and the
 number of pairs in which the change is better.  Gains are decided by these
-pairs (see ROADMAP.md, Standing rules).
+pairs (see ROADMAP.md, Standing rules); the printout ends each metric's line
+with the rule its pairs meet: gain, noise, worse or unclear (see verdict).
 
 Beside perfbench's end-to-end metrics, every ``--trace 0`` run reports
 ``raw_s``: the sum over its ops of each op's median seconds, read from the
@@ -228,14 +229,28 @@ def print_delta(old: dict, new: dict) -> None:
                       f"{now['unit']} ({change}) [{was['iqr']:.3g}]")
 
 
-def print_paired(bench: dict) -> None:
+def verdict(m: dict, better: str = "lower") -> str:
+    """The standing rule one paired metric meets: "noise" if its median moved by no more
+    than the parent IQR; else "gain" if it moved the better way in at least 9 of 10 pairs,
+    "worse" if it moved the wrong way, and "unclear" if it moved the better way in fewer."""
+    delta = m["change_median"] - m["parent_median"]
+    if abs(delta) <= m["parent_iqr"]:
+        return "noise"
+    if (delta > 0) == (better == "higher"):
+        return "gain" if 10 * m["pairs_better"] >= 9 * m["pairs"] else "unclear"
+    return "worse"
+
+
+def print_paired(bench: dict, better: dict[str, str]) -> None:
+    """One line per workload and metric, ending in its verdict; better as in paired()."""
     print(f"paired {bench['parent']['rev']} ({bench['parent']['commit'][:10]}) -> change, "
           f"{len(bench['seeds'])} pairs (medians; parent IQR in brackets)")
     for workload, metrics in bench["paired"].items():
         for name, m in metrics.items():
             print(f"  {workload} {name} {m['parent_median']:.4g} -> {m['change_median']:.4g} "
                   f"{m['unit']} (ratio {m['ratio_median']:.3f}, {m['pairs_better']} of "
-                  f"{m['pairs']} better) [{m['parent_iqr']:.3g}]")
+                  f"{m['pairs']} better) [{m['parent_iqr']:.3g}] "
+                  f"{verdict(m, better.get(name, 'lower'))}")
 
 
 def main(argv=None) -> int:
@@ -289,7 +304,7 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}")
     if parent:
-        print_paired(bench)
+        print_paired(bench, better)
     old = previous_bench(args.pr)
     if old is not None:
         print_delta(old, bench)
