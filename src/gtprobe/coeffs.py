@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .young import GammaParams, as_chain, gamma_chain, gamma_dims
 from .young import _gamma_rows, _require_integer, _shifted_rows
@@ -31,10 +31,10 @@ def _alpha_beta_g(i: int, d: int, L: int) -> tuple[int, int, int, int]:
     return N + d - i - 1, L - i, s - 1, (i + 1) * (s + i)
 
 
-def _terms(i: int, d: int, L: int) -> tuple[int, ...]:
-    """Every closed form at index i (plain ints, 0 <= i <= L), unreduced.
+def _terms(d: int, L: int) -> Iterator[tuple[int, ...]]:
+    """Every closed form at each index i = 0..L (plain ints), unreduced, yielded in order.
 
-    Returns the integers (a, b, s-1, xn, xd, yn, yd, g, f, rn, s): those of
+    Yields the integers (a, b, s-1, xn, xd, yn, yd, g, f, rn, s): those of
     _alpha_beta_g, x_i^2 = xn/xd, y_i^2 = yn/yd, f_i^2 = f and the shared radicand R_i = rn/s,
 
         x_i^2 = (N+d-i-1)(N-i+1) / ((s-1)s),  y_i^2 = (L-i+1)(L+d-i-1) / ((s+1)s),
@@ -42,13 +42,17 @@ def _terms(i: int, d: int, L: int) -> tuple[int, ...]:
         R_i = prod_{j=2}^{d-1}(N+j-i) prod_{j=2}^{d-1}(L+d-j-i) / s,
 
     so that (f_i x_i)^2 = (g_i (N-i+1))^2 R_i and (f_{i-1} y_i)^2 = (g_{i-1} (L+d-i-1))^2 R_i.
+    Each product is a window of d-2 consecutive integers, stepped along i.
     """
-    a, b, ad, g = _alpha_beta_g(i, d, L)
-    N, s = (d + 1) * L, ad + 1
-    q = prod(range(b + 1, L + d - i - 1))  # prod_{j=2}^{d-1}(L+d-j-i), shared by f^2 and R
-    f = g * g * ad * prod(range(N - i + 1, a)) * q
-    xn, yn = a * (N - i + 1), (b + 1) * (L + d - i - 1)
-    return a, b, ad, xn, ad * s, yn, (s + 1) * s, g, f, prod(range(N - i + 2, a + 1)) * q, s
+    N = (d + 1) * L
+    q, u, w = prod(range(L + 2, L + d)), prod(range(N + 2, N + d)), prod(range(N + 3, N + d + 1))
+    for i in range(L + 1):  # from i = -1; a window drops its top factor, so it divides exactly
+        q = q * (L - i + 1) // (L + d - i - 1)  # prod(range(L-i+1, L+d-i-1)), f^2's and R's
+        u = u * (N - i + 1) // (N + d - i - 1)  # prod(range(N-i+1, N+d-i-1)), f^2's
+        w = w * (N - i + 2) // (N + d - i)  # prod(range(N-i+2, N+d-i)), R's
+        a, b, ad, g = _alpha_beta_g(i, d, L)
+        s, xn, yn = ad + 1, a * (N - i + 1), (b + 1) * (L + d - i - 1)
+        yield a, b, ad, xn, ad * s, yn, (s + 1) * s, g, g * g * ad * u * q, w * q, s
 
 
 def _cg_core(t: Sequence[int], s: Sequence[int]) -> list[tuple[int, int, int]]:
@@ -159,11 +163,11 @@ class CoeffTable:
         p = GammaParams(d, L, 0)  # checks d and L once and makes them plain ints
         d, L, N = p.d, p.L, p.N
         rows = []  # the _terms integers per index
-        # Each index makes one _terms call and reads its two Weyl dimensions; the identities
+        # Each index reads its _terms integers and its two Weyl dimensions; the identities
         # at i read dim(gamma_{i-1}), beta_{i-1}, g_{i-1} and f_{i-1}^2 from index i-1.
         prev_dim = prev_b = prev_bd = prev_g = prev_f = 0
-        for i, (dim, dim_plus) in enumerate(gamma_dims(d, L)):
-            a, b, ad, xn, xd, yn, yd, g, f, rn, rd = terms = _terms(i, d, L)
+        for i, ((dim, dim_plus), terms) in enumerate(zip(gamma_dims(d, L), _terms(d, L))):
+            a, b, ad, xn, xd, yn, yd, g, f, rn, rd = terms
             # Each identity is cross-multiplied over its positive denominators. With s = L+N+d-2i,
             # a = N+d-i-1, xn = a(N-i+1), xd = (s-1)s, b' = b_{i-1} = L-i+1, yn = b'(L+d-i-1)
             # and yd = (s+1)s, the x check over a(s-1) is the closed form

@@ -43,7 +43,7 @@ def expected_fidelity(tab: CoeffTable) -> Fraction:
     L, d, N = tab.L, tab.d, tab.N
     # num/den is the upper sum, unreduced, total the sum of the f_i^2; gp is g_{i-1}.
     num, den, total, gp = 0, 1, 0, 0
-    for i, (*_, gi, f, rn, rd) in enumerate(tab.terms):
+    for i, (gi, f, rn, rd) in enumerate(t[7:] for t in tab.terms):
         term = (gi * (N - i + 1) + gp * (L + d - i - 1)) ** 2 * rn
         num, den, total, gp = num * rd + term * den, den * rd, total + f, gi
     fid = Fraction(num, den * total)
@@ -61,16 +61,17 @@ def infidelity_sum_form(d: int, L: int) -> Fraction:
 
     sum_i (g_i - g_{i-1})^2/(L+N+d-2i) P_i  over
     sum_i (g_i^2 - g_{i-1}^2)/(d-1) P_i,
-    where P_i = prod_{j=1}^{d-1}(N+j-i)(L+j-i).
+    where P_i = prod_{j=1}^{d-1}(N+j-i)(L+j-i), two windows stepped along i.
     """
     d, L = _require_sizes(d, L)
     N = (d + 1) * L
     # num/den is the upper sum, unreduced; total is d-1 times the lower sum.
     num, den, total, gp = 0, 1, 0, 0
-    for i in range(L + 1):
-        prods = 1
-        for j in range(1, d):
-            prods *= (N + j - i) * (L + j - i)
+    pn, pl = math.prod(range(N + 2, N + d + 1)), math.prod(range(L + 2, L + d + 1))  # at i = -1
+    for i in range(L + 1):  # a window drops its top factor, so each division is exact
+        pn = pn * (N - i + 1) // (N + d - i)  # prod(range(N-i+1, N-i+d))
+        pl = pl * (L - i + 1) // (L + d - i)  # prod(range(L-i+1, L-i+d))
+        prods = pn * pl
         gi, s = _alpha_beta_g(i, d, L)[3], L + N + d - 2 * i
         num, den = num * s + (gi - gp) ** 2 * prods * den, den * s
         total += (gi**2 - gp**2) * prods
@@ -98,7 +99,7 @@ def protocol_probe(d: int, L: int) -> np.ndarray:
     """The protocol's probe coefficients f_0..f_L, normalized to unit norm
     (the f_i^2 that CoeffTable.build stores, read without building a table)."""
     d, L = _require_sizes(d, L)
-    f_sq = [_terms(i, d, L)[8] for i in range(L + 1)]
+    f_sq = [t[8] for t in _terms(d, L)]
     total = sum(f_sq)
     return np.sqrt([v / total for v in f_sq])  # int / int rounds correctly, as float(Fraction)
 
@@ -236,7 +237,7 @@ def fidelity_report(d: int, n: int) -> FidelityReport:
         infidelity_exact=infid,
         bound_ratio=bound_ratio(d, n),
         optimal_rayleigh=lam,
-        optimal_f=tuple(float(v) for v in vec),
+        optimal_f=tuple(vec.tolist()),
     )
 
 

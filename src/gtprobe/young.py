@@ -191,41 +191,40 @@ def gamma_dims(d: int, L: int) -> Iterator[tuple[int, int]]:
 
     gamma_i moves i boxes of gamma_0 from row 1 to row d, so on its shifted rows t the
     Vandermonde is that of the middle rows L-(d-2)..L-1, consecutive so of Weyl core 1, times
-    prod_{k>1}(t_1 - t_k) prod_{1<k<d}(t_k - t_d), over (d-1)!(d-2)!: two range products per index.
+    prod_{k>1}(t_1 - t_k) prod_{1<k<d}(t_k - t_d), over (d-1)!(d-2)!: windows stepped along i.
     """
     p = GammaParams(d, L, 0)
-    d, L = p.d, p.L
-    h, den = _shifted_rows(gamma_shape(p), d), factorial(d - 1) * factorial(d - 2)
+    d, L, N, den = p.d, p.L, p.N, factorial(p.d - 1) * factorial(p.d - 2)
 
-    def dims(i: int) -> tuple[int, int]:
-        top, bottom = h[0] - i, h[-1] + i
-        low = prod(range(L - d + 2 - bottom, L - bottom))  # of m - bottom over the middle rows m
-        dim, rem = divmod(low * (top - bottom) * prod(range(top - L + 1, top - L + d - 1)), den)
-        top += 1  # gamma_i^+ adds one box to row 1
-        high = low * (top - bottom) * prod(range(top - L + 1, top - L + d - 1))
-        dim_plus, rem_plus = divmod(high, den)
-        assert rem == rem_plus == 0 and dim > 0 and dim_plus > 0
-        return dim, dim_plus
+    def dims() -> Iterator[tuple[int, int]]:
+        low, up = prod(range(L + 2, L + d)), prod(range(N + 2, N + d))  # at i = -1
+        for i in range(L + 1):  # a window drops its top factor, so each division is exact
+            low = low * (L - i + 1) // (L + d - i - 1)  # prod(range(L-i+1, L-i+d-1)), of t_k - t_d
+            up, up_plus = up * (N - i + 1) // (N + d - i - 1), up  # of t_1 - t_k; gamma_i^+: i-1's
+            dim, rem = divmod(low * (L + N + d - 2 * i - 1) * up, den)
+            dim_plus, rem_plus = divmod(low * (L + N + d - 2 * i) * up_plus, den)
+            assert rem == rem_plus == 0 and dim > 0 and dim_plus > 0
+            yield dim, dim_plus
 
-    return map(dims, range(L + 1))
+    return dims()
 
 
 def gamma_hooks(d: int, L: int) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
     """gamma_dims' pairs with (f^gamma_i, f^gamma_i^+), f = n! dim / prod (d + c), c = column - row
-    over the boxes (Stanley, EC2, Cor. 7.21.4); d, L and n = 2dL are checked on the first read."""
+    over the boxes (Stanley, EC2, Cor. 7.21.4), stepped along i; d, L, n = 2dL checked when read."""
     p = GammaParams(d, L, 0)
     n = 2 * p.d * p.L
     if n > sys.maxsize:  # math.factorial's limit; n is even, so n + 1 is within it too
         raise ValueError(f"{n} boxes exceed the factorial limit, {sys.maxsize}")
     top = p.d + p.N + p.L  # gamma_i's row 1 holds d + c = d..top-i-1, gamma_i^+ adds top-i
     content = prod(range(p.d, top)) * prod(prod(range(j, j + p.L)) for j in range(2, p.d))
-    n_fact = factorial(n)
+    num, den = factorial(n), content  # f^gamma_i = num dim / den
     for i, (dim, dim_plus) in enumerate(gamma_dims(p.d, p.L)):
-        hook, rem = divmod(n_fact * dim, content)
-        hook_plus, rem_plus = divmod(n_fact * (n + 1) * dim_plus, content * (top - i))
+        hook, rem = divmod(num * dim, den)
+        hook_plus, rem_plus = divmod(hook * (n + 1) * dim_plus, dim * (top - i))
         assert rem == rem_plus == 0
         yield (dim, dim_plus), (hook, hook_plus)
-        content = content // (top - i - 1) * (i + 1)  # gamma_{i+1}: a box of row 1 to row d
+        num, den = hook * (top - i - 1), dim * (i + 1)  # gamma_{i+1}: a box of row 1 to row d
 
 
 def gamma_chain(p: GammaParams) -> Chain:

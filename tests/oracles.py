@@ -25,7 +25,9 @@ diagram, for young.gamma_dims and for the Weyl columns of `gtprobe dims`; it
 returns 0 for more than d rows. reference_hook_content_dimension is a third
 route to the Weyl dimensions, in integers over the n boxes, the oracle for
 young.gamma_dims at large d, where the O(d^2) Fractions of
-reference_weyl_dimension are too slow.
+reference_weyl_dimension are too slow, and reference_gamma_dims a fourth, the
+per-index range products that young.gamma_dims now steps along i, the oracle
+at large L too.
 reference_optimal_probe is the scipy eigh_tridiagonal call that
 fidelity.optimal_probe's direct dstebz and dstein calls replaced, the
 oracle for their bit-identical results.  interlaces and
@@ -456,6 +458,23 @@ def reference_hook_content_dimension(lam, d) -> int:
     quotient, rem = divmod(contents, hooks)
     assert rem == 0
     return quotient
+
+
+def reference_gamma_dims(d: int, L: int) -> list[tuple[int, int]]:
+    """(dim gamma_i, dim gamma_i^+) for i = 0..L, each index's three windows made afresh as
+    range products: (t_1 - t_d) prod_{1<k<d}(t_k - t_d) prod_{1<k<d}(t_1 - t_k) over
+    (d-1)!(d-2)!, the middle rows' Weyl core being 1."""
+    N, den = (d + 1) * L, math.factorial(d - 1) * math.factorial(d - 2)
+    out = []
+    for i in range(L + 1):
+        top, bottom = N + L - i, i + 1 - d  # gamma_i's first and last shifted rows
+        low = math.prod(range(L - d + 2 - bottom, L - bottom))
+        dims = [
+            low * (t - bottom) * math.prod(range(t - L + 1, t - L + d - 1)) for t in (top, top + 1)
+        ]
+        assert all(dim % den == 0 for dim in dims)
+        out.append((dims[0] // den, dims[1] // den))
+    return out
 
 
 # The exact layer as it was written in Fractions, before CoeffTable.build

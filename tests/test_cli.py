@@ -236,10 +236,11 @@ PLANTS = {
     "cg-add-box-at-gamma-0": (
         coeffs, "_cg_core", _wrong_cg_at(ROWS_3_2_0), {"cg-branch-weights"}, "d=3 L=2 i=0",
     ),
-    "shared-radicand": (  # the numerator of R, the 10th integer of _terms, doubled
+    "shared-radicand": (  # the numerator of R, the 10th integer _terms yields, doubled
         coeffs, "_terms",
-        lambda f, i, d, L: tuple(
-            v * (2 if (k, d, L, i) == (9, 3, 2, 1) else 1) for k, v in enumerate(f(i, d, L))
+        lambda f, d, L: (
+            tuple(v * (2 if (k, d, L, i) == (9, 3, 2, 1) else 1) for k, v in enumerate(terms))
+            for i, terms in enumerate(f(d, L))
         ),
         {"infidelity-chain", "dimension-ratios"}, "d=3 L=2 i=1",
     ),

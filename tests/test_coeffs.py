@@ -77,19 +77,20 @@ def cg(chain):
     return [(k, Fraction(num, den)) for k, num, den in coeffs._cg_core(t, s)]
 
 
-# Positions in the tuple coeffs._terms returns: (a, b, s-1, xn, xd, yn, yd, g, f, rn, s).
+# Positions in each tuple coeffs._terms yields: (a, b, s-1, xn, xd, yn, yd, g, f, rn, s).
 ALPHA, BETA, AB_DEN, Y, F, R = 0, 1, 2, 5, 8, 9
 
 
 def _plant(monkeypatch, where, k, wrong):
-    """Have coeffs._terms, as CoeffTable.build sees it, return wrong(terms) in
+    """Have coeffs._terms, as CoeffTable.build sees it, yield wrong(terms) in
     place of its k-th integer at every index i for which where(i) holds."""
 
-    def planted(true_terms, i, d, L):
-        terms = list(true_terms(i, d, L))
-        if where(i):
-            terms[k] = wrong(terms)
-        return tuple(terms)
+    def planted(true_terms, d, L):
+        for i, terms in enumerate(true_terms(d, L)):
+            terms = list(terms)
+            if where(i):
+                terms[k] = wrong(terms)
+            yield tuple(terms)
 
     _wrap(monkeypatch, "_terms", planted)
 
@@ -287,7 +288,7 @@ class TestSteppedRows:
             assert len(seen[0][2]) == L + 1
             for i, dims in enumerate(seen[0][2]):
                 p = GammaParams(d, L, i)
-                # gamma_dims steps gamma_0's first and last shifted rows by i
+                # gamma_i's shifted rows are gamma_0's, the first and last stepped by i
                 assert young._gamma_rows(h, i) == _shifted_rows(gamma_shape(p), d), (d, L, i)
                 for lam, dim in zip((gamma_shape(p), gamma_plus_shape(p)), dims, strict=True):
                     assert dim == reference_weyl_dimension(lam, d), (d, L, i)
@@ -492,6 +493,12 @@ class TestCoeffTable:
         with pytest.raises(ConsistencyError, match=r"for f_i\*x_i at d=5 L=3 i=2$"):
             CoeffTable.build(5, 3)
 
+    def test_wrong_shared_radicand_at_the_last_index_fires(self, monkeypatch):
+        # Index L is the last step of every window _terms moves along i.
+        _plant(monkeypatch, lambda i: i == 5, R, lambda terms: terms[R] + 1)
+        with pytest.raises(ConsistencyError, match=r"for f_i\*x_i at d=4 L=5 i=5$"):
+            CoeffTable.build(4, 5)
+
     def test_wrong_y_squared_fires(self, monkeypatch):
         # y_3^2 four times too large, with beta_2 doubled so that the dimension ratio
         # at i = 3 still holds: only the f_(i-1)*y_i radicand check sees it.
@@ -502,7 +509,7 @@ class TestCoeffTable:
 
     @pytest.mark.parametrize("d,L", [(2, 7), (5, 12)])
     def test_evaluates_each_quantity_once_per_index(self, monkeypatch, d, L):
-        calls = {"gamma_dims": 0, "dims read": 0, "_terms": 0, "_weyl_core": 0}
+        calls = {"gamma_dims": 0, "dims read": 0, "_terms": 0, "terms read": 0, "_weyl_core": 0}
 
         def counted(name):
             def call(f, *args):
@@ -511,27 +518,37 @@ class TestCoeffTable:
 
             return call
 
-        def dims_read(f, d, L):
-            calls["gamma_dims"] += 1
-            for dims in f(d, L):
-                calls["dims read"] += 1
-                yield dims
+        def read(name, reads):
+            def generator(f, d, L):
+                calls[name] += 1
+                for item in f(d, L):
+                    calls[reads] += 1
+                    yield item
 
-        _wrap(monkeypatch, "gamma_dims", dims_read)
-        _wrap(monkeypatch, "_terms", counted("_terms"))
+            return generator
+
+        _wrap(monkeypatch, "gamma_dims", read("gamma_dims", "dims read"))
+        _wrap(monkeypatch, "_terms", read("_terms", "terms read"))
         true_core = young._weyl_core
         monkeypatch.setattr(young, "_weyl_core", lambda *args: counted("_weyl_core")(true_core, *args))
         CoeffTable.build(d, L)
-        # Both dimensions and _terms per index; the middle rows' Weyl core, always 1, never.
-        assert calls == {"gamma_dims": 1, "dims read": L + 1, "_terms": L + 1, "_weyl_core": 0}
+        # One call of each generator, read once per index; the middle rows' Weyl core,
+        # always 1, never.
+        want = {"gamma_dims": 1, "dims read": L + 1, "_terms": 1, "terms read": L + 1}
+        assert calls == {**want, "_weyl_core": 0}
 
     @settings(max_examples=50, deadline=None)
-    @given(st.integers(2, 12), st.integers(1, 60))
+    @given(st.integers(2, 40), st.integers(1, 60))
+    @example(1000, 3)
+    @example(100, 100)
+    @example(2, 2000)
     def test_terms_match_the_closed_forms(self, d, L):
-        # Factor by factor, against the forms in _terms' docstring and the oracles.
+        # Factor by factor, against the forms in _terms' docstring and the oracles: each
+        # index's windows as the range products that _terms steps along i.
         N = (d + 1) * L
-        for i in range(L + 1):
-            a, b, ad, xn, xd, yn, yd, g, f, rn, rd = coeffs._terms(i, d, L)
+        got = list(coeffs._terms(d, L))
+        assert len(got) == L + 1
+        for i, (a, b, ad, xn, xd, yn, yd, g, f, rn, rd) in enumerate(got):
             s = L + N + d - 2 * i
             assert (a, b, ad, rd) == (N + d - i - 1, L - i, s - 1, s)
             assert (Fraction(a, ad), Fraction(b, ad)) == alpha_beta(i, d, L)
@@ -539,7 +556,20 @@ class TestCoeffTable:
             assert g == (i + 1) * (L + N + d - i) == g_coeff(i, d, L)
             window = prod((N + j - i - 1) * (L + d - j - i) for j in range(2, d))
             assert f == g * g * (s - 1) * window == f_squared(i, d, L)
+            q = prod(range(L - i + 1, L + d - i - 1))
+            assert rn == prod(range(N - i + 2, N + d - i)) * q, i
             assert Fraction(rn, rd) == shared_radicand(i, d, L)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(2, 40), st.integers(1, 60))
+    @example(1000, 3)
+    @example(100, 100)
+    @example(2, 2000)
+    def test_stepped_dims_and_sum_form_match_their_definitions(self, d, L):
+        # gamma_dims and infidelity_sum_form step their range products along i as _terms
+        # does; each equals its per-index definition in tests/oracles.py.
+        assert list(gamma_dims(d, L)) == oracles.reference_gamma_dims(d, L)
+        assert infidelity_sum_form(d, L) == reference_infidelity_sum_form(d, L)
 
 
 class TestAgainstFractionReference:
@@ -568,7 +598,7 @@ class TestAgainstFractionReference:
 
     def test_dim_ratio_check_sees_a_wrong_dimension(self, monkeypatch):
         # A wrong dim(gamma_1) fails the build and its Fraction reference at the same i:
-        # the build reads it from young.gamma_dims, which steps gamma_0's shifted rows to
+        # the build reads it from young.gamma_dims, which steps its windows along i to
         # i = 1, the reference from reference_weyl_dimension on gamma_1.
         wrong = gamma_shape(GammaParams(3, 4, 1))
         _wrong_dim(monkeypatch, _shifted_rows(wrong, 3))

@@ -284,10 +284,11 @@ class TestPaperRegime:
 
         true_terms, true_dims = coeffs._terms, coeffs.gamma_dims
 
-        def wrong_terms(i, d, L):
-            terms = list(true_terms(i, d, L))
-            terms[8] += i == 0  # f, the 9th integer
-            return tuple(terms)
+        def wrong_terms(d, L):
+            for i, terms in enumerate(true_terms(d, L)):
+                terms = list(terms)
+                terms[8] += i == 0  # f, the 9th integer
+                yield tuple(terms)
 
         def wrong_dims(d, L):
             for i, (dim, dim_plus) in enumerate(true_dims(d, L)):
@@ -546,10 +547,11 @@ class TestOneTablePerReport:
         fidelity_report(3, 12)
         true_terms = coeffs._terms
 
-        def doubled_x_sq(i, d, L):  # a table kept from the first call would hide it
-            terms = list(true_terms(i, d, L))
-            terms[3] *= 2  # the numerator of x_i^2
-            return tuple(terms)
+        def doubled_x_sq(d, L):  # a table kept from the first call would hide it
+            for terms in true_terms(d, L):
+                terms = list(terms)
+                terms[3] *= 2  # the numerator of x_i^2
+                yield tuple(terms)
 
         monkeypatch.setattr(coeffs, "_terms", doubled_x_sq)
         with pytest.raises(ConsistencyError):

@@ -374,6 +374,17 @@ class TestHookLengths:
             shapes = gamma_shape(p), gamma_plus_shape(p)
             assert list(hooks) == [reference_hook_length_dimension(lam) for lam in shapes], i
 
+    @pytest.mark.parametrize("d,L,indices", [(2, 2000, (0, 1, 1000, 2000)), (10, 400, (0, 200, 400))])
+    def test_stepped_counts_equal_hook_product_at_large_L(self, d, L, indices):
+        # Past i = 0 each count steps from the one before, so a fault in a step would
+        # carry to every later index; n = 8000 at both sizes.
+        got = list(gamma_hooks(d, L))
+        assert len(got) == L + 1
+        for i in indices:
+            p = GammaParams(d, L, i)
+            shapes = gamma_shape(p), gamma_plus_shape(p)
+            assert list(got[i][1]) == [reference_hook_length_dimension(lam) for lam in shapes], i
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 16), st.integers(1, 40))
     @example(16, 40)
