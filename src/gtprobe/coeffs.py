@@ -15,8 +15,8 @@ from fractions import Fraction
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
-from .young import GammaParams, as_chain, gamma_chain, gamma_dims
-from .young import _gamma_rows, _require_integer, _shifted_rows
+from .young import as_chain, gamma_chain, gamma_dims
+from .young import _gamma_rows, _require_family, _require_integer, _shifted_rows
 
 
 class ConsistencyError(ValueError):
@@ -88,7 +88,7 @@ def cg_branch_weights(grid: Iterable[tuple[int, int]]):
         # interlaces the rectangle (L, ..., L) below it, as N+L-i >= L >= i. So
         # the one chain check, as_chain on gamma_0's, covers every i, and each i
         # steps the shifted rows of the top. Weights compare as integers.
-        chain = as_chain(gamma_chain(GammaParams(d, L, 0)))
+        chain = as_chain(gamma_chain(d, L))
         t, s = _shifted_rows(chain[-1], d), _shifted_rows(chain[-2], d - 1)
         for i in range(L + 1):
             got = _cg_core(_gamma_rows(t, i), s)
@@ -160,8 +160,8 @@ class CoeffTable:
 
     @classmethod
     def build(cls, d: int, L: int) -> "CoeffTable":
-        p = GammaParams(d, L, 0)  # checks d and L once and makes them plain ints
-        d, L, N = p.d, p.L, p.N
+        d, L = _require_family(d, L)  # checks d and L once and makes them plain ints
+        N = (d + 1) * L
         rows = []  # the _terms integers per index
         # Each index reads its _terms integers and its two Weyl dimensions; the identities
         # at i read dim(gamma_{i-1}), beta_{i-1}, g_{i-1} and f_{i-1}^2 from index i-1.

@@ -38,15 +38,19 @@ def expected_fidelity(tab: CoeffTable) -> Fraction:
     sum_i f_i^2 at the protocol's coefficients.  Each squared term is
     rational because f_i x_i and f_{i-1} y_i share the radicand R_i:
     the term at index i equals (g_i (N-i+1) + g_{i-1} (L+d-i-1))^2 R_i.
-    Raises ConsistencyError unless 1 - F equals both closed forms below.
+    Raises ConsistencyError unless every term is an integer and 1 - F equals both closed forms.
     """
     L, d, N = tab.L, tab.d, tab.N
-    # num/den is the upper sum, unreduced, total the sum of the f_i^2; gp is g_{i-1}.
-    num, den, total, gp = 0, 1, 0, 0
-    for i, (gi, f, rn, rd) in enumerate(t[7:] for t in tab.terms):
-        term = (gi * (N - i + 1) + gp * (L + d - i - 1)) ** 2 * rn
-        num, den, total, gp = num * rd + term * den, den * rd, total + f, gi
-    fid = Fraction(num, den * total)
+    # num is the upper sum and total the sum of the f_i^2, both integers; gp is g_{i-1}. With
+    # s = L+N+d-2i, g_i = g_{i-1} = i(i+1) mod s, so s divides A_i = g_i (N-i+1) + g_{i-1}
+    # (L+d-i-1) and the term A_i^2 rn/s is (A_i/s)^2 s rn.
+    num, total, gp = 0, 0, 0
+    for i, (gi, f, rn, s) in enumerate(t[7:] for t in tab.terms):
+        a, rem = divmod(gi * (N - i + 1) + gp * (L + d - i - 1), s)
+        if rem:
+            raise ConsistencyError(f"upper term not a multiple of s={s} at d={d} L={L} i={i}")
+        num, total, gp = num + a * a * s * rn, total + f, gi
+    fid = Fraction(num, total)
     summed, closed = infidelity_sum_form(d, L), closed_form_infidelity(d, L)
     if not 1 - fid == summed == closed:
         raise ConsistencyError(
@@ -65,18 +69,21 @@ def infidelity_sum_form(d: int, L: int) -> Fraction:
     """
     d, L = _require_sizes(d, L)
     N = (d + 1) * L
-    # num/den is the upper sum, unreduced; total is d-1 times the lower sum.
-    num, den, total, gp = 0, 1, 0, 0
+    # num is the upper sum, an integer as s = g_i - g_{i-1}; total is d-1 times the lower sum.
+    num, total, gp = 0, 0, 0
     pn, pl = math.prod(range(N + 2, N + d + 1)), math.prod(range(L + 2, L + d + 1))  # at i = -1
     for i in range(L + 1):  # a window drops its top factor, so each division is exact
         pn = pn * (N - i + 1) // (N + d - i)  # prod(range(N-i+1, N-i+d))
         pl = pl * (L - i + 1) // (L + d - i)  # prod(range(L-i+1, L-i+d))
         prods = pn * pl
         gi, s = _alpha_beta_g(i, d, L)[3], L + N + d - 2 * i
-        num, den = num * s + (gi - gp) ** 2 * prods * den, den * s
+        q, rem = divmod((gi - gp) ** 2, s)
+        if rem:
+            raise ConsistencyError(f"g-increment not a multiple of s={s} at d={d} L={L} i={i}")
+        num += q * prods
         total += (gi**2 - gp**2) * prods
         gp = gi
-    return Fraction(num * (d - 1), den * total)
+    return Fraction(num * (d - 1), total)
 
 
 def closed_form_infidelity(d: int, L: int) -> Fraction:

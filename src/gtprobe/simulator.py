@@ -21,17 +21,7 @@ import numpy as np
 
 from .coeffs import _alpha_beta_g
 from .fidelity import protocol_probe, query_count_params
-from .young import (
-    Diagram,
-    GammaParams,
-    _require_integer,
-    gamma_content,
-    gamma_dims,
-    gamma_hooks,
-    gamma_plus_shape,
-    gamma_shape,
-    partitions,
-)
+from .young import Diagram, _require_integer, gamma_dims, gamma_hooks, partitions
 
 CAPACITY = 100_000
 NULL_SPACE_TOL = 1e-9
@@ -206,9 +196,9 @@ def _covariant_buckets(
     null_tol and casimir_tol times the spectrum's scale.
     """
     L, grown = n // (2 * d), n % 2
-    content = gamma_content(d, L)[:-1] + ((d + 1) * L + grown,)
-    shape_of = gamma_plus_shape if grown else gamma_shape
-    shapes = [shape_of(GammaParams(d, L, i)) for i in range(L + 1)]
+    family = list(gamma_hooks(d, L))  # gamma_i, its dimensions and its hook counts
+    content = (L,) * (d - 1) + ((d + 1) * L + grown,)
+    shapes = [(shape[0] + grown,) + shape[1:] for shape, _, _ in family]  # or gamma_i^+
     expected = [casimir_eigenvalue(shape, d) for shape in shapes]
     null_values = _null_values(d, content)
     scales = max(1, null_values[-1]), max(expected)  # of the residuals |M v| and |C v - e v|
@@ -249,7 +239,7 @@ def _covariant_buckets(
     buckets = project((np.arange(m) == x).astype(np.int64))
     if np.any(sub(next(buckets)[0])):
         raise ExtractionError(f"M has eigenvalues outside {null_values} {where}")
-    sector, dims = np.zeros((L + 1, m)), tuple(f[grown] for _, f in gamma_hooks(d, L))
+    sector, dims = np.zeros((L + 1, m)), tuple(f[grown] for _, _, f in family)
     for k, (shape, value, (u, den)) in enumerate(zip(shapes, expected, buckets)):
         if k == 0 and np.any(casimir(u) - value * u):
             raise ExtractionError(f"covariant Casimir values lie outside {expected} {where}")

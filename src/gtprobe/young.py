@@ -9,7 +9,6 @@ alphabet ``[d]`` is identified with its chain of d interlacing diagrams
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from itertools import combinations, product, starmap
 from math import factorial, prod
 from operator import ge, index, sub
@@ -142,41 +141,17 @@ def branching_sums(max_d: int):
                 yield None if total == want else f"d={d} lambda={lam}"
 
 
-@dataclass(frozen=True)
-class GammaParams:
-    """Parameters (d, L, i) of the probe tableau family.
-
-    The derived quantity N = (d+1)L is fixed by the construction (the
-    shapes have n = 2dL boxes); i indexes the member shape, 0 <= i <= L.
-    """
-
-    d: int
-    L: int
-    i: int
-
-    def __post_init__(self) -> None:
-        d, L = _require_sizes(self.d, self.L)
-        for name, value in (("d", d), ("L", L), ("i", _require_integer("i", self.i))):
-            object.__setattr__(self, name, value)  # plain ints, so numpy sizes cannot overflow
-        if self.d > sys.maxsize:  # gamma_shape holds d rows in a tuple
-            raise ValueError(f"d={self.d} exceeds the longest tuple of rows, {sys.maxsize}")
-        if not 0 <= self.i <= self.L:
-            raise ValueError(f"index i must satisfy 0 <= i <= L={self.L}, got {self.i}")
-
-    @property
-    def N(self) -> int:
-        return (self.d + 1) * self.L
+def _require_family(d: object, L: object) -> tuple[int, int]:
+    """(d, L) of the probe family as plain ints: _require_sizes, and d rows must fit a tuple."""
+    d, L = _require_sizes(d, L)
+    if d > sys.maxsize:  # a shape holds d rows in a tuple
+        raise ValueError(f"d={d} exceeds the longest tuple of rows, {sys.maxsize}")
+    return d, L
 
 
-def gamma_shape(p: GammaParams) -> Diagram:
-    """Probe shape (N+L-i, L, ..., L, i) with d-2 middle rows; n boxes."""
-    return (p.N + p.L - p.i,) + (p.L,) * (p.d - 2) + ((p.i,) if p.i else ())
-
-
-def gamma_plus_shape(p: GammaParams) -> Diagram:
-    """gamma_shape with one extra box in row 1; n+1 boxes."""
-    shape = gamma_shape(p)
-    return (shape[0] + 1,) + shape[1:]
+def _gamma_i(d: int, L: int, i: int) -> Diagram:
+    """Probe shape gamma_i = (N+L-i, L, ..., L, i), N = (d+1)L, with d-2 middle rows; n boxes."""
+    return ((d + 2) * L - i,) + (L,) * (d - 2) + ((i,) if i else ())
 
 
 def _gamma_rows(h: Sequence[int], i: int) -> list[int]:
@@ -193,8 +168,8 @@ def gamma_dims(d: int, L: int) -> Iterator[tuple[int, int]]:
     Vandermonde is that of the middle rows L-(d-2)..L-1, consecutive so of Weyl core 1, times
     prod_{k>1}(t_1 - t_k) prod_{1<k<d}(t_k - t_d), over (d-1)!(d-2)!: windows stepped along i.
     """
-    p = GammaParams(d, L, 0)
-    d, L, N, den = p.d, p.L, p.N, factorial(p.d - 1) * factorial(p.d - 2)
+    d, L = _require_family(d, L)
+    N, den = (d + 1) * L, factorial(d - 1) * factorial(d - 2)
 
     def dims() -> Iterator[tuple[int, int]]:
         low, up = prod(range(L + 2, L + d)), prod(range(N + 2, N + d))  # at i = -1
@@ -209,36 +184,31 @@ def gamma_dims(d: int, L: int) -> Iterator[tuple[int, int]]:
     return dims()
 
 
-def gamma_hooks(d: int, L: int) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
-    """gamma_dims' pairs with (f^gamma_i, f^gamma_i^+), f = n! dim / prod (d + c), c = column - row
-    over the boxes (Stanley, EC2, Cor. 7.21.4), stepped along i; d, L, n = 2dL checked when read."""
-    p = GammaParams(d, L, 0)
-    n = 2 * p.d * p.L
+def gamma_hooks(d: int, L: int) -> Iterator[tuple[Diagram, tuple[int, int], tuple[int, int]]]:
+    """(gamma_i, gamma_dims' pair, (f^gamma_i, f^gamma_i^+)) for i = 0..L, with
+    f = n! dim / prod (d + c), c = column - row over the boxes (Stanley, EC2, Cor. 7.21.4),
+    stepped along i; d, L and n = 2dL are checked when read, n before any shape or factorial."""
+    d, L = _require_family(d, L)
+    n = 2 * d * L
     if n > sys.maxsize:  # math.factorial's limit; n is even, so n + 1 is within it too
         raise ValueError(f"{n} boxes exceed the factorial limit, {sys.maxsize}")
-    top = p.d + p.N + p.L  # gamma_i's row 1 holds d + c = d..top-i-1, gamma_i^+ adds top-i
-    content = prod(range(p.d, top)) * prod(prod(range(j, j + p.L)) for j in range(2, p.d))
+    top = d + (d + 2) * L  # gamma_i's row 1 holds d + c = d..top-i-1, gamma_i^+ adds top-i
+    content = prod(range(d, top)) * prod(prod(range(j, j + L)) for j in range(2, d))
     num, den = factorial(n), content  # f^gamma_i = num dim / den
-    for i, (dim, dim_plus) in enumerate(gamma_dims(p.d, p.L)):
+    for i, (dim, dim_plus) in enumerate(gamma_dims(d, L)):
         hook, rem = divmod(num * dim, den)
         hook_plus, rem_plus = divmod(hook * (n + 1) * dim_plus, dim * (top - i))
         assert rem == rem_plus == 0
-        yield (dim, dim_plus), (hook, hook_plus)
+        yield _gamma_i(d, L, i), (dim, dim_plus), (hook, hook_plus)
         num, den = hook * (top - i - 1), dim * (i + 1)  # gamma_{i+1}: a box of row 1 to row d
 
 
-def gamma_chain(p: GammaParams) -> Chain:
-    """Interlacing chain of the probe tableau.
+def gamma_chain(d: int, L: int) -> Chain:
+    """Interlacing chain of the probe tableau of gamma_0.
 
     Letters k < d fill row k of the L-column rectangle, so the k-th chain
-    entry is the k-row rectangle (L, ..., L); the top diagram is
-    gamma_shape(p), putting N-i letter-d boxes in row 1 and i in row d.
+    entry is the k-row rectangle (L, ..., L); the top diagram gamma_0 puts
+    all N letter-d boxes in row 1, and gamma_i's chain moves i of them to row d.
     """
-    chain = [(p.L,) * k for k in range(1, p.d)]
-    chain.append(gamma_shape(p))
-    return tuple(chain)
-
-
-def gamma_content(d: int, L: int) -> tuple[int, ...]:
-    """Letter multiplicities of the probe tableau: L each for 1..d-1, N for d."""
-    return (L,) * (d - 1) + ((d + 1) * L,)
+    d, L = _require_family(d, L)
+    return tuple((L,) * k for k in range(1, d)) + (_gamma_i(d, L, 0),)

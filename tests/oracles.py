@@ -49,7 +49,10 @@ reference_amplitude_reduction_check the one-case amplitude check that the
 stacked amplitude_reduction_check replaced, reference_amplitude_stacks the
 one-case draw-and-normalize loop that verify's stacked states replaced, and
 reference_plan_queries the doubling and bisection search that plan_queries'
-closed-form start replaced.
+closed-form start replaced.  reference_gamma_shape, reference_gamma_chain and
+reference_gamma_content are the probe family gamma_i written from its formula,
+one index at a time, the oracle for the shapes young.gamma_hooks yields and the
+chain young.gamma_chain makes, which the library addresses by (d, L) alone.
 """
 
 import math
@@ -73,17 +76,28 @@ from gtprobe.simulator import (
     _sector,
     casimir_eigenvalue,
 )
-from gtprobe.young import (
-    Diagram,
-    GammaParams,
-    _require_integer,
-    as_chain,
-    as_diagram,
-    gamma_content,
-    gamma_plus_shape,
-    gamma_shape,
-    row,
-)
+from gtprobe.young import Diagram, _require_integer, as_chain, as_diagram, row
+
+
+def reference_gamma_shape(d: int, L: int, i: int, grown: int = 0) -> Diagram:
+    """The probe shape gamma_i = (N+L-i, L, ..., L, i), N = (d+1)L, with d-2 middle rows and
+    a zero last row dropped; grown = 1 adds a box to row 1, giving gamma_i^+."""
+    N = (d + 1) * L
+    rows = [N + L - i + grown] + [L] * (d - 2) + [i]
+    return tuple(r for r in rows if r)
+
+
+def reference_gamma_chain(d: int, L: int, i: int) -> tuple[Diagram, ...]:
+    """Interlacing chain of the probe tableau of gamma_i: letter k < d fills row k of the
+    L-column rectangle, and letter d fills N-i boxes of row 1 and i of row d, so the k-th
+    diagram is the k-row rectangle (L, ..., L) for k < d and gamma_i for k = d."""
+    return tuple((L,) * k for k in range(1, d)) + (reference_gamma_shape(d, L, i),)
+
+
+def reference_gamma_content(d: int, L: int) -> tuple[int, ...]:
+    """Letter multiplicities of the probe tableau, read off its chain: L for 1..d-1, N for d."""
+    sizes = [0] + [sum(lam) for lam in reference_gamma_chain(d, L, 0)]
+    return tuple(b - a for a, b in zip(sizes, sizes[1:]))
 
 
 def interlaces(mu, lam) -> bool:
@@ -323,7 +337,7 @@ def full_space_mc(d, n, samples, seed, vs, randomize_target=False, probe=None):
     """
     L = vs.L
     f = protocol_probe(d, L) if probe is None else np.asarray(probe) / np.linalg.norm(probe)
-    shapes = [gamma_shape(GammaParams(d, L, i)) for i in range(L + 1)]
+    shapes = [reference_gamma_shape(d, L, i) for i in range(L + 1)]
     dims = np.array([float(reference_weyl_dimension(lam, d)) for lam in shapes])
     ket = (f * np.sqrt(dims)) @ vs.vectors
     bra = vs.vectors.sum(axis=0).conj()
@@ -483,18 +497,18 @@ def reference_gamma_dims(d: int, L: int) -> list[tuple[int, int]]:
 # reference_dim_ratio_check, and every comparison and sum is a Fraction one.
 
 
-def reference_dim_ratio_check(p: GammaParams) -> bool:
-    d, L, N, i = p.d, p.L, p.N, p.i
+def reference_dim_ratio_check(d: int, L: int, i: int) -> bool:
+    N = (d + 1) * L
     s = L + N + d - 2 * i
-    dim_plus = reference_weyl_dimension(gamma_plus_shape(p), d)
-    ratio = Fraction(reference_weyl_dimension(gamma_shape(p), d), dim_plus)
+    dim_plus = reference_weyl_dimension(reference_gamma_shape(d, L, i, grown=1), d)
+    ratio = Fraction(reference_weyl_dimension(reference_gamma_shape(d, L, i), d), dim_plus)
     alpha, _ = alpha_beta(i, d, L)
     x_sq, y_sq = xy_squared(i, d, L)
     ok = ratio == Fraction((s - 1) * (N - i + 1), s * (N + d - i - 1))
     ok = ok and alpha**2 * ratio == x_sq
     if i >= 1:
-        prev = GammaParams(d, L, i - 1)
-        ratio_prev = Fraction(reference_weyl_dimension(gamma_shape(prev), d), dim_plus)
+        prev = reference_gamma_shape(d, L, i - 1)
+        ratio_prev = Fraction(reference_weyl_dimension(prev, d), dim_plus)
         beta_prev = alpha_beta(i - 1, d, L)[1]
         ok = ok and ratio_prev == Fraction((s + 1) * (L + d - i - 1), s * (L - i + 1))
         ok = ok and beta_prev**2 * ratio_prev == y_sq
@@ -589,8 +603,7 @@ def reference_build(d: int, L: int) -> ReferenceTable:
     N = (d + 1) * L
     alpha, beta, x_sq, y_sq, g, f_sq, rad = [], [], [], [], [], [], []
     for i in range(L + 1):
-        p = GammaParams(d, L, i)
-        if not reference_dim_ratio_check(p):
+        if not reference_dim_ratio_check(d, L, i):
             raise ConsistencyError(f"dimension-ratio identity failed at d={d} L={L} i={i}")
         a, b = alpha_beta(i, d, L)
         xs, ys = xy_squared(i, d, L)
@@ -776,13 +789,13 @@ def reference_cg_embedding(d: int, n: int, vs) -> list[CGResidual]:
     tables and the row-major matvec, running the M-kernel product again for
     every grown bucket."""
     L = vs.L
-    content = gamma_content(d, L)
+    content = reference_gamma_content(d, L)
     content = content[:-1] + (content[-1] + 1,)
     codes, letters, _ = _sector(d, n + 1, content)
     swaps, low_swaps = reference_swap_tables(d, codes, letters)
     casimir = reference_swap_operator((d - 1) * (n + 1) + sum(c * c for c in content), swaps)
     sub = reference_swap_operator((d - 2) * sum(content[:-1]), low_swaps)
-    values = [casimir_eigenvalue(gamma_plus_shape(GammaParams(d, L, i)), d) for i in range(L + 1)]
+    values = [casimir_eigenvalue(reference_gamma_shape(d, L, i, grown=1), d) for i in range(L + 1)]
     grown = np.zeros((L + 1, len(codes)), dtype=vs.sector.dtype)
     grown[:, codes % d == d - 1] = vs.sector
     weights = []

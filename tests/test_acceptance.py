@@ -26,8 +26,7 @@ from gtprobe.simulator import (
     mc_estimates,
     verify_cg_embedding,
 )
-from gtprobe.young import GammaParams, gamma_shape
-from oracles import reference_hook_length_dimension
+from oracles import reference_gamma_shape, reference_hook_length_dimension
 
 MC_SAMPLES = 100_000
 MC_SEED = 42
@@ -98,8 +97,7 @@ def test_c5_simulator_branching_weights():
         L = n // (2 * d)
         vectors = extract_gt_vectors(d, n)
         hooks = tuple(
-            reference_hook_length_dimension(gamma_shape(GammaParams(d, L, i)))
-            for i in range(L + 1)
+            reference_hook_length_dimension(reference_gamma_shape(d, L, i)) for i in range(L + 1)
         )
         assert vectors.sector_dims == hooks, (d, n)
         for rec in verify_cg_embedding(d, n):

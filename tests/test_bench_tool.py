@@ -138,15 +138,21 @@ def test_parent_runs_pair_with_the_checkout_in_alternating_order(tmp_path):
     (repo / "perfbench").mkdir(parents=True)
     run_py = repo / "perfbench" / "run.py"
     run_py.write_text(STUB.format(side="parent", base=10.0, worse=None, log=str(log)))
+    (repo / "src").mkdir()
+    (repo / "BENCHMARK.json").write_text("{}\n")
     _git(repo, "init", "-q")
     _git(repo, "add", "-A")
     _git(repo, "commit", "-q", "-m", "parent")
     # The change, uncommitted: faster at every seed but seed 3.
     run_py.write_text(STUB.format(side="change", base=8.0, worse=20.0, log=str(log)))
 
-    with bench.worktree(repo, "HEAD") as parent:
-        runs = bench.measure(repo, 4, 0.0, parent)
-    assert not parent.exists()
+    with bench.trees(repo, "HEAD") as (change, parent):
+        # Both sides run from sibling directories, so neither runs from the checkout.
+        assert change.parent == parent.parent
+        assert (change / "BENCHMARK.json").exists() and (change / "src").is_dir()
+        runs = bench.measure(change, 4, 0.0, parent)
+    assert not parent.exists() and not change.exists()
+    assert not (repo / ".perfbench").exists()
     assert _git(repo, "worktree", "list").count("\n") == 1
 
     sweep = [line.split() for line in log.read_text().splitlines() if " sweep " in line]

@@ -17,6 +17,7 @@ from gtprobe import cli, coeffs, fidelity, simulator, young
 from oracles import (
     reference_amplitude_reduction_check,
     reference_amplitude_stacks,
+    reference_gamma_shape,
     reference_hook_length_dimension,
     reference_weyl_dimension,
 )
@@ -92,9 +93,9 @@ class TestDimsCommand:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 2  # L = 1
         for i, row in enumerate(rows):
-            p = young.GammaParams(60, 1, i)
-            shapes = young.gamma_shape(p), young.gamma_plus_shape(p)
+            shapes = reference_gamma_shape(60, 1, i), reference_gamma_shape(60, 1, i, grown=1)
             assert (row["i"], row["shape"]) == (str(i), cli._shape_str(shapes[0])), row
+            assert row["shape_plus"] == cli._shape_str(shapes[1]), row
             dims = [int(row["weyl_dim"]), int(row["weyl_dim_plus"])]
             assert dims == [reference_weyl_dimension(lam, 60) for lam in shapes], i
 
@@ -102,7 +103,7 @@ class TestDimsCommand:
         code, out, _ = run(capsys, ["dims", "--d", "1000", "--n", "2000", "--format", "csv"])
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
-        shapes = [young.gamma_shape(young.GammaParams(1000, 1, i)) for i in range(2)]
+        shapes = [reference_gamma_shape(1000, 1, i) for i in range(2)]
         assert [row["shape"] for row in rows] == list(map(cli._shape_str, shapes))
         assert [int(row["hook_dim"]) for row in rows] == [
             reference_hook_length_dimension(lam) for lam in shapes
@@ -117,7 +118,7 @@ class TestDimsCommand:
         assert len(lines) == n // (2 * d) + 2
         assert {len(line) for line in lines} == {len(lines[0])} == {7}
         assert [line[1] for line in lines[1:]] == [
-            cli._shape_str(young.gamma_shape(young.GammaParams(d, n // (2 * d), i)))
+            cli._shape_str(reference_gamma_shape(d, n // (2 * d), i))
             for i in range(n // (2 * d) + 1)
         ]
 

@@ -20,7 +20,7 @@ ALLOWED = {"_require_sizes", "_check_capacity"}
 # module -> sibling -> the private names the module imports or reads from that sibling
 LIBRARY_REACHES = {
     "young": {},
-    "coeffs": {"young": {"_gamma_rows", "_require_integer", "_shifted_rows"}},
+    "coeffs": {"young": {"_gamma_rows", "_require_family", "_require_integer", "_shifted_rows"}},
     "fidelity": {
         "coeffs": {"_alpha_beta_g", "_terms"},
         "young": {"_require_integer", "_require_sizes"},

@@ -20,14 +20,7 @@ from gtprobe.fidelity import (
     plan_queries,
     protocol_probe,
 )
-from gtprobe.young import (
-    GammaParams,
-    _shifted_rows,
-    gamma_chain,
-    gamma_dims,
-    gamma_plus_shape,
-    gamma_shape,
-)
+from gtprobe.young import _shifted_rows, gamma_chain, gamma_dims
 import oracles
 from oracles import (
     alpha_beta,
@@ -38,6 +31,8 @@ from oracles import (
     reference_cg_add_box,
     reference_dim_ratio_check,
     reference_expected_fidelity,
+    reference_gamma_chain,
+    reference_gamma_shape,
     reference_infidelity_sum_form,
     reference_telescoping_check,
     reference_weyl_dimension,
@@ -61,7 +56,7 @@ def _wrong_dim(monkeypatch, wrong_rows):
     wrong_rows (gamma_i's or gamma_i^+'s) one too large."""
 
     def wrong(f, d, L):
-        h = _shifted_rows(gamma_shape(GammaParams(d, L, 0)), d)
+        h = _shifted_rows(reference_gamma_shape(d, L, 0), d)
         for i, (dim, dim_plus) in enumerate(f(d, L)):
             rows = young._gamma_rows(h, i)
             yield dim + (rows == wrong_rows), dim_plus + ([rows[0] + 1, *rows[1:]] == wrong_rows)
@@ -199,7 +194,7 @@ class TestClebschGordan:
     def test_probe_chain_matches_branch_weights(self):
         for d, L in product(range(2, 7), range(1, 8)):
             for i in range(L + 1):
-                got = cg(gamma_chain(GammaParams(d, L, i)))
+                got = cg(reference_gamma_chain(d, L, i))
                 alpha, beta = alpha_beta(i, d, L)
                 want = [(1, alpha)] + ([(d, beta)] if i < L else [])
                 assert got == want, (d, L, i)
@@ -207,22 +202,22 @@ class TestClebschGordan:
     def test_invalid_chain_rejected(self, monkeypatch):
         # verify's CG family checks gamma_0's chain with as_chain before it steps the rows.
         true_chain = coeffs.gamma_chain
-        monkeypatch.setattr(coeffs, "gamma_chain", lambda p: true_chain(p)[::-1])
+        monkeypatch.setattr(coeffs, "gamma_chain", lambda d, L: true_chain(d, L)[::-1])
         with pytest.raises(ValueError, match="not a valid interlacing chain"):
             list(coeffs.cg_branch_weights([(3, 2)]))
 
     @pytest.mark.parametrize("bad", [None, 1j])
     def test_rejects_rows_int_cannot_convert(self, monkeypatch, bad):
         true_chain = coeffs.gamma_chain
-        monkeypatch.setattr(coeffs, "gamma_chain", lambda p: (*true_chain(p)[:-1], (bad,)))
+        monkeypatch.setattr(coeffs, "gamma_chain", lambda d, L: (*true_chain(d, L)[:-1], (bad,)))
         with pytest.raises(ValueError, match="must be integers"):
             list(coeffs.cg_branch_weights([(3, 2)]))
 
     @settings(max_examples=300, deadline=None)
     @given(chain_strategy(max_d=12, max_part=10**4))
-    @example(gamma_chain(GammaParams(10, 40, 0)))
-    @example(gamma_chain(GammaParams(10, 40, 17)))
-    @example(gamma_chain(GammaParams(10, 40, 40)))
+    @example(reference_gamma_chain(10, 40, 0))
+    @example(reference_gamma_chain(10, 40, 17))
+    @example(reference_gamma_chain(10, 40, 40))
     def test_matches_row_by_row_reference(self, chain):
         assert cg(chain) == reference_cg_add_box(chain)
 
@@ -281,16 +276,16 @@ class TestSteppedRows:
             seen.clear()
             CoeffTable.build(d, L)
             assert [args[:2] for args in seen] == [(d, L)]  # one call, read at every index
-            h = _shifted_rows(gamma_shape(GammaParams(d, L, 0)), d)
+            h = _shifted_rows(reference_gamma_shape(d, L, 0), d)
             if d >= 3:  # the middle rectangle (L, ..., L) of U(d-2) has dimension 1
                 core = young._weyl_core(h[1:-1], prod(map(factorial, range(d - 2))))
                 assert core == reference_weyl_dimension((L,) * (d - 2), d - 2) == 1, (d, L)
             assert len(seen[0][2]) == L + 1
             for i, dims in enumerate(seen[0][2]):
-                p = GammaParams(d, L, i)
+                shapes = reference_gamma_shape(d, L, i), reference_gamma_shape(d, L, i, grown=1)
                 # gamma_i's shifted rows are gamma_0's, the first and last stepped by i
-                assert young._gamma_rows(h, i) == _shifted_rows(gamma_shape(p), d), (d, L, i)
-                for lam, dim in zip((gamma_shape(p), gamma_plus_shape(p)), dims, strict=True):
+                assert young._gamma_rows(h, i) == _shifted_rows(shapes[0], d), (d, L, i)
+                for lam, dim in zip(shapes, dims, strict=True):
                     assert dim == reference_weyl_dimension(lam, d), (d, L, i)
 
     @settings(max_examples=40, deadline=None)
@@ -305,8 +300,8 @@ class TestSteppedRows:
             CoeffTable.build(d, L)
         assert len(seen) == L + 1
         for i, dims in enumerate(seen):
-            p = GammaParams(d, L, i)
-            for lam, dim in zip((gamma_shape(p), gamma_plus_shape(p)), dims, strict=True):
+            shapes = reference_gamma_shape(d, L, i), reference_gamma_shape(d, L, i, grown=1)
+            for lam, dim in zip(shapes, dims, strict=True):
                 assert dim == reference_weyl_dimension(lam, d), i
 
     def test_cg_family_rows_and_cg_core(self, monkeypatch):
@@ -320,7 +315,7 @@ class TestSteppedRows:
         indexed = [(d, L, i) for d, L in VERIFY_GRID for i in range(L + 1)]
         assert len(seen) == len(indexed)
         for (d, L, i), (t, s) in zip(indexed, seen):
-            chain = gamma_chain(GammaParams(d, L, i))
+            chain = reference_gamma_chain(d, L, i)
             assert t == tuple(_shifted_rows(chain[-1], d)), (d, L, i)
             assert s == tuple(_shifted_rows(chain[-2], d - 1)), (d, L, i)
             reduced = [(k, Fraction(num, den)) for k, num, den in true_core(t, s)]
@@ -337,9 +332,9 @@ class TestSteppedRows:
 
     @pytest.mark.parametrize("d", [2, 5])
     def test_build_validates_once_per_table(self, monkeypatch, d):
-        # Per-index validation would make GammaParams or as_diagram calls grow with L;
-        # the build checks no index, as each one it makes lies in 0..L.
-        calls = {"GammaParams": 0, "as_diagram": 0}
+        # Per-index validation would make _require_family or as_diagram calls grow with L;
+        # the build checks (d, L) once for itself and once in gamma_dims, and no index.
+        calls = {"_require_family": 0, "as_diagram": 0}
 
         def counted(module, name):
             true_fn = getattr(module, name)
@@ -350,14 +345,15 @@ class TestSteppedRows:
 
             monkeypatch.setattr(module, name, call)
 
-        counted(coeffs, "GammaParams")
+        counted(coeffs, "_require_family")
+        counted(young, "_require_family")
         counted(young, "as_diagram")
         seen = []
         for L in (1, 40):
-            calls.update(GammaParams=0, as_diagram=0)
+            calls.update(_require_family=0, as_diagram=0)
             CoeffTable.build(d, L)
             seen.append(dict(calls))
-        assert seen[0]["GammaParams"] == seen[1]["GammaParams"] == 1
+        assert seen[0]["_require_family"] == seen[1]["_require_family"] == 2
         assert seen[0]["as_diagram"] == seen[1]["as_diagram"]
 
 
@@ -452,7 +448,7 @@ class TestCoeffTable:
         assert tab.shared_radicand == (Fraction(1, 6), Fraction(1, 4))
 
     def test_probe_branch_coefficients(self):
-        assert cg(gamma_chain(GammaParams(2, 1, 0))) == [
+        assert cg(gamma_chain(2, 1)) == [
             (1, Fraction(4, 5)),
             (2, Fraction(1, 5)),
         ]
@@ -468,10 +464,10 @@ class TestCoeffTable:
         with pytest.raises(ConsistencyError, match=r"for f_i\*x_i at d=3 L=2 i=1$"):
             CoeffTable.build(3, 2)
 
-    @pytest.mark.parametrize("shape_of", [gamma_shape, gamma_plus_shape])
-    def test_wrong_weyl_dimension_fires(self, monkeypatch, shape_of):
+    @pytest.mark.parametrize("grown", [0, 1], ids=["gamma_shape", "gamma_plus_shape"])
+    def test_wrong_weyl_dimension_fires(self, monkeypatch, grown):
         d, L = 3, 4
-        _wrong_dim(monkeypatch, _shifted_rows(shape_of(GammaParams(d, L, 1)), d))
+        _wrong_dim(monkeypatch, _shifted_rows(reference_gamma_shape(d, L, 1, grown), d))
         message = r"dimension-ratio identity failed at d=3 L=4 i=1$"
         with pytest.raises(ConsistencyError, match=message):
             CoeffTable.build(d, L)
@@ -594,13 +590,13 @@ class TestAgainstFractionReference:
         summed, want_summed = infidelity_sum_form(d, L), reference_infidelity_sum_form(d, L)
         assert summed == want_summed and type(summed) is Fraction
         for i in range(L + 1):
-            assert reference_dim_ratio_check(GammaParams(d, L, i)) is True, i
+            assert reference_dim_ratio_check(d, L, i) is True, i
 
     def test_dim_ratio_check_sees_a_wrong_dimension(self, monkeypatch):
         # A wrong dim(gamma_1) fails the build and its Fraction reference at the same i:
         # the build reads it from young.gamma_dims, which steps its windows along i to
         # i = 1, the reference from reference_weyl_dimension on gamma_1.
-        wrong = gamma_shape(GammaParams(3, 4, 1))
+        wrong = reference_gamma_shape(3, 4, 1)
         _wrong_dim(monkeypatch, _shifted_rows(wrong, 3))
         true_dim = oracles.reference_weyl_dimension
         monkeypatch.setattr(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -21,10 +22,11 @@ from gtprobe.fidelity import (
     protocol_probe,
     query_count_params,
 )
-from gtprobe.young import GammaParams, gamma_dims, gamma_plus_shape, gamma_shape
+from gtprobe.young import gamma_dims
 from oracles import (
     rayleigh_quotient,
     reference_amplitude_reduction_check,
+    reference_gamma_shape,
     reference_hook_content_dimension,
     reference_optimal_probe,
     reference_plan_queries,
@@ -97,6 +99,29 @@ class TestInfidelityForms:
     @example(30, 120)
     def test_expected_fidelity_checks_the_routes_beyond_the_grid(self, d, L):
         expected_fidelity(CoeffTable.build(d, L))  # raises unless the three routes agree
+
+    def test_a_wrong_g_is_not_a_multiple_of_s(self, monkeypatch):
+        # Each sum divides its terms by s = L+N+d-2i exactly; g_1 one too large breaks that
+        # at i = 1 (s = 11 at d=3 L=2), before any route is compared.
+        from gtprobe import fidelity as fmod
+
+        tab = CoeffTable.build(3, 2)
+        terms = [list(t) for t in tab.terms]
+        terms[1][7] += 1
+        wrong = dataclasses.replace(tab, terms=tuple(map(tuple, terms)))
+        with pytest.raises(ConsistencyError, match=r"^upper term not a multiple of s=11 at "
+                           r"d=3 L=2 i=1$"):
+            expected_fidelity(wrong)
+        true_abg = fmod._alpha_beta_g
+
+        def wrong_g(i, d, L):
+            a, b, den, g = true_abg(i, d, L)
+            return a, b, den, g + (i == 1)
+
+        monkeypatch.setattr(fmod, "_alpha_beta_g", wrong_g)
+        with pytest.raises(ConsistencyError, match=r"^g-increment not a multiple of s=11 at "
+                           r"d=3 L=2 i=1$"):
+            infidelity_sum_form(3, 2)
 
     @pytest.mark.parametrize("route", ["infidelity_sum_form", "closed_form_infidelity"])
     def test_expected_fidelity_raises_on_a_wrong_route(self, monkeypatch, route):
@@ -256,8 +281,7 @@ class TestPaperRegime:
     @pytest.mark.parametrize("d,L", [(400, 1), (1000, 1), (1000, 3)])
     def test_gamma_dims_match_hook_content(self, d, L):
         for i, dims in enumerate(gamma_dims(d, L)):
-            p = GammaParams(d, L, i)
-            shapes = gamma_shape(p), gamma_plus_shape(p)
+            shapes = reference_gamma_shape(d, L, i), reference_gamma_shape(d, L, i, grown=1)
             assert list(dims) == [reference_hook_content_dimension(lam, d) for lam in shapes], i
 
     @settings(max_examples=200, deadline=None)

@@ -32,12 +32,6 @@ from gtprobe.simulator import (
     mc_estimates,
     verify_cg_embedding,
 )
-from gtprobe.young import (
-    GammaParams,
-    gamma_content,
-    gamma_plus_shape,
-    gamma_shape,
-)
 from oracles import (
     _prefix_levels,
     apply_tensor_power,
@@ -46,6 +40,8 @@ from oracles import (
     full_space_mc,
     haar_unitary,
     reference_cg_embedding,
+    reference_gamma_content,
+    reference_gamma_shape,
     reference_haar_batch,
     reference_hook_length_dimension,
     reference_restricted_power,
@@ -66,7 +62,7 @@ def reference_mc(d, n, samples, seed, vs, probe=None):
         f = np.sqrt(f_sq / f_sq.sum())
     else:
         f = np.asarray(probe, dtype=float) / np.linalg.norm(probe)
-    shapes = [gamma_shape(GammaParams(d, L, i)) for i in range(L + 1)]
+    shapes = [reference_gamma_shape(d, L, i) for i in range(L + 1)]
     dims = np.array([float(reference_weyl_dimension(lam, d)) for lam in shapes])
     weights = f * np.sqrt(dims)
     rng = np.random.default_rng(seed)
@@ -103,9 +99,9 @@ def reference_cg_projections(d, n, pick, vs=None):
     projected onto its (n+1)-site buckets, with v_i the oracle's n-site
     bucket vector that pick selects unless the vector set vs gives it."""
     L = n // (2 * d)
-    content = gamma_content(d, L)
-    shapes = [gamma_shape(GammaParams(d, L, i)) for i in range(L + 1)]
-    shapes_plus = [gamma_plus_shape(GammaParams(d, L, i)) for i in range(L + 1)]
+    content = reference_gamma_content(d, L)
+    shapes = [reference_gamma_shape(d, L, i) for i in range(L + 1)]
+    shapes_plus = [reference_gamma_shape(d, L, i, grown=1) for i in range(L + 1)]
     codes, buckets = full_null_space_buckets(d, n, content, shapes)
     plus, buckets_plus = full_null_space_buckets(
         d, n + 1, content[:-1] + (content[-1] + 1,), shapes_plus
@@ -128,8 +124,8 @@ def assert_matches_oracle(d, n, pick):
     eigh-based transfer-matrix oracle, and its CG records match the
     oracle's projections of the same vectors, all within 1e-12."""
     vs = extract_gt_vectors(d, n, pick=pick)
-    shapes = [gamma_shape(GammaParams(d, vs.L, i)) for i in range(vs.L + 1)]
-    codes, buckets = full_null_space_buckets(d, n, gamma_content(d, vs.L), shapes)
+    shapes = [reference_gamma_shape(d, vs.L, i) for i in range(vs.L + 1)]
+    codes, buckets = full_null_space_buckets(d, n, reference_gamma_content(d, vs.L), shapes)
     for v, bucket in zip(vs.vectors, buckets):
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(bucket.T @ v[codes]) == pytest.approx(1.0, abs=1e-12)
@@ -236,7 +232,7 @@ class TestWeightSector:
 
     @pytest.mark.parametrize("d,n", [(3, 12), (2, 20), (5, 10)])
     def test_half_levels_index_prefixes_and_suffixes(self, d, n):
-        _, letters, levels = _sector(d, n, gamma_content(d, n // (2 * d)))
+        _, letters, levels = _sector(d, n, reference_gamma_content(d, n // (2 * d)))
         for part in (letters[:, : n // 2], letters[:, n // 2 :]):
             assert level_lists(levels[: n // 2]) == level_lists(_prefix_levels(part, d)[1])
 
@@ -325,7 +321,7 @@ class TestExtraction:
     def test_qutrit_buckets_match_hooks(self):
         vs = extract_gt_vectors(3, 6)
         hooks = tuple(
-            reference_hook_length_dimension(gamma_shape(GammaParams(3, 1, i))) for i in range(2)
+            reference_hook_length_dimension(reference_gamma_shape(3, 1, i)) for i in range(2)
         )
         assert vs.sector_dims == hooks == (5, 10)
 
@@ -333,7 +329,7 @@ class TestExtraction:
         vs = extract_gt_vectors(3, 6)
         gram = vs.vectors @ vs.vectors.conj().T
         assert np.max(np.abs(gram - np.eye(2))) < 1e-10
-        support = set(weight_sector(3, 6, gamma_content(3, 1)))
+        support = set(weight_sector(3, 6, reference_gamma_content(3, 1)))
         for v in vs.vectors:
             assert set(np.nonzero(v)[0]) <= support
 
@@ -420,11 +416,10 @@ def admitted_sizes():
 
 def certified_sector(d, n, grown):
     L = n // (2 * d)
-    content = gamma_content(d, L)
-    shape = gamma_plus_shape if grown else gamma_shape
+    content = reference_gamma_content(d, L)
     if grown:
         content = content[:-1] + (content[-1] + 1,)
-    return n + grown, content, [shape(GammaParams(d, L, i)) for i in range(L + 1)]
+    return n + grown, content, [reference_gamma_shape(d, L, i, grown) for i in range(L + 1)]
 
 
 class TestExactCertificate:
@@ -478,7 +473,7 @@ class TestExactCertificate:
     @pytest.mark.parametrize("shifted", [0, 1])
     def test_planted_casimir_shift(self, d, n, m, shifted, monkeypatch):
         true_value = simulator.casimir_eigenvalue
-        shape = gamma_shape(GammaParams(d, n // (2 * d), shifted))
+        shape = reference_gamma_shape(d, n // (2 * d), shifted)
 
         def planted(lam, rank):
             return true_value(lam, rank) + (rank == d and tuple(lam) == shape)
@@ -497,10 +492,10 @@ class TestExactCertificate:
         true_hooks = simulator.gamma_hooks
 
         def planted(d, L):  # the hook of shapes[shifted] one too large
-            for i, (dims, hooks) in enumerate(true_hooks(d, L)):
+            for i, (shape, dims, hooks) in enumerate(true_hooks(d, L)):
                 hooks = list(hooks)
                 hooks[grown] += i == shifted
-                yield dims, tuple(hooks)
+                yield shape, dims, tuple(hooks)
 
         monkeypatch.setattr(simulator, "gamma_hooks", planted)
         dim = reference_hook_length_dimension(shapes[shifted])
@@ -586,7 +581,7 @@ class TestSwapTables:
 
     @pytest.mark.parametrize("d,n", [(d, n) for d, n, grown in admitted_sizes() if not grown])
     def test_restricted_power_matches_fancy_indexing(self, d, n):
-        _, _, levels = _sector(d, n, gamma_content(d, n // (2 * d)))
+        _, _, levels = _sector(d, n, reference_gamma_content(d, n // (2 * d)))
         w = _haar_batch(np.random.default_rng(n), 5, d)
         power = _restricted_power(w.reshape(d * d, 5), _power_steps(d, levels[: n // 2]))
         assert power.flags.c_contiguous
@@ -615,7 +610,7 @@ class TestSwapTables:
         assert kernels == [True, False, False] * 3
 
     def test_tables_never_form_all_pair_codes(self):
-        content = gamma_content(2, 4)
+        content = reference_gamma_content(2, 4)
         codes, letters, _ = _sector(2, 16, content)
         peak, (swaps, low_swaps) = peak_bytes(_swap_tables, 2, content, codes, letters)
         assert swaps.shape == (48, comb(16, 4)) and low_swaps.shape == (0, comb(16, 4))

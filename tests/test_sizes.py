@@ -20,7 +20,7 @@ from gtprobe.fidelity import (
     query_count_params,
 )
 from gtprobe.simulator import CapacityError, extract_gt_vectors, mc_estimates, verify_cg_embedding
-from gtprobe.young import GammaParams
+from gtprobe.young import gamma_chain, gamma_dims, gamma_hooks
 
 # (entry point, its size fields, a call from valid (d, L) sizes keyed by field)
 ENTRY_POINTS = [
@@ -32,7 +32,9 @@ ENTRY_POINTS = [
     (protocol_probe, ("d", "L"), lambda s: protocol_probe(s["d"], s["L"])),
     (plan_queries, ("d",), lambda s: plan_queries(s["d"], 0.1)),
     (CoeffTable.build, ("d", "L"), lambda s: CoeffTable.build(s["d"], s["L"])),
-    (GammaParams, ("d", "L"), lambda s: GammaParams(s["d"], s["L"], s["L"])),
+    (gamma_chain, ("d", "L"), lambda s: gamma_chain(s["d"], s["L"])),
+    (gamma_dims, ("d", "L"), lambda s: list(gamma_dims(s["d"], s["L"]))),
+    (gamma_hooks, ("d", "L"), lambda s: list(gamma_hooks(s["d"], s["L"]))),
     (extract_gt_vectors, ("d", "n"), lambda s: extract_gt_vectors(s["d"], s["n"])),
     (verify_cg_embedding, ("d", "n"), lambda s: verify_cg_embedding(s["d"], s["n"])),
     (mc_estimates, ("d", "n"), lambda s: mc_estimates(s["d"], s["n"], 100, 0)),

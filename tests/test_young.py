@@ -8,25 +8,25 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gtprobe import young
+from gtprobe.coeffs import CoeffTable
 from gtprobe.young import (
-    GammaParams,
     _shifted_rows,
     _weyl_core,
     as_chain,
     as_diagram,
     branching_restrictions,
     gamma_chain,
-    gamma_content,
     gamma_dims,
     gamma_hooks,
-    gamma_plus_shape,
-    gamma_shape,
     partitions,
     row,
 )
 from oracles import (
     interlaces,
     is_valid_chain,
+    reference_gamma_chain,
+    reference_gamma_content,
+    reference_gamma_shape,
     reference_hook_content_dimension,
     reference_hook_length_dimension,
     reference_weyl_dimension,
@@ -253,9 +253,9 @@ class TestWeylDimension:
     @example(((7,), 1))
     @example(((), 16))
     @example(((10**4,) * 16, 16))
-    @example((gamma_shape(GammaParams(10, 40, 0)), 10))
-    @example((gamma_shape(GammaParams(10, 40, 17)), 10))
-    @example((gamma_shape(GammaParams(10, 40, 40)), 10))
+    @example((reference_gamma_shape(10, 40, 0), 10))
+    @example((reference_gamma_shape(10, 40, 17), 10))
+    @example((reference_gamma_shape(10, 40, 40), 10))
     def test_matches_fraction_product(self, case):
         lam, d = case
         assert weyl(lam, d) == reference_weyl_dimension(lam, d)
@@ -348,20 +348,20 @@ class TestHookLengths:
     def test_single_row(self):
         # gamma_0 at d = 2 is the one row (4L), and gamma_0^+ the row (4L+1)
         for L in range(1, 9):
-            assert next(gamma_hooks(2, L))[1] == (1, 1)
+            assert next(gamma_hooks(2, L))[::2] == ((4 * L,), (1, 1))
 
     def test_known_values(self):
-        assert list(gamma_hooks(2, 1)) == [((5, 6), (1, 1)), ((3, 4), (3, 4))]
-        assert [hooks for _, hooks in gamma_hooks(3, 1)] == [(5, 6), (10, 15)]
+        assert list(gamma_hooks(2, 1)) == [((4,), (5, 6), (1, 1)), ((3, 1), (3, 4), (3, 4))]
+        assert [hooks for _, _, hooks in gamma_hooks(3, 1)] == [(5, 6), (10, 15)]
         got = list(gamma_hooks(np.int64(3), np.int64(2)))
         assert got == list(gamma_hooks(3, 2))
-        assert all(type(f) is int for pairs in got for pair in pairs for f in pair)
+        assert all(type(v) is int for member in got for part in member for v in part)
 
     @pytest.mark.parametrize("d,L", [(2**62, 1), (2, 2**61), (sys.maxsize, 1)])
     def test_box_count_beyond_the_factorial_limit_is_a_value_error(self, d, L, monkeypatch):
         # Checked before any shape, factorial or Weyl dimension is made: at d = 2^62 a shape
         # alone would hold 2^62 rows.
-        for name in ("gamma_shape", "gamma_dims", "factorial"):
+        for name in ("_gamma_i", "gamma_dims", "factorial"):
             monkeypatch.setattr(young, name, lambda *args: pytest.fail("made before the check"))
         hooks = gamma_hooks(d, L)  # a generator: nothing is checked or made until it is read
         with pytest.raises(ValueError, match=f"^{2 * d * L} boxes exceed the factorial limit, "
@@ -369,9 +369,8 @@ class TestHookLengths:
             next(hooks)
 
     def test_equals_hook_product_on_the_probe_shapes(self):
-        for i, (_, hooks) in enumerate(gamma_hooks(10, 40)):
-            p = GammaParams(10, 40, i)
-            shapes = gamma_shape(p), gamma_plus_shape(p)
+        for i, (_, _, hooks) in enumerate(gamma_hooks(10, 40)):
+            shapes = reference_gamma_shape(10, 40, i), reference_gamma_shape(10, 40, i, grown=1)
             assert list(hooks) == [reference_hook_length_dimension(lam) for lam in shapes], i
 
     @pytest.mark.parametrize("d,L,indices", [(2, 2000, (0, 1, 1000, 2000)), (10, 400, (0, 200, 400))])
@@ -381,9 +380,8 @@ class TestHookLengths:
         got = list(gamma_hooks(d, L))
         assert len(got) == L + 1
         for i in indices:
-            p = GammaParams(d, L, i)
-            shapes = gamma_shape(p), gamma_plus_shape(p)
-            assert list(got[i][1]) == [reference_hook_length_dimension(lam) for lam in shapes], i
+            shapes = reference_gamma_shape(d, L, i), reference_gamma_shape(d, L, i, grown=1)
+            assert list(got[i][2]) == [reference_hook_length_dimension(lam) for lam in shapes], i
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 16), st.integers(1, 40))
@@ -393,11 +391,15 @@ class TestHookLengths:
     @example(1000, 3)
     def test_every_hook_pair_equals_hook_product(self, d, L):
         got = list(gamma_hooks(d, L))
-        assert [dims for dims, _ in got] == list(gamma_dims(d, L))
-        for i, (_, hooks) in enumerate(got):
-            p = GammaParams(d, L, i)
-            shapes = gamma_shape(p), gamma_plus_shape(p)
+        assert [dims for _, dims, _ in got] == list(gamma_dims(d, L))
+        for i, (_, _, hooks) in enumerate(got):
+            shapes = reference_gamma_shape(d, L, i), reference_gamma_shape(d, L, i, grown=1)
             assert list(hooks) == [reference_hook_length_dimension(lam) for lam in shapes], i
+
+    def test_every_yielded_shape_equals_the_formula(self):
+        for d, L in [*product(range(2, 17), range(1, 41)), (1000, 1)]:
+            shapes = [shape for shape, _, _ in gamma_hooks(d, L)]
+            assert shapes == [reference_gamma_shape(d, L, i) for i in range(L + 1)], (d, L)
 
     def test_square_sum_is_factorial(self):
         for n in range(1, 9):
@@ -413,92 +415,103 @@ class TestHookLengths:
                 assert total == d**n
 
 
+# The entry points that take the probe family's (d, L), each read to its first value.
+FAMILY_ENTRIES = {
+    "gamma_dims": lambda d, L: next(gamma_dims(d, L)),
+    "gamma_hooks": lambda d, L: next(gamma_hooks(d, L)),
+    "gamma_chain": gamma_chain,
+    "CoeffTable.build": CoeffTable.build,
+}
+
+
 class TestGammaFamily:
     def test_params_validation(self):
-        with pytest.raises(ValueError):
-            GammaParams(1, 1, 0)
-        with pytest.raises(ValueError):
-            GammaParams(2, 0, 0)
-        with pytest.raises(ValueError):
-            GammaParams(2, 1, 2)
+        for name, entry in FAMILY_ENTRIES.items():
+            with pytest.raises(ValueError, match=r"^d must be >= 2, got 1$"):
+                entry(1, 1)
+            with pytest.raises(ValueError, match=r"^L must be >= 1, got 0$"):
+                entry(2, 0)
 
     @pytest.mark.parametrize(
         "args,field,value",
-        [((2.5, 1, 0), "d", 2.5), ((2, 1.5, 0), "L", 1.5), ((2, 1, 0.0), "i", 0.0),
-         ((2, "1", 0), "L", "1"), ((2, 1, None), "i", None)],
+        [((2.5, 1), "d", 2.5), ((2, 1.5), "L", 1.5), ((2.0, 1), "d", 2.0),
+         ((2, "1"), "L", "1"), ((None, 1), "d", None)],
     )
     def test_params_must_be_integers(self, args, field, value):
-        with pytest.raises(ValueError) as err:
-            GammaParams(*args)
-        assert str(err.value) == f"{field} must be an integer, got {value!r}"
+        for name, entry in FAMILY_ENTRIES.items():
+            with pytest.raises(ValueError) as err:
+                entry(*args)
+            assert str(err.value) == f"{field} must be an integer, got {value!r}", name
 
     def test_params_reject_d_beyond_a_tuple_of_rows(self):
-        # gamma_shape holds d rows in a tuple; a larger d cannot even be repeated.
-        assert GammaParams(sys.maxsize, 1, 0).d == sys.maxsize
-        with pytest.raises(ValueError) as err:
-            GammaParams(10**20, 1, 0)
-        assert str(err.value) == f"d={10**20} exceeds the longest tuple of rows, {sys.maxsize}"
+        # A shape holds d rows in a tuple; a larger d cannot even be repeated.
+        assert young._require_family(sys.maxsize, 1) == (sys.maxsize, 1)
+        for name, entry in FAMILY_ENTRIES.items():
+            with pytest.raises(ValueError) as err:
+                entry(10**20, 1)
+            assert str(err.value) == f"d={10**20} exceeds the longest tuple of rows, {sys.maxsize}"
 
     def test_params_accept_numpy_integers(self):
-        p = GammaParams(np.int64(3), np.int32(2), np.int64(1))
-        assert gamma_shape(p) == gamma_shape(GammaParams(3, 2, 1)) == (9, 2, 1)
+        for name, entry in FAMILY_ENTRIES.items():
+            assert entry(np.int64(3), np.int32(2)) == entry(3, 2), name
+        assert gamma_chain(np.int64(3), np.int32(2)) == ((2,), (2, 2), (10, 2))
+        assert all(type(r) is int for lam in gamma_chain(np.int64(3), np.int32(2)) for r in lam)
 
     def test_derived_quantities(self):
-        p = GammaParams(3, 2, 1)
-        assert p.N == 8
+        # N = (d+1)L boxes hold the letter d, all of them in row 1 of gamma_0.
+        assert CoeffTable.build(3, 2).N == 8
+        assert gamma_chain(3, 2)[-1][0] - gamma_chain(3, 2)[-2][0] == 8
 
     def test_shapes(self):
-        assert gamma_shape(GammaParams(2, 1, 0)) == (4,)
-        assert gamma_shape(GammaParams(2, 1, 1)) == (3, 1)
-        assert gamma_shape(GammaParams(3, 1, 1)) == (4, 1, 1)
-        assert gamma_plus_shape(GammaParams(2, 1, 0)) == (5,)
-        assert gamma_plus_shape(GammaParams(2, 1, 1)) == (4, 1)
-        assert gamma_plus_shape(GammaParams(3, 1, 0)) == (6, 1)
+        assert [shape for shape, _, _ in gamma_hooks(2, 1)] == [(4,), (3, 1)]
+        assert [shape for shape, _, _ in gamma_hooks(3, 1)] == [(5, 1), (4, 1, 1)]
+        assert reference_gamma_shape(2, 1, 0, grown=1) == (5,)
+        assert reference_gamma_shape(2, 1, 1, grown=1) == (4, 1)
+        assert reference_gamma_shape(3, 1, 0, grown=1) == (6, 1)
 
     def test_shapes_are_canonical(self):
         for d, L in product(range(2, 9), range(1, 21)):
-            for i in range(L + 1):
-                p = GammaParams(d, L, i)
-                old = as_diagram([p.N + p.L - p.i] + [p.L] * (p.d - 2) + [p.i])
-                assert gamma_shape(p) == old
-                assert gamma_plus_shape(p) == (old[0] + 1,) + old[1:]
+            for i, (shape, _, _) in enumerate(gamma_hooks(d, L)):
+                old = as_diagram([(d + 1) * L + L - i] + [L] * (d - 2) + [i])
+                assert shape == reference_gamma_shape(d, L, i) == old
+                assert reference_gamma_shape(d, L, i, grown=1) == (old[0] + 1,) + old[1:]
 
     def test_box_counts(self):
         for d, L in product(range(2, 7), range(1, 11)):
-            for i in range(L + 1):
-                p = GammaParams(d, L, i)
-                assert sum(gamma_shape(p)) == 2 * d * L
-                assert sum(gamma_plus_shape(p)) == 2 * d * L + 1
+            for i, (shape, _, _) in enumerate(gamma_hooks(d, L)):
+                assert sum(shape) == 2 * d * L
+                assert sum(reference_gamma_shape(d, L, i, grown=1)) == 2 * d * L + 1
 
     def test_two_routes_to_next_grown_shape(self):
         # Adding the deep-row box to gamma_i gives the same diagram as
         # growing the (i+1)-th member in row 1.
         for d, L in product(range(2, 7), range(1, 8)):
-            for i in range(L):
-                p = GammaParams(d, L, i)
-                grown = list(gamma_shape(p)) + [0] * (d - len(gamma_shape(p)))
-                grown[d - 1] += 1
-                assert as_diagram(grown) == gamma_plus_shape(GammaParams(d, L, i + 1))
+            for i, (shape, _, _) in enumerate(gamma_hooks(d, L)):
+                if i < L:
+                    grown = list(shape) + [0] * (d - len(shape))
+                    grown[d - 1] += 1
+                    assert as_diagram(grown) == reference_gamma_shape(d, L, i + 1, grown=1)
 
     def test_chain_examples(self):
-        assert gamma_chain(GammaParams(2, 1, 1)) == ((1,), (3, 1))
-        assert gamma_chain(GammaParams(2, 1, 0)) == ((1,), (4,))
+        assert gamma_chain(2, 1) == reference_gamma_chain(2, 1, 0) == ((1,), (4,))
+        assert reference_gamma_chain(2, 1, 1) == ((1,), (3, 1))
 
     def test_chain_is_valid_and_top_boxes_split(self):
         for d, L in product(range(2, 6), range(1, 6)):
+            assert gamma_chain(d, L) == reference_gamma_chain(d, L, 0)
             for i in range(L + 1):
-                p = GammaParams(d, L, i)
-                chain = gamma_chain(p)
+                chain = reference_gamma_chain(d, L, i)
                 assert as_chain(chain) == chain
                 top, below = chain[-1], chain[-2]
-                assert row(top, 1) - row(below, 1) == p.N - i
+                assert row(top, 1) - row(below, 1) == (d + 1) * L - i
                 assert row(top, d) - row(below, d) == i
 
     def test_content(self):
-        assert gamma_content(2, 1) == (1, 3)
-        assert gamma_content(3, 2) == (2, 2, 8)
+        assert reference_gamma_content(2, 1) == (1, 3)
+        assert reference_gamma_content(3, 2) == (2, 2, 8)
         for d, L in product(range(2, 6), range(1, 6)):
-            assert sum(gamma_content(d, L)) == 2 * d * L
+            assert sum(reference_gamma_content(d, L)) == 2 * d * L
+            assert sum(gamma_chain(d, L)[-1]) == 2 * d * L
 
 
 class TestPartitions:

@@ -23,14 +23,18 @@ it is not a claim.
 
 ``--parent REV`` also measures the commit REV of the checkout's repository,
 checked out with ``git worktree add`` into a temporary directory that is
-removed afterwards.  For each seed and workload it runs the unchanged
-``perfbench/run.py`` of REV, with ``--trace 0`` only, right before (odd
-seeds) or after (even seeds) the checkout's own ``--trace 0`` run, and
-writes a ``paired`` key: per workload and end-to-end metric, both medians,
-the parent IQR, the median of the per-pair ratios change/parent and the
-number of pairs in which the change is better.  Gains are decided by these
-pairs (see ROADMAP.md, Standing rules); the printout ends each metric's line
-with the rule its pairs meet: gain, noise, worse or unclear (see verdict).
+removed afterwards.  The checkout's ``src/``, ``perfbench/`` and
+``BENCHMARK.json`` are copied beside it and its perfbench runs are made
+there, so that the two sides differ in their code and not in where they
+run; the tier-1 suite and the git state still read the checkout.  For each
+seed and workload it runs the unchanged ``perfbench/run.py`` of REV, with
+``--trace 0`` only, right before (odd seeds) or after (even seeds) the
+checkout's own ``--trace 0`` run, and writes a ``paired`` key: per workload
+and end-to-end metric, both medians, the parent IQR, the median of the
+per-pair ratios change/parent and the number of pairs in which the change
+is better.  Gains are decided by these pairs (see ROADMAP.md, Standing
+rules); the printout ends each metric's line with the rule its pairs meet:
+gain, noise, worse or unclear (see verdict).
 
 Beside perfbench's end-to-end metrics, every ``--trace 0`` run reports
 ``raw_s``: the sum over its ops of each op's median seconds, read from the
@@ -47,6 +51,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -76,7 +81,7 @@ def raw_seconds(path: Path) -> float:
 
 def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One perfbench run; a --trace 0 run's metrics gain raw_s, read from its raw-sample
-    file right away, before a later run or the removal of a parent worktree loses it."""
+    file right away, before a later run or the removal of a temporary tree loses it."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     argv += ["--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
@@ -128,19 +133,24 @@ def paired(parent: list[dict], change: list[dict], better: dict[str, str]) -> di
 
 
 @contextlib.contextmanager
-def worktree(repo: Path, rev: str):
-    """The commit rev of repo's repository, checked out in a temporary directory."""
+def trees(checkout: Path, rev: str):
+    """(change, parent) in sibling temporary directories: a copy of checkout's src/,
+    perfbench/ and BENCHMARK.json, and the commit rev of its repository, checked out."""
 
     def git(*args: str) -> None:
-        subprocess.run(["git", *args], cwd=repo, capture_output=True, check=True)
+        subprocess.run(["git", *args], cwd=checkout, capture_output=True, check=True)
 
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        path = Path(tmp) / "parent"
-        git("worktree", "add", "--detach", str(path), rev)
+    with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
+        change, parent = Path(tmp) / "change", Path(tmp) / "parent"
+        skip = shutil.ignore_patterns("__pycache__")
+        for name in ("src", "perfbench"):
+            shutil.copytree(checkout / name, change / name, ignore=skip)
+        shutil.copy2(checkout / "BENCHMARK.json", change)
+        git("worktree", "add", "--detach", str(parent), rev)
         try:
-            yield path
+            yield change, parent
         finally:
-            git("worktree", "remove", "--force", str(path))
+            git("worktree", "remove", "--force", str(parent))
 
 
 def summarize(runs: list[dict]) -> dict:
@@ -264,8 +274,9 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
 
-    with worktree(checkout, args.parent) if args.parent else contextlib.nullcontext() as parent:
-        runs = measure(checkout, args.seeds, seconds, parent)
+    pair = trees(checkout, args.parent) if args.parent else contextlib.nullcontext((checkout, None))
+    with pair as (tree, parent):
+        runs = measure(tree, args.seeds, seconds, parent)
         parent_commit = git_state(parent)["commit"] if parent else None
     workloads = {}
     for workload, found in runs.items():
