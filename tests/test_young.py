@@ -426,7 +426,7 @@ FAMILY_ENTRIES = {
 
 class TestGammaFamily:
     def test_params_validation(self):
-        for name, entry in FAMILY_ENTRIES.items():
+        for entry in FAMILY_ENTRIES.values():
             with pytest.raises(ValueError, match=r"^d must be >= 2, got 1$"):
                 entry(1, 1)
             with pytest.raises(ValueError, match=r"^L must be >= 1, got 0$"):
@@ -446,7 +446,7 @@ class TestGammaFamily:
     def test_params_reject_d_beyond_a_tuple_of_rows(self):
         # A shape holds d rows in a tuple; a larger d cannot even be repeated.
         assert young._require_family(sys.maxsize, 1) == (sys.maxsize, 1)
-        for name, entry in FAMILY_ENTRIES.items():
+        for entry in FAMILY_ENTRIES.values():
             with pytest.raises(ValueError) as err:
                 entry(10**20, 1)
             assert str(err.value) == f"d={10**20} exceeds the longest tuple of rows, {sys.maxsize}"
